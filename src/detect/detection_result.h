@@ -36,10 +36,15 @@ struct DetectionStats {
   /// Number of pattern nodes whose representation was evaluated —
   /// the "patterns examined during the search" count the paper compares.
   uint64_t nodes_visited = 0;
-  /// Node evaluations served from a materialized parent intersection in
-  /// the search engine's PatternCursor: each hit cost one single-bitset
-  /// AND instead of |p| full intersections.
+  /// Node evaluations below a non-empty parent in the search engine:
+  /// each was answered from the parent's PatternCursor frame (and the
+  /// run's size memo) instead of |p| full intersections.
   uint64_t cursor_reuse_hits = 0;
+  /// Full-width size counts: evaluations whose s_D(p) the run had not
+  /// counted before. A run counts each pattern's size once and reads
+  /// every repeat from its size memo (engine/size_memo.h); every other
+  /// evaluation reads only the ceil(k/64) top-k prefix words.
+  uint64_t sizes_counted = 0;
   /// Elapsed wall-clock seconds of the algorithm, set once by the
   /// owning entry point. Deliberately NOT accumulated by Merge():
   /// summing per-worker elapsed times would report N overlapping
@@ -58,6 +63,7 @@ struct DetectionStats {
   void Merge(const DetectionStats& other) {
     nodes_visited += other.nodes_visited;
     cursor_reuse_hits += other.cursor_reuse_hits;
+    sizes_counted += other.sizes_counted;
     cpu_seconds += other.cpu_seconds;
   }
 };

@@ -4,11 +4,14 @@
 // Three ideas collapse the previously duplicated DFS loops into this
 // layer:
 //
-//  1. Cursor-based incremental counting. The driver walks the tree with
-//     a PatternCursor that materializes the parent's intersection
-//     bitset, so evaluating a child costs one fused AND+popcount pass
-//     against a single (attribute, value) bitset — not |p| full
-//     intersections per node (see index/pattern_cursor.h).
+//  1. Count only what the search reads. The driver walks the tree with
+//     a PatternCursor that keeps the parent's intersection, so a child
+//     costs one AND against a single (attribute, value) bitset — not
+//     |p| full intersections (see index/pattern_cursor.h). A child's
+//     size s_D does not depend on k, so every search of a detect run
+//     shares the run's SizeMemo (engine/size_memo.h): a size is counted
+//     over the full width once per run, and every other evaluation
+//     ANDs only the ceil(k/64) words of the top-k prefix.
 //
 //  2. Inlined policies. Bound evaluation and reporting semantics are
 //     template parameters (any callable / visitor struct), so the hot
@@ -16,11 +19,13 @@
 //
 //  3. Shard-and-merge parallelism with a determinism rule. The root's
 //     children (first-predicate branches) own disjoint subtrees; each
-//     branch is searched with its OWN visitor instance and cursor, and
-//     the per-branch states are merged in fixed branch order after all
-//     workers join. Because per-branch work is a pure function of the
-//     index and the merge order never depends on thread scheduling, a
-//     run with N threads is bit-identical to a sequential run — the
+//     branch is searched with its OWN visitor instance, cursor and
+//     size-memo branch, and the per-branch states are merged in fixed
+//     branch order after all workers join. Because per-branch work is
+//     a pure function of the index and of the branch's earlier
+//     searches in the run, and the merge order never depends on thread
+//     scheduling, a run with N threads is bit-identical to a
+//     sequential run, work counters included — the
 //     sequential path executes the very same branch/merge sequence.
 //     Per-worker DetectionStats are merged on join, never shared.
 //
@@ -43,6 +48,7 @@
 #include "common/timer.h"
 #include "detect/detection_result.h"
 #include "detect/engine/result_sink.h"
+#include "detect/engine/size_memo.h"
 #include "index/bitmap_index.h"
 #include "index/pattern_cursor.h"
 #include "pattern/pattern.h"
@@ -77,36 +83,75 @@ int ResolveThreadCount(int requested, size_t num_branches);
 
 namespace internal {
 
-/// Pre-order DFS below `node` (exclusive) over attributes >=
-/// `first_attr`. The cursor must be positioned AT `node` (its frames
-/// materialize node's intersection). For every child: evaluate counts
-/// through the cursor, skip it when smaller than the size threshold
-/// (anti-monotone prune), otherwise hand it to the visitor; descend iff
-/// the visitor returns true. `node` is mutated in place and restored —
-/// visitors must copy the pattern if they keep it.
 template <typename Visitor>
 void DescendFrom(const BitmapIndex& index, const SearchParams& params,
-                 Pattern& node, size_t first_attr, PatternCursor& cursor,
-                 Visitor& visitor, uint64_t& nodes_visited) {
+                 Pattern& node, uint32_t id, size_t first_attr,
+                 SizeMemo::Branch& sizes, PatternCursor& cursor,
+                 Visitor& visitor, DetectionStats& stats);
+
+/// Evaluates the node (cursor's pattern ∪ {attr = value}), whose id in
+/// its root branch's memo is `id`: its size comes from the memo, or is
+/// counted over the full width through the cursor and stored; a node
+/// smaller than the size threshold is skipped (anti-monotone prune);
+/// otherwise its top-k prefix is counted and the node handed to the
+/// visitor, and the search descends below it iff the visitor returns
+/// true. `node` is the cursor's pattern, mutated in place and restored
+/// — visitors must copy the pattern if they keep it.
+template <typename Visitor>
+void VisitNode(const BitmapIndex& index, const SearchParams& params,
+               Pattern& node, size_t attr, int16_t value, uint32_t id,
+               SizeMemo::Branch& sizes, PatternCursor& cursor,
+               Visitor& visitor, DetectionStats& stats) {
+  ++stats.nodes_visited;
+  if (cursor.depth() > 0) ++stats.cursor_reuse_hits;
+  const size_t threshold = static_cast<size_t>(params.size_threshold);
+  size_t size_d = sizes.size(id);
+  size_t top_k = 0;
+  if (size_d == SizeMemo::kUnknown) {
+    cursor.ChildCounts(attr, value, &size_d, &top_k);
+    sizes.set_size(id, size_d);
+    ++stats.sizes_counted;
+    if (size_d < threshold) return;
+  } else {
+    if (size_d < threshold) return;
+    top_k = cursor.ChildTopK(attr, value);
+  }
+  node.SetValue(attr, value);
+  if (visitor(node, size_d, top_k)) {
+    cursor.Push(attr, value);
+    DescendFrom(index, params, node, id, attr + 1, sizes, cursor, visitor,
+                stats);
+    cursor.Pop();
+  }
+  node.SetValue(attr, Pattern::kUnspecified);
+}
+
+/// Pre-order DFS below `node` (exclusive) over attributes >=
+/// `first_attr`. The cursor must be positioned AT `node`, and `id` is
+/// node's id in `sizes`, its root branch's memo.
+template <typename Visitor>
+void DescendFrom(const BitmapIndex& index, const SearchParams& params,
+                 Pattern& node, uint32_t id, size_t first_attr,
+                 SizeMemo::Branch& sizes, PatternCursor& cursor,
+                 Visitor& visitor, DetectionStats& stats) {
   const PatternSpace& space = index.space();
   for (size_t j = first_attr; j < space.num_attributes(); ++j) {
     const int domain = space.domain_size(j);
     for (int16_t v = 0; v < domain; ++v) {
-      ++nodes_visited;
-      size_t size_d = 0;
-      size_t top_k = 0;
-      cursor.ChildCounts(j, v, params.k, &size_d, &top_k);
-      if (size_d < static_cast<size_t>(params.size_threshold)) continue;
-      node.SetValue(j, v);
-      if (visitor(node, size_d, top_k)) {
-        cursor.Push(j, v);
-        DescendFrom(index, params, node, j + 1, cursor, visitor,
-                    nodes_visited);
-        cursor.Pop();
-      }
-      node.SetValue(j, Pattern::kUnspecified);
+      VisitNode(index, params, node, j, v, sizes.Child(id, j, v), sizes,
+                cursor, visitor, stats);
     }
   }
+}
+
+/// Visits root branch `b` — its root and, as the visitor decides, its
+/// subtree — with a cursor at the empty pattern.
+template <typename Visitor>
+void VisitBranch(const BitmapIndex& index, const SearchParams& params,
+                 const RootBranch& b, SizeMemo& sizes, PatternCursor& cursor,
+                 Pattern& node, Visitor& visitor, DetectionStats& stats) {
+  VisitNode(index, params, node, b.attr, b.value, SizeMemo::Branch::kRoot,
+            sizes.branch(b.attr, b.value), cursor, visitor, stats);
 }
 
 }  // namespace internal
@@ -125,18 +170,19 @@ inline bool RunsSequentially(const SearchParams& params) {
 /// formulation would report.
 template <typename Visitor>
 void SequentialTopDown(const BitmapIndex& index, const SearchParams& params,
-                       Visitor& visitor, DetectionStats* stats) {
+                       SizeMemo& sizes, Visitor& visitor,
+                       DetectionStats* stats) {
   WallTimer timer;
-  PatternCursor cursor(index);
+  PatternCursor cursor(index, params.k);
   Pattern node = Pattern::Empty(index.space().num_attributes());
-  uint64_t visited = 0;
-  internal::DescendFrom(index, params, node, 0, cursor, visitor, visited);
+  DetectionStats local;
+  for (const RootBranch& b : RootBranches(index.space())) {
+    internal::VisitBranch(index, params, b, sizes, cursor, node, visitor,
+                          local);
+  }
   if (stats != nullptr) {
-    stats->nodes_visited += visited;
-    // Consume the delta, never the lifetime counter: a cursor reused
-    // across search phases must contribute each hit exactly once.
-    stats->cursor_reuse_hits += cursor.TakeReuseHits();
-    stats->cpu_seconds += timer.ElapsedSeconds();
+    local.cpu_seconds = timer.ElapsedSeconds();
+    stats->Merge(local);
   }
 }
 
@@ -146,12 +192,13 @@ void SequentialTopDown(const BitmapIndex& index, const SearchParams& params,
 /// order. `make_visitor()` must produce independent, movable visitors
 /// whose operator()(const Pattern&, size_t size_d, size_t top_k) -> bool
 /// decides descent. Thread-count invariance: per-branch work touches
-/// only the (immutable) index and the branch's own visitor/cursor, and
-/// the merge loop runs single-threaded in fixed order.
+/// only the (immutable) index and the branch's own visitor, cursor and
+/// size-memo branch, and the merge loop runs single-threaded in fixed
+/// order.
 template <typename VisitorFactory, typename MergeFn>
 void ShardedTopDown(const BitmapIndex& index, const SearchParams& params,
-                    const VisitorFactory& make_visitor, const MergeFn& merge,
-                    DetectionStats* stats) {
+                    SizeMemo& sizes, const VisitorFactory& make_visitor,
+                    const MergeFn& merge, DetectionStats* stats) {
   const PatternSpace& space = index.space();
   const std::vector<RootBranch> branches = RootBranches(space);
   using VisitorT = std::decay_t<decltype(make_visitor())>;
@@ -163,7 +210,7 @@ void ShardedTopDown(const BitmapIndex& index, const SearchParams& params,
     // sequence the merge path folds — with none of the per-branch
     // state.
     VisitorT visitor = make_visitor();
-    SequentialTopDown(index, params, visitor, stats);
+    SequentialTopDown(index, params, sizes, visitor, stats);
     merge(0, std::move(visitor));
     return;
   }
@@ -178,28 +225,15 @@ void ShardedTopDown(const BitmapIndex& index, const SearchParams& params,
   std::atomic<size_t> next{0};
   auto worker = [&](size_t w) {
     WallTimer timer;
-    PatternCursor cursor(index);
+    PatternCursor cursor(index, params.k);
     Pattern node = Pattern::Empty(space.num_attributes());
     DetectionStats& ws = worker_stats[w];
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
          i < branches.size();
          i = next.fetch_add(1, std::memory_order_relaxed)) {
-      const RootBranch& b = branches[i];
-      ++ws.nodes_visited;
-      size_t size_d = 0;
-      size_t top_k = 0;
-      cursor.ChildCounts(b.attr, b.value, params.k, &size_d, &top_k);
-      if (size_d < static_cast<size_t>(params.size_threshold)) continue;
-      node.SetValue(b.attr, b.value);
-      if (states[i](node, size_d, top_k)) {
-        cursor.Push(b.attr, b.value);
-        internal::DescendFrom(index, params, node, b.attr + 1, cursor,
-                              states[i], ws.nodes_visited);
-        cursor.Pop();
-      }
-      node.SetValue(b.attr, Pattern::kUnspecified);
+      internal::VisitBranch(index, params, branches[i], sizes, cursor, node,
+                            states[i], ws);
     }
-    ws.cursor_reuse_hits += cursor.TakeReuseHits();
     // Per-worker busy time; Merge() folds these into cpu_seconds (and
     // never into the wall-clock `seconds`, which the entry point owns).
     ws.cpu_seconds = timer.ElapsedSeconds();
@@ -222,24 +256,27 @@ void ShardedTopDown(const BitmapIndex& index, const SearchParams& params,
 }
 
 /// The per-k streaming driver every detection algorithm runs through:
-/// invokes `per_k(k, stats)` for each k in [config.k_min,
+/// invokes `per_k(k, stats, sizes)` for each k in [config.k_min,
 /// config.k_max] in ascending order and hands its finalized violation
 /// set straight to `sink` — nothing is materialized here. `per_k` may
-/// carry state across ks (the incremental algorithms do) and
-/// accumulates work counters into the passed DetectionStats; the
-/// driver owns the wall clock and the final OnStats call, enforcing
-/// the ResultSink contract in one place. A sink error aborts the run
+/// carry state across ks (the incremental algorithms do), accumulates
+/// work counters into the passed DetectionStats, and hands `sizes`,
+/// the run's size memo over `index`, to every search it runs; the memo
+/// lives for the run and is freed when it ends. The driver owns the
+/// wall clock and the final OnStats call, enforcing the ResultSink
+/// contract in one place. A sink error aborts the run
 /// (the remaining ks are never searched). The wall clock covers the
 /// per_k searches only — time spent inside the caller's sink is NOT
 /// detection time, so a slow streaming consumer cannot inflate
 /// `seconds` (which PR 3 deliberately keeps honest vs cpu_seconds).
 template <typename PerKFn>
-Status StreamPerK(const DetectionConfig& config, ResultSink& sink,
-                  const PerKFn& per_k) {
+Status StreamPerK(const BitmapIndex& index, const DetectionConfig& config,
+                  ResultSink& sink, const PerKFn& per_k) {
   DetectionStats stats;
+  SizeMemo sizes(index.space());
   for (int k = config.k_min; k <= config.k_max; ++k) {
     WallTimer timer;
-    std::vector<Pattern> batch = per_k(k, stats);
+    std::vector<Pattern> batch = per_k(k, stats, sizes);
     stats.seconds += timer.ElapsedSeconds();
     FAIRTOPK_RETURN_IF_ERROR(sink.OnResult(k, std::move(batch)));
   }
@@ -301,22 +338,28 @@ class BelowBoundCollector {
 }  // namespace internal
 
 /// Algorithm 1: full top-down search from the root at a single k,
-/// reporting the most-general biased patterns. `bound` is any callable
-/// double(size_t size_in_d) — inlined per instantiation.
+/// reporting the most-general biased patterns — Res, plus DRes in
+/// `deferred`. Patterns are biased when their top-k count falls
+/// strictly below `bound`, any callable double(size_t size_in_d),
+/// inlined per instantiation: a constant L_k for the global problem,
+/// alpha * size * k / |D| for the proportional one. Shared by the
+/// ITERTD baselines, the full searches of GLOBALBOUNDS, and bound
+/// suggestion. `sizes` is the memo of the run the search belongs to;
+/// results are identical for any `params.num_threads`.
 template <typename BoundFn>
 SearchOutcome MostGeneralBelow(const BitmapIndex& index,
-                               const SearchParams& params,
+                               const SearchParams& params, SizeMemo& sizes,
                                const BoundFn& bound, DetectionStats* stats) {
   if (RunsSequentially(params)) {
     // Fast path: one collector reports straight into the final outcome;
     // no per-branch states and no re-classification on merge.
     internal::BelowBoundCollector<BoundFn> collector(bound);
-    SequentialTopDown(index, params, collector, stats);
+    SequentialTopDown(index, params, sizes, collector, stats);
     return std::move(collector.outcome());
   }
   SearchOutcome merged;
   ShardedTopDown(
-      index, params,
+      index, params, sizes,
       [&bound] { return internal::BelowBoundCollector<BoundFn>(bound); },
       [&merged](size_t, internal::BelowBoundCollector<BoundFn>&& local) {
         SearchOutcome& out = local.outcome();
@@ -331,24 +374,22 @@ SearchOutcome MostGeneralBelow(const BitmapIndex& index,
   return merged;
 }
 
-/// Generic sequential pre-order descent below `from` with an arbitrary
-/// visitor (used by the incremental PROPBOUNDS machinery to expand
-/// previously shadowed regions with its own bookkeeping).
+/// Generic sequential pre-order descent below non-empty `from` with
+/// an arbitrary visitor (used by the incremental PROPBOUNDS machinery
+/// to expand previously shadowed regions with its own bookkeeping).
 template <typename Visitor>
 void VisitBelowFrom(const BitmapIndex& index, const SearchParams& params,
-                    const Pattern& from, Visitor& visitor,
+                    const Pattern& from, SizeMemo& sizes, Visitor& visitor,
                     DetectionStats* stats) {
-  PatternCursor cursor(index);
+  auto [branch, id] = sizes.Locate(from);
+  PatternCursor cursor(index, params.k);
   cursor.SeedFrom(from);
   Pattern node = from;
-  uint64_t visited = 0;
-  internal::DescendFrom(index, params, node,
+  DetectionStats local;
+  internal::DescendFrom(index, params, node, id,
                         static_cast<size_t>(from.MaxSpecifiedIndex() + 1),
-                        cursor, visitor, visited);
-  if (stats != nullptr) {
-    stats->nodes_visited += visited;
-    stats->cursor_reuse_hits += cursor.TakeReuseHits();
-  }
+                        *branch, cursor, visitor, local);
+  if (stats != nullptr) stats->Merge(local);
 }
 
 /// Resumes Algorithm 1 below an interior node `from` (procedure
@@ -358,8 +399,8 @@ void VisitBelowFrom(const BitmapIndex& index, const SearchParams& params,
 /// from the (inherently serial) incremental phases.
 template <typename BoundFn>
 void MostGeneralBelowFrom(const BitmapIndex& index, const SearchParams& params,
-                          const Pattern& from, const BoundFn& bound,
-                          MostGeneralResultSet& res,
+                          const Pattern& from, SizeMemo& sizes,
+                          const BoundFn& bound, MostGeneralResultSet& res,
                           std::vector<Pattern>& deferred,
                           DetectionStats* stats) {
   struct SharedCollector {
@@ -375,7 +416,7 @@ void MostGeneralBelowFrom(const BitmapIndex& index, const SearchParams& params,
     }
   };
   SharedCollector visitor{bound, res, deferred};
-  VisitBelowFrom(index, params, from, visitor, stats);
+  VisitBelowFrom(index, params, from, sizes, visitor, stats);
 }
 
 namespace internal {
@@ -407,15 +448,16 @@ class ExhaustiveVisitor {
 /// upper-bound detector and the reporting-semantics variants.
 template <typename SetT, typename ViolatesFn>
 SetT ExhaustiveViolations(const BitmapIndex& index, const SearchParams& params,
-                          const ViolatesFn& violates, DetectionStats* stats) {
+                          SizeMemo& sizes, const ViolatesFn& violates,
+                          DetectionStats* stats) {
   if (RunsSequentially(params)) {
     internal::ExhaustiveVisitor<ViolatesFn, SetT> visitor(violates);
-    SequentialTopDown(index, params, visitor, stats);
+    SequentialTopDown(index, params, sizes, visitor, stats);
     return std::move(visitor.set());
   }
   SetT merged;
   ShardedTopDown(
-      index, params,
+      index, params, sizes,
       [&violates] {
         return internal::ExhaustiveVisitor<ViolatesFn, SetT>(violates);
       },

@@ -4,7 +4,7 @@
 #include <utility>
 #include <vector>
 
-#include "detect/topdown.h"
+#include "detect/engine/search_driver.h"
 
 namespace fairtopk {
 
@@ -25,17 +25,21 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
   MostGeneralResultSet res;
   std::vector<Pattern> deferred;
 
-  return engine::StreamPerK(config, sink, [&](int k, DetectionStats& stats)
-                                              -> std::vector<Pattern> {
+  return engine::StreamPerK(index, config, sink,
+                            [&](int k, DetectionStats& stats,
+                                engine::SizeMemo& sizes)
+                                -> std::vector<Pattern> {
     DetectionStats* sp = &stats;
     const double lower = bounds.lower.At(k);
     const auto flat_bound = [lower](size_t) { return lower; };
     if (k == config.k_min || lower != bounds.lower.At(k - 1)) {
       // Initial iteration, or the bound stepped up: restart with a
       // fresh search (Algorithm 2, line 5).
-      TopDownOutcome outcome =
-          TopDownSearch(index, config.size_threshold, k, flat_bound, sp,
-                        config.num_threads);
+      const engine::SearchParams params{config.size_threshold,
+                                        static_cast<size_t>(k),
+                                        config.num_threads};
+      engine::SearchOutcome outcome =
+          engine::MostGeneralBelow(index, params, sizes, flat_bound, sp);
       res = std::move(outcome.result);
       deferred = std::move(outcome.deferred);
       return res.Sorted();
@@ -65,8 +69,8 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
       const size_t top_k = index.TopKCount(p, static_cast<size_t>(k));
       if (static_cast<double>(top_k) >= lower) {
         res.Remove(p);
-        engine::MostGeneralBelowFrom(index, resume_params, p, flat_bound, res,
-                                     deferred, sp);
+        engine::MostGeneralBelowFrom(index, resume_params, p, sizes,
+                                     flat_bound, res, deferred, sp);
       }
     }
 
@@ -80,8 +84,8 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
       ++sp->nodes_visited;
       const size_t top_k = index.TopKCount(d, static_cast<size_t>(k));
       if (static_cast<double>(top_k) >= lower) {
-        engine::MostGeneralBelowFrom(index, resume_params, d, flat_bound, res,
-                                     deferred, sp);
+        engine::MostGeneralBelowFrom(index, resume_params, d, sizes,
+                                     flat_bound, res, deferred, sp);
         continue;
       }
       if (res.HasProperAncestorOf(d)) {

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "detect/topdown.h"
+#include "detect/engine/search_driver.h"
 
 namespace fairtopk {
 
@@ -12,11 +12,15 @@ Status DetectGlobalIterTDStream(const DetectionInput& input,
                                 ResultSink& sink) {
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
   return engine::StreamPerK(
-      config, sink, [&](int k, DetectionStats& stats) {
+      input.index(), config, sink,
+      [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const double lower = bounds.lower.At(k);
-        TopDownOutcome outcome = TopDownSearch(
-            input.index(), config.size_threshold, k,
-            [lower](size_t) { return lower; }, &stats, config.num_threads);
+        const engine::SearchParams params{config.size_threshold,
+                                          static_cast<size_t>(k),
+                                          config.num_threads};
+        engine::SearchOutcome outcome = engine::MostGeneralBelow(
+            input.index(), params, sizes,
+            [lower](size_t) { return lower; }, &stats);
         return outcome.result.Sorted();
       });
 }
@@ -39,17 +43,21 @@ Status DetectPropIterTDStream(const DetectionInput& input,
   }
   const size_t n = input.num_rows();
   return engine::StreamPerK(
-      config, sink, [&](int k, DetectionStats& stats) {
+      input.index(), config, sink,
+      [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         // Evaluate the bound through PropBoundSpec::LowerAt so every
         // algorithm (and test oracle) shares one floating-point
         // evaluation order; boundary cases like bound == count would
         // otherwise be classified inconsistently.
-        TopDownOutcome outcome = TopDownSearch(
-            input.index(), config.size_threshold, k,
+        const engine::SearchParams params{config.size_threshold,
+                                          static_cast<size_t>(k),
+                                          config.num_threads};
+        engine::SearchOutcome outcome = engine::MostGeneralBelow(
+            input.index(), params, sizes,
             [&bounds, k, n](size_t size_d) {
               return bounds.LowerAt(static_cast<int>(size_d), k, n);
             },
-            &stats, config.num_threads);
+            &stats);
         return outcome.result.Sorted();
       });
 }

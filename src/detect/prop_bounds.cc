@@ -10,7 +10,6 @@
 
 #include "detect/engine/search_driver.h"
 #include "pattern/result_set.h"
-#include "pattern/search_tree.h"
 
 namespace fairtopk {
 
@@ -20,10 +19,12 @@ namespace {
 class PropSearch {
  public:
   PropSearch(const BitmapIndex& index, const PropBoundSpec& bounds,
-             const DetectionConfig& config, DetectionStats* stats)
+             const DetectionConfig& config, engine::SizeMemo& sizes,
+             DetectionStats* stats)
       : index_(index),
         space_(index.space()),
         config_(config),
+        sizes_(sizes),
         stats_(stats),
         bounds_(bounds),
         alpha_(bounds.alpha),
@@ -47,45 +48,42 @@ class PropSearch {
         int k;
         bool operator()(const Pattern& p, size_t size_d, size_t top_k) {
           if (s->Biased(top_k, size_d, k)) {
-            s->store_.emplace(p, NodeInfo{size_d, false});
             s->Place(p);
             return false;
           }
-          s->store_.emplace(p, NodeInfo{size_d, true});
+          s->expanded_.insert(p);
           s->RegisterKTilde(p, top_k, size_d, k);
           return true;
         }
       };
       DirectVisitor visitor{this, k};
-      engine::SequentialTopDown(index_, params, visitor, stats_);
+      engine::SequentialTopDown(index_, params, sizes_, visitor, stats_);
       return;
     }
     struct Harvest {
       const PropSearch* owner;
       int k;
-      // Pre-order records; folded into the shared maps on merge.
-      std::vector<std::pair<Pattern, NodeInfo>> store;
+      // Pre-order records; folded into the shared state on merge.
+      std::vector<Pattern> expanded;
       std::vector<Pattern> biased;
       std::vector<std::pair<int, Pattern>> schedule;
       bool operator()(const Pattern& p, size_t size_d, size_t top_k) {
         if (owner->Biased(top_k, size_d, k)) {
-          store.emplace_back(p, NodeInfo{size_d, false});
           biased.push_back(p);
           return false;
         }
-        store.emplace_back(p, NodeInfo{size_d, true});
+        expanded.push_back(p);
         const int kt = owner->KTilde(top_k, size_d, k);
         if (kt != 0) schedule.emplace_back(kt, p);
         return true;
       }
     };
     engine::ShardedTopDown(
-        index_, params, [&] { return Harvest{this, k, {}, {}, {}}; },
+        index_, params, sizes_, [&] { return Harvest{this, k, {}, {}, {}}; },
         [this](size_t, Harvest&& h) {
-          // Subtrees are disjoint, so every store/schedule entry is new.
-          for (auto& entry : h.store) {
-            store_.emplace(std::move(entry.first), entry.second);
-          }
+          // Subtrees are disjoint, so every expanded/schedule entry is
+          // new.
+          for (Pattern& p : h.expanded) expanded_.insert(std::move(p));
           for (auto& reg : h.schedule) {
             schedule_[reg.first].push_back(std::move(reg.second));
           }
@@ -101,10 +99,11 @@ class PropSearch {
     // (1) Selective top-down descent through patterns the new tuple
     // satisfies (selectiveTD of Algorithm 3).
     const size_t pos = static_cast<size_t>(k - 1);
-    std::vector<Pattern> roots =
-        GenerateChildren(Pattern::Empty(space_.num_attributes()), space_);
-    for (const Pattern& p : roots) {
-      if (index_.RankedRowSatisfies(p, pos)) Visit(p, k, /*full=*/false);
+    const Pattern empty = Pattern::Empty(space_.num_attributes());
+    for (size_t j = 0; j < space_.num_attributes(); ++j) {
+      const int16_t v = index_.RankedCode(pos, j);
+      Visit(empty.With(j, v), sizes_.branch(j, v),
+            engine::SizeMemo::Branch::kRoot, k, /*full=*/false);
     }
 
     // (2) k-tilde firings: patterns untouched by the new tuple whose
@@ -118,7 +117,7 @@ class PropSearch {
       for (const Pattern& p : fired) {
         if (res_.Contains(p) || deferred_.count(p) > 0) continue;
         CountStat();
-        const size_t size_d = SizeOf(p);
+        const size_t size_d = sizes_.SizeOf(p, index_, stats_);
         const size_t top_k = index_.TopKCount(p, static_cast<size_t>(k));
         if (Biased(top_k, size_d, k)) {
           Place(p);
@@ -138,11 +137,6 @@ class PropSearch {
   std::vector<Pattern> Snapshot() const { return res_.Sorted(); }
 
  private:
-  struct NodeInfo {
-    size_t size_d = 0;
-    bool expanded = false;
-  };
-
   void CountStat() {
     if (stats_ != nullptr) ++stats_->nodes_visited;
   }
@@ -175,14 +169,6 @@ class PropSearch {
     if (kt != 0) schedule_[kt].push_back(p);
   }
 
-  size_t SizeOf(const Pattern& p) {
-    auto it = store_.find(p);
-    if (it != store_.end()) return it->second.size_d;
-    const size_t size_d = index_.PatternCount(p);
-    store_.emplace(p, NodeInfo{size_d, false});
-    return size_d;
-  }
-
   /// Inserts a biased pattern into Res or the deferred set, keeping the
   /// most-general invariant (evictions flow into the deferred set).
   void Place(const Pattern& p) {
@@ -195,16 +181,14 @@ class PropSearch {
     for (const Pattern& evicted : update.evicted) deferred_.insert(evicted);
   }
 
-  /// Evaluates `p` at iteration `k` and descends: fully when the
-  /// subtree below `p` has never been explored (or `full` is set by an
-  /// un-biased ancestor), selectively (new-tuple-satisfying children
-  /// only) otherwise.
-  void Visit(const Pattern& p, int k, bool full) {
+  /// Evaluates `p` — node `id` of `sizes`, its root branch's memo — at
+  /// iteration `k` and descends: fully when the subtree below `p` has
+  /// never been explored (or `full` is set by an un-biased ancestor),
+  /// selectively (new-tuple-satisfying children only) otherwise.
+  void Visit(const Pattern& p, engine::SizeMemo::Branch& sizes, uint32_t id,
+             int k, bool full) {
     CountStat();
-    auto [it, inserted] = store_.try_emplace(p);
-    NodeInfo& node = it->second;
-    if (inserted) node.size_d = index_.PatternCount(p);
-    const size_t size_d = node.size_d;
+    const size_t size_d = sizes.SizeOf(id, p, index_, stats_);
     if (size_d < static_cast<size_t>(config_.size_threshold)) return;
     const size_t top_k = index_.TopKCount(p, static_cast<size_t>(k));
 
@@ -219,8 +203,8 @@ class PropSearch {
     deferred_.erase(p);
     RegisterKTilde(p, top_k, size_d, k);
 
-    const bool explore_all = full || !node.expanded;
-    node.expanded = true;
+    const bool first_expansion = expanded_.insert(p).second;
+    const bool explore_all = full || first_expansion;
     const size_t pos = static_cast<size_t>(k - 1);
     const int start = p.MaxSpecifiedIndex() + 1;
     for (size_t j = static_cast<size_t>(start); j < space_.num_attributes();
@@ -228,11 +212,12 @@ class PropSearch {
       const int domain = space_.domain_size(j);
       for (int16_t v = 0; v < domain; ++v) {
         if (explore_all) {
-          Visit(p.With(j, v), k, full);
+          Visit(p.With(j, v), sizes, sizes.Child(id, j, v), k, full);
         } else if (index_.RankedCode(pos, j) == v) {
           // Child adds predicate A_j = v; the new tuple satisfies the
           // child iff it satisfies p (it does) and carries v in A_j.
-          Visit(p.With(j, v), k, /*full=*/false);
+          Visit(p.With(j, v), sizes, sizes.Child(id, j, v), k,
+                /*full=*/false);
         }
       }
     }
@@ -247,22 +232,20 @@ class PropSearch {
       int k;
       bool operator()(const Pattern& p, size_t size_d, size_t top_k) {
         if (s->Biased(top_k, size_d, k)) {
-          s->store_.try_emplace(p, NodeInfo{size_d, false});
           s->Place(p);
           return false;
         }
         s->res_.Remove(p);
         s->deferred_.erase(p);
         s->RegisterKTilde(p, top_k, size_d, k);
-        auto [it, inserted] = s->store_.try_emplace(p, NodeInfo{size_d, true});
-        if (!inserted) it->second.expanded = true;
+        s->expanded_.insert(p);
         return true;
       }
     };
     const engine::SearchParams params{config_.size_threshold,
                                       static_cast<size_t>(k), 1};
     ExpandVisitor visitor{this, k};
-    engine::VisitBelowFrom(index_, params, d, visitor, stats_);
+    engine::VisitBelowFrom(index_, params, d, sizes_, visitor, stats_);
   }
 
   void ReconcileDeferred(int k) {
@@ -272,7 +255,7 @@ class PropSearch {
     for (const Pattern& d : pending) {
       if (deferred_.count(d) == 0) continue;  // already reconciled
       CountStat();
-      const size_t size_d = SizeOf(d);
+      const size_t size_d = sizes_.SizeOf(d, index_, stats_);
       const size_t top_k = index_.TopKCount(d, static_cast<size_t>(k));
       if (!Biased(top_k, size_d, k)) {
         // Stopped being biased while shadowed by a reported ancestor.
@@ -281,7 +264,7 @@ class PropSearch {
         // Its subtree stays unexplored while an ancestor shadows the
         // region; expand now if nothing shadows it anymore.
         if (!res_.HasProperAncestorOf(d)) {
-          store_[d].expanded = true;
+          expanded_.insert(d);
           ExpandFullyBelow(d, k);
         }
         continue;
@@ -299,6 +282,8 @@ class PropSearch {
   const BitmapIndex& index_;
   const PatternSpace& space_;
   const DetectionConfig config_;
+  // The run's sizes; every s_D this search reads comes from here.
+  engine::SizeMemo& sizes_;
   DetectionStats* stats_;
   const PropBoundSpec bounds_;
   const double alpha_;
@@ -306,7 +291,8 @@ class PropSearch {
 
   MostGeneralResultSet res_;
   std::unordered_set<Pattern, PatternHash> deferred_;
-  std::unordered_map<Pattern, NodeInfo, PatternHash> store_;
+  // Patterns whose subtree has been explored at least once.
+  std::unordered_set<Pattern, PatternHash> expanded_;
   std::unordered_map<int, std::vector<Pattern>> schedule_;
 };
 
@@ -321,12 +307,14 @@ Status DetectPropBoundsStream(const DetectionInput& input,
     return Status::InvalidArgument("alpha must be positive");
   }
   // The search state is built on the first iteration so it can bind to
-  // the driver's DetectionStats (one object for the whole run).
+  // the driver's DetectionStats and size memo (one each for the whole
+  // run).
   std::optional<PropSearch> search;
   return engine::StreamPerK(
-      config, sink, [&](int k, DetectionStats& stats) {
+      input.index(), config, sink,
+      [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         if (!search.has_value()) {
-          search.emplace(input.index(), bounds, config, &stats);
+          search.emplace(input.index(), bounds, config, sizes, &stats);
           search->InitialSearch();
         } else {
           search->Step(k);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "detect/topdown.h"
+#include "detect/engine/search_driver.h"
 
 namespace fairtopk {
 
@@ -29,11 +29,13 @@ GlobalBoundSpec StaircaseFor(double level, int k_min, int k_max) {
 /// Number of most-general groups reported at k_max for a bound (any
 /// callable double(size_t size_in_d)).
 template <typename BoundFn>
-size_t GroupsAt(const DetectionInput& input, int tau, int k,
-                const BoundFn& bound, int num_threads) {
-  TopDownOutcome outcome = TopDownSearch(input.index(), tau, k, bound,
-                                         nullptr, num_threads);
-  return outcome.result.size();
+size_t GroupsAt(const DetectionInput& input, engine::SizeMemo& sizes, int tau,
+                int k, const BoundFn& bound, int num_threads) {
+  const engine::SearchParams params{tau, static_cast<size_t>(k),
+                                    num_threads};
+  return engine::MostGeneralBelow(input.index(), params, sizes, bound,
+                                  nullptr)
+      .result.size();
 }
 
 /// Candidate selection shared by both measures. The reported-group
@@ -92,13 +94,17 @@ Result<SuggestedParameters> SuggestParameters(const DetectionInput& input,
       static_cast<int>(options.size_fraction *
                        static_cast<double>(input.num_rows())));
 
+  // Every candidate level searches the same tree at k_max: one size
+  // memo serves them all.
+  engine::SizeMemo sizes(input.space());
+
   // Global bounds: levels are fractions of k, L_k = round(level * k).
   LevelChoice global = ChooseLevel(
       options.search_steps, options.max_groups, [&](double level) {
         GlobalBoundSpec candidate =
             StaircaseFor(level, config.k_min, config.k_max);
         const double bound = candidate.lower.At(config.k_max);
-        return GroupsAt(input, out.size_threshold, config.k_max,
+        return GroupsAt(input, sizes, out.size_threshold, config.k_max,
                         [bound](size_t) { return bound; },
                         config.num_threads);
       });
@@ -115,7 +121,7 @@ Result<SuggestedParameters> SuggestParameters(const DetectionInput& input,
         spec.alpha = alpha;
         const int k = config.k_max;
         return GroupsAt(
-            input, out.size_threshold, k,
+            input, sizes, out.size_threshold, k,
             [&spec, k, n](size_t size_d) {
               return spec.LowerAt(static_cast<int>(size_d), k, n);
             },

@@ -34,14 +34,15 @@ Status DetectGlobalUpperBoundsStream(const DetectionInput& input,
                                      ResultSink& sink) {
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
   return engine::StreamPerK(
-      config, sink, [&](int k, DetectionStats& stats) {
+      input.index(), config, sink,
+      [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const engine::SearchParams params{config.size_threshold,
                                           static_cast<size_t>(k),
                                           config.num_threads};
         MostSpecificResultSet res =
             engine::ExhaustiveViolations<MostSpecificResultSet>(
-                input.index(), params, AboveConstant{bounds.upper.At(k)},
-                &stats);
+                input.index(), params, sizes,
+                AboveConstant{bounds.upper.At(k)}, &stats);
         return res.Sorted();
       });
 }
@@ -64,14 +65,15 @@ Status DetectPropUpperBoundsStream(const DetectionInput& input,
   }
   const double n = static_cast<double>(input.num_rows());
   return engine::StreamPerK(
-      config, sink, [&](int k, DetectionStats& stats) {
+      input.index(), config, sink,
+      [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const engine::SearchParams params{config.size_threshold,
                                           static_cast<size_t>(k),
                                           config.num_threads};
         const double factor = bounds.beta * static_cast<double>(k) / n;
         MostSpecificResultSet res =
             engine::ExhaustiveViolations<MostSpecificResultSet>(
-                input.index(), params, AboveLinear{factor}, &stats);
+                input.index(), params, sizes, AboveLinear{factor}, &stats);
         return res.Sorted();
       });
 }

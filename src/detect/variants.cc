@@ -51,7 +51,7 @@ struct AboveProp {
 /// reports violators under the chosen semantics.
 template <typename ViolatesFn>
 void EnumerateAtK(const DetectionInput& input, const DetectionConfig& config,
-                  int k, const ViolatesFn& violates,
+                  int k, engine::SizeMemo& sizes, const ViolatesFn& violates,
                   ReportingSemantics semantics, std::vector<Pattern>& out,
                   DetectionStats* stats) {
   const engine::SearchParams params{config.size_threshold,
@@ -59,11 +59,11 @@ void EnumerateAtK(const DetectionInput& input, const DetectionConfig& config,
                                     config.num_threads};
   if (semantics == ReportingSemantics::kMostGeneral) {
     out = engine::ExhaustiveViolations<MostGeneralResultSet>(
-              input.index(), params, violates, stats)
+              input.index(), params, sizes, violates, stats)
               .Sorted();
   } else {
     out = engine::ExhaustiveViolations<MostSpecificResultSet>(
-              input.index(), params, violates, stats)
+              input.index(), params, sizes, violates, stats)
               .Sorted();
   }
 }
@@ -77,8 +77,11 @@ Result<DetectionResult> RunVariant(const DetectionInput& input,
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
   WallTimer timer;
   DetectionResult result(config.k_min, config.k_max);
+  // The run's size memo: every k's enumeration reads the sizes the
+  // earlier ones counted.
+  engine::SizeMemo sizes(input.space());
   for (int k = config.k_min; k <= config.k_max; ++k) {
-    EnumerateAtK(input, config, k, make_violates(k), semantics,
+    EnumerateAtK(input, config, k, sizes, make_violates(k), semantics,
                  result.MutableAtK(k), &result.stats());
   }
   result.stats().seconds = timer.ElapsedSeconds();

@@ -46,7 +46,8 @@ Result<std::vector<DivergentGroup>> FindDivergentGroups(
           : static_cast<int>(min_count);
   const engine::SearchParams params{threshold,
                                     static_cast<size_t>(options.k), 1};
-  engine::SequentialTopDown(index, params, score, nullptr);
+  engine::SizeMemo sizes(index.space());
+  engine::SequentialTopDown(index, params, sizes, score, nullptr);
 
   std::sort(out.begin(), out.end(),
             [](const DivergentGroup& a, const DivergentGroup& b) {

@@ -1,7 +1,10 @@
 #include "index/bitmap_index.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstddef>
+
+#include "index/kernels/kernels.h"
 
 namespace fairtopk {
 
@@ -229,66 +232,83 @@ Status BitmapIndex::ApplyRanking(const Table& table,
   return Status::OK();
 }
 
-bool BitmapIndex::IntersectInto(const Pattern& p, Bitset& scratch) const {
-  bool initialized = false;
+bool BitmapIndex::IntersectionCounts(const Pattern& p, size_t span,
+                                     size_t k_full, uint64_t k_mask,
+                                     size_t* total, size_t* prefix) const {
+  const kernels::KernelOps& ops = kernels::Active();
+  // The first two predicates' words; `third` is the attribute after
+  // the second predicate, where the rest begin.
+  const uint64_t* words[2] = {nullptr, nullptr};
+  size_t predicates = 0;
+  size_t third = p.num_attributes();
   for (size_t a = 0; a < p.num_attributes(); ++a) {
     if (!p.IsSpecified(a)) continue;
-    const Bitset& bits = value_bits_[a][static_cast<size_t>(p.value(a))];
-    if (!initialized) {
-      scratch.CopyFrom(bits);
-      initialized = true;
-    } else {
-      scratch.AndWith(bits);
+    if (predicates < 2) {
+      words[predicates] = ValueBitset(a, p.value(a)).words().data();
+      third = a + 1;
     }
+    ++predicates;
   }
-  return initialized;
+  if (predicates == 0) return false;
+  if (predicates == 1) {
+    ops.counts(words[0], span, k_full, k_mask, total, prefix);
+    return true;
+  }
+  if (predicates == 2) {
+    ops.and_counts(words[0], words[1], span, k_full, k_mask, total, prefix);
+    return true;
+  }
+  // Three or more: the intersection goes through a fixed stack buffer,
+  // one chunk of words at a time, so no call allocates.
+  constexpr size_t kChunkWords = 256;
+  uint64_t chunk[kChunkWords];
+  *total = 0;
+  *prefix = 0;
+  for (size_t begin = 0; begin < span; begin += kChunkWords) {
+    const size_t len = std::min(kChunkWords, span - begin);
+    ops.assign_and(chunk, words[0] + begin, words[1] + begin, len);
+    for (size_t a = third; a < p.num_attributes(); ++a) {
+      if (!p.IsSpecified(a)) continue;
+      ops.and_with(chunk, ValueBitset(a, p.value(a)).words().data() + begin,
+                   len);
+    }
+    // The prefix split, relative to this chunk.
+    const size_t chunk_full =
+        k_full > begin ? std::min(k_full - begin, len) : 0;
+    const uint64_t chunk_mask =
+        k_full >= begin && k_full - begin < len ? k_mask : 0;
+    size_t chunk_total = 0;
+    size_t chunk_prefix = 0;
+    ops.counts(chunk, len, chunk_full, chunk_mask, &chunk_total,
+               &chunk_prefix);
+    *total += chunk_total;
+    *prefix += chunk_prefix;
+  }
+  return true;
 }
 
 size_t BitmapIndex::PatternCount(const Pattern& p) const {
-  // Fast paths for 0- and 1-predicate patterns avoid the scratch copy.
-  int first = -1;
-  int second = -1;
-  for (size_t a = 0; a < p.num_attributes(); ++a) {
-    if (!p.IsSpecified(a)) continue;
-    if (first < 0) {
-      first = static_cast<int>(a);
-    } else {
-      second = static_cast<int>(a);
-      break;
-    }
+  size_t total = 0;
+  size_t prefix = 0;
+  if (!IntersectionCounts(p, (num_rows_ + 63) / 64, 0, 0, &total,
+                          &prefix)) {
+    return num_rows_;
   }
-  if (first < 0) return num_rows_;
-  const Bitset& first_bits =
-      value_bits_[static_cast<size_t>(first)]
-                 [static_cast<size_t>(p.value(static_cast<size_t>(first)))];
-  if (second < 0) return first_bits.Count();
-
-  Bitset scratch;
-  IntersectInto(p, scratch);
-  return scratch.Count();
+  return total;
 }
 
 size_t BitmapIndex::TopKCount(const Pattern& p, size_t k) const {
-  int first = -1;
-  int second = -1;
-  for (size_t a = 0; a < p.num_attributes(); ++a) {
-    if (!p.IsSpecified(a)) continue;
-    if (first < 0) {
-      first = static_cast<int>(a);
-    } else {
-      second = static_cast<int>(a);
-      break;
-    }
+  assert(k <= num_rows_ || p.IsEmpty());
+  size_t k_full = 0;
+  uint64_t k_mask = 0;
+  kernels::SplitPrefix(k, &k_full, &k_mask);
+  size_t total = 0;
+  size_t prefix = 0;
+  if (!IntersectionCounts(p, k_full + (k_mask != 0 ? 1 : 0), k_full, k_mask,
+                          &total, &prefix)) {
+    return std::min(k, num_rows_);
   }
-  if (first < 0) return std::min(k, num_rows_);
-  const Bitset& first_bits =
-      value_bits_[static_cast<size_t>(first)]
-                 [static_cast<size_t>(p.value(static_cast<size_t>(first)))];
-  if (second < 0) return first_bits.CountPrefix(k);
-
-  Bitset scratch;
-  IntersectInto(p, scratch);
-  return scratch.CountPrefix(k);
+  return prefix;
 }
 
 bool BitmapIndex::RankedRowSatisfies(const Pattern& p, size_t pos) const {

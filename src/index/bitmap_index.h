@@ -76,11 +76,12 @@ class BitmapIndex {
   /// The pattern space this index serves.
   const PatternSpace& space() const { return space_; }
 
-  /// s_D(p): number of tuples satisfying `p`.
+  /// s_D(p): number of tuples satisfying `p`. Allocates nothing.
   size_t PatternCount(const Pattern& p) const;
 
-  /// s_Rk(D)(p): number of tuples among the top-k satisfying `p`.
-  /// Requires k <= num_rows().
+  /// s_Rk(D)(p): number of tuples among the top-k satisfying `p`. ANDs
+  /// only the first ceil(k/64) words of p's predicate bitsets and
+  /// allocates nothing. Requires k <= num_rows().
   size_t TopKCount(const Pattern& p, size_t k) const;
 
   /// True iff the tuple at rank position `pos` (0-based: pos 0 is rank
@@ -104,9 +105,13 @@ class BitmapIndex {
  private:
   BitmapIndex() = default;
 
-  /// Intersects the predicate bitsets of `p` into `scratch`; returns
-  /// false when p is the empty pattern (no predicates).
-  bool IntersectInto(const Pattern& p, Bitset& scratch) const;
+  /// Popcount of the intersection of `p`'s predicate bitsets over
+  /// words [0, span): the kernels' total over the span, and the prefix
+  /// described by (k_full, k_mask). Returns false, counting nothing,
+  /// when p is the empty pattern.
+  bool IntersectionCounts(const Pattern& p, size_t span, size_t k_full,
+                          uint64_t k_mask, size_t* total,
+                          size_t* prefix) const;
 
   PatternSpace space_;
   size_t num_rows_ = 0;

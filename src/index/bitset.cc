@@ -147,18 +147,4 @@ void Bitset::AssignAnd(const Bitset& a, const Bitset& b) {
                                b.words_.data(), words_.size());
 }
 
-void Bitset::AssignAndCount(const Bitset& a, const Bitset& b, size_t k,
-                            size_t* total, size_t* prefix) {
-  assert(a.num_bits_ == b.num_bits_);
-  assert(k <= a.num_bits_);
-  num_bits_ = a.num_bits_;
-  words_.resize(a.words_.size());
-  size_t k_full = 0;
-  uint64_t k_mask = 0;
-  kernels::SplitPrefix(k, &k_full, &k_mask);
-  kernels::Active().assign_and_count(words_.data(), a.words_.data(),
-                                     b.words_.data(), words_.size(), k_full,
-                                     k_mask, total, prefix);
-}
-
 }  // namespace fairtopk

@@ -68,14 +68,6 @@ class Bitset {
   /// Overwrites this bitset with (a AND b); resizes to match.
   void AssignAnd(const Bitset& a, const Bitset& b);
 
-  /// AssignAnd(a, b) plus AndCounts(…, k) of the result in ONE pass
-  /// over the words: materializes the intersection and reports its
-  /// total/prefix cardinalities without re-reading it. The fused form
-  /// the cursor uses to make a child frame and its counts cost a
-  /// single sweep.
-  void AssignAndCount(const Bitset& a, const Bitset& b, size_t k,
-                      size_t* total, size_t* prefix);
-
   /// Raw 64-bit words (unused high bits are zero).
   const std::vector<uint64_t>& words() const { return words_; }
 

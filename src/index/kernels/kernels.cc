@@ -41,27 +41,6 @@ void ScalarAndCounts(const uint64_t* a, const uint64_t* b, size_t n,
   *prefix = pref + extra;
 }
 
-void ScalarAssignAndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                          size_t n, size_t k_full, uint64_t k_mask,
-                          size_t* total, size_t* prefix) {
-  size_t pref = 0;
-  for (size_t i = 0; i < k_full; ++i) {
-    const uint64_t w = a[i] & b[i];
-    dst[i] = w;
-    pref += PopCount64(w);
-  }
-  size_t extra = 0;
-  if (k_mask != 0) extra = PopCount64(a[k_full] & b[k_full] & k_mask);
-  size_t rest = 0;
-  for (size_t i = k_full; i < n; ++i) {
-    const uint64_t w = a[i] & b[i];
-    dst[i] = w;
-    rest += PopCount64(w);
-  }
-  *total = pref + rest;
-  *prefix = pref + extra;
-}
-
 void ScalarAssignAnd(uint64_t* dst, const uint64_t* a, const uint64_t* b,
                      size_t n) {
   for (size_t i = 0; i < n; ++i) dst[i] = a[i] & b[i];
@@ -72,8 +51,7 @@ void ScalarAndWith(uint64_t* a, const uint64_t* b, size_t n) {
 }
 
 constexpr KernelOps kScalarOps = {
-    "scalar",          ScalarCounts,    ScalarAndCounts,
-    ScalarAssignAndCount, ScalarAssignAnd, ScalarAndWith,
+    "scalar", ScalarCounts, ScalarAndCounts, ScalarAssignAnd, ScalarAndWith,
 };
 
 // ---------------------------------------------------------------------------

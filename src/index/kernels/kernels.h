@@ -54,13 +54,6 @@ struct KernelOps {
                      size_t k_full, uint64_t k_mask, size_t* total,
                      size_t* prefix);
 
-  /// dst[i] = a[i] & b[i] for i in [0, n), AND the two counts of the
-  /// result, in one pass — materializes and counts a child frame
-  /// without re-reading it.
-  void (*assign_and_count)(uint64_t* dst, const uint64_t* a,
-                           const uint64_t* b, size_t n, size_t k_full,
-                           uint64_t k_mask, size_t* total, size_t* prefix);
-
   /// dst[i] = a[i] & b[i] for i in [0, n).
   void (*assign_and)(uint64_t* dst, const uint64_t* a, const uint64_t* b,
                      size_t n);

@@ -33,11 +33,11 @@ inline uint64_t HorizontalSum(__m256i acc) {
 }
 
 /// One pass over words [begin, end): w = a[i] (& b[i] when kAnd),
-/// stored to dst[i] when kStore, popcounts summed. Two independent
-/// accumulators hide the shuffle latency on the 8-word fast path.
-template <bool kAnd, bool kStore>
-inline size_t Sweep(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                    size_t begin, size_t end) {
+/// popcounts summed. Two independent accumulators hide the shuffle
+/// latency on the 8-word fast path.
+template <bool kAnd>
+inline size_t Sweep(const uint64_t* a, const uint64_t* b, size_t begin,
+                    size_t end) {
   size_t i = begin;
   __m256i acc0 = _mm256_setzero_si256();
   __m256i acc1 = _mm256_setzero_si256();
@@ -51,10 +51,6 @@ inline size_t Sweep(uint64_t* dst, const uint64_t* a, const uint64_t* b,
       v1 = _mm256_and_si256(
           v1, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i + 4)));
     }
-    if constexpr (kStore) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v0);
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i + 4), v1);
-    }
     acc0 = _mm256_add_epi64(acc0, PopCount256(v0));
     acc1 = _mm256_add_epi64(acc1, PopCount256(v1));
   }
@@ -64,16 +60,12 @@ inline size_t Sweep(uint64_t* dst, const uint64_t* a, const uint64_t* b,
       v = _mm256_and_si256(
           v, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i)));
     }
-    if constexpr (kStore) {
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + i), v);
-    }
     acc0 = _mm256_add_epi64(acc0, PopCount256(v));
   }
   size_t sum = HorizontalSum(_mm256_add_epi64(acc0, acc1));
   for (; i < end; ++i) {
     uint64_t w = a[i];
     if constexpr (kAnd) w &= b[i];
-    if constexpr (kStore) dst[i] = w;
     sum += PopCount64(w);
   }
   return sum;
@@ -82,38 +74,31 @@ inline size_t Sweep(uint64_t* dst, const uint64_t* a, const uint64_t* b,
 /// Shared one-pass counts shape (see kernels.h for the prefix
 /// convention): sweep [0, k_full) once for the prefix sum, the masked
 /// partial word, then sweep [k_full, n) for the rest.
-template <bool kAnd, bool kStore>
-inline void CountsImpl(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                       size_t n, size_t k_full, uint64_t k_mask,
-                       size_t* total, size_t* prefix) {
-  const size_t pref = Sweep<kAnd, kStore>(dst, a, b, 0, k_full);
+template <bool kAnd>
+inline void CountsImpl(const uint64_t* a, const uint64_t* b, size_t n,
+                       size_t k_full, uint64_t k_mask, size_t* total,
+                       size_t* prefix) {
+  const size_t pref = Sweep<kAnd>(a, b, 0, k_full);
   size_t extra = 0;
   if (k_mask != 0) {
     uint64_t w = a[k_full];
     if constexpr (kAnd) w &= b[k_full];
     extra = PopCount64(w & k_mask);
   }
-  const size_t rest = Sweep<kAnd, kStore>(dst, a, b, k_full, n);
+  const size_t rest = Sweep<kAnd>(a, b, k_full, n);
   *total = pref + rest;
   *prefix = pref + extra;
 }
 
 void Avx2Counts(const uint64_t* a, size_t n, size_t k_full, uint64_t k_mask,
                 size_t* total, size_t* prefix) {
-  CountsImpl<false, false>(nullptr, a, nullptr, n, k_full, k_mask, total,
-                           prefix);
+  CountsImpl<false>(a, nullptr, n, k_full, k_mask, total, prefix);
 }
 
 void Avx2AndCounts(const uint64_t* a, const uint64_t* b, size_t n,
                    size_t k_full, uint64_t k_mask, size_t* total,
                    size_t* prefix) {
-  CountsImpl<true, false>(nullptr, a, b, n, k_full, k_mask, total, prefix);
-}
-
-void Avx2AssignAndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                        size_t n, size_t k_full, uint64_t k_mask,
-                        size_t* total, size_t* prefix) {
-  CountsImpl<true, true>(dst, a, b, n, k_full, k_mask, total, prefix);
+  CountsImpl<true>(a, b, n, k_full, k_mask, total, prefix);
 }
 
 void Avx2AssignAnd(uint64_t* dst, const uint64_t* a, const uint64_t* b,
@@ -133,8 +118,7 @@ void Avx2AndWith(uint64_t* a, const uint64_t* b, size_t n) {
 }
 
 constexpr KernelOps kAvx2Ops = {
-    "avx2",           Avx2Counts,    Avx2AndCounts,
-    Avx2AssignAndCount, Avx2AssignAnd, Avx2AndWith,
+    "avx2", Avx2Counts, Avx2AndCounts, Avx2AssignAnd, Avx2AndWith,
 };
 
 }  // namespace

@@ -14,10 +14,10 @@ namespace fairtopk::kernels::internal {
 namespace {
 
 /// One pass over words [begin, end): w = a[i] (& b[i] when kAnd),
-/// stored to dst[i] when kStore, popcounts summed.
-template <bool kAnd, bool kStore>
-inline size_t Sweep(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                    size_t begin, size_t end) {
+/// popcounts summed.
+template <bool kAnd>
+inline size_t Sweep(const uint64_t* a, const uint64_t* b, size_t begin,
+                    size_t end) {
   size_t i = begin;
   __m512i acc0 = _mm512_setzero_si512();
   __m512i acc1 = _mm512_setzero_si512();
@@ -28,17 +28,12 @@ inline size_t Sweep(uint64_t* dst, const uint64_t* a, const uint64_t* b,
       v0 = _mm512_and_si512(v0, _mm512_loadu_si512(b + i));
       v1 = _mm512_and_si512(v1, _mm512_loadu_si512(b + i + 8));
     }
-    if constexpr (kStore) {
-      _mm512_storeu_si512(dst + i, v0);
-      _mm512_storeu_si512(dst + i + 8, v1);
-    }
     acc0 = _mm512_add_epi64(acc0, _mm512_popcnt_epi64(v0));
     acc1 = _mm512_add_epi64(acc1, _mm512_popcnt_epi64(v1));
   }
   for (; i + 8 <= end; i += 8) {
     __m512i v = _mm512_loadu_si512(a + i);
     if constexpr (kAnd) v = _mm512_and_si512(v, _mm512_loadu_si512(b + i));
-    if constexpr (kStore) _mm512_storeu_si512(dst + i, v);
     acc0 = _mm512_add_epi64(acc0, _mm512_popcnt_epi64(v));
   }
   size_t sum = static_cast<size_t>(
@@ -46,7 +41,6 @@ inline size_t Sweep(uint64_t* dst, const uint64_t* a, const uint64_t* b,
   for (; i < end; ++i) {
     uint64_t w = a[i];
     if constexpr (kAnd) w &= b[i];
-    if constexpr (kStore) dst[i] = w;
     sum += PopCount64(w);
   }
   return sum;
@@ -54,38 +48,31 @@ inline size_t Sweep(uint64_t* dst, const uint64_t* a, const uint64_t* b,
 
 /// Shared one-pass counts shape (see kernels.h for the prefix
 /// convention).
-template <bool kAnd, bool kStore>
-inline void CountsImpl(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                       size_t n, size_t k_full, uint64_t k_mask,
-                       size_t* total, size_t* prefix) {
-  const size_t pref = Sweep<kAnd, kStore>(dst, a, b, 0, k_full);
+template <bool kAnd>
+inline void CountsImpl(const uint64_t* a, const uint64_t* b, size_t n,
+                       size_t k_full, uint64_t k_mask, size_t* total,
+                       size_t* prefix) {
+  const size_t pref = Sweep<kAnd>(a, b, 0, k_full);
   size_t extra = 0;
   if (k_mask != 0) {
     uint64_t w = a[k_full];
     if constexpr (kAnd) w &= b[k_full];
     extra = PopCount64(w & k_mask);
   }
-  const size_t rest = Sweep<kAnd, kStore>(dst, a, b, k_full, n);
+  const size_t rest = Sweep<kAnd>(a, b, k_full, n);
   *total = pref + rest;
   *prefix = pref + extra;
 }
 
 void Avx512Counts(const uint64_t* a, size_t n, size_t k_full, uint64_t k_mask,
                   size_t* total, size_t* prefix) {
-  CountsImpl<false, false>(nullptr, a, nullptr, n, k_full, k_mask, total,
-                           prefix);
+  CountsImpl<false>(a, nullptr, n, k_full, k_mask, total, prefix);
 }
 
 void Avx512AndCounts(const uint64_t* a, const uint64_t* b, size_t n,
                      size_t k_full, uint64_t k_mask, size_t* total,
                      size_t* prefix) {
-  CountsImpl<true, false>(nullptr, a, b, n, k_full, k_mask, total, prefix);
-}
-
-void Avx512AssignAndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                          size_t n, size_t k_full, uint64_t k_mask,
-                          size_t* total, size_t* prefix) {
-  CountsImpl<true, true>(dst, a, b, n, k_full, k_mask, total, prefix);
+  CountsImpl<true>(a, b, n, k_full, k_mask, total, prefix);
 }
 
 void Avx512AssignAnd(uint64_t* dst, const uint64_t* a, const uint64_t* b,
@@ -104,8 +91,7 @@ void Avx512AndWith(uint64_t* a, const uint64_t* b, size_t n) {
 }
 
 constexpr KernelOps kAvx512Ops = {
-    "avx512",             Avx512Counts,    Avx512AndCounts,
-    Avx512AssignAndCount, Avx512AssignAnd, Avx512AndWith,
+    "avx512", Avx512Counts, Avx512AndCounts, Avx512AssignAnd, Avx512AndWith,
 };
 
 }  // namespace

@@ -12,22 +12,20 @@ namespace fairtopk::kernels::internal {
 namespace {
 
 /// One pass over words [begin, end): w = a[i] (& b[i] when kAnd),
-/// stored to dst[i] when kStore, popcounts summed.
-template <bool kAnd, bool kStore>
-inline size_t Sweep(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                    size_t begin, size_t end) {
+/// popcounts summed.
+template <bool kAnd>
+inline size_t Sweep(const uint64_t* a, const uint64_t* b, size_t begin,
+                    size_t end) {
   size_t i = begin;
   size_t sum = 0;
   for (; i + 2 <= end; i += 2) {
     uint64x2_t v = vld1q_u64(a + i);
     if constexpr (kAnd) v = vandq_u64(v, vld1q_u64(b + i));
-    if constexpr (kStore) vst1q_u64(dst + i, v);
     sum += vaddlvq_u8(vcntq_u8(vreinterpretq_u8_u64(v)));
   }
   for (; i < end; ++i) {
     uint64_t w = a[i];
     if constexpr (kAnd) w &= b[i];
-    if constexpr (kStore) dst[i] = w;
     sum += PopCount64(w);
   }
   return sum;
@@ -35,38 +33,31 @@ inline size_t Sweep(uint64_t* dst, const uint64_t* a, const uint64_t* b,
 
 /// Shared one-pass counts shape (see kernels.h for the prefix
 /// convention).
-template <bool kAnd, bool kStore>
-inline void CountsImpl(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                       size_t n, size_t k_full, uint64_t k_mask,
-                       size_t* total, size_t* prefix) {
-  const size_t pref = Sweep<kAnd, kStore>(dst, a, b, 0, k_full);
+template <bool kAnd>
+inline void CountsImpl(const uint64_t* a, const uint64_t* b, size_t n,
+                       size_t k_full, uint64_t k_mask, size_t* total,
+                       size_t* prefix) {
+  const size_t pref = Sweep<kAnd>(a, b, 0, k_full);
   size_t extra = 0;
   if (k_mask != 0) {
     uint64_t w = a[k_full];
     if constexpr (kAnd) w &= b[k_full];
     extra = PopCount64(w & k_mask);
   }
-  const size_t rest = Sweep<kAnd, kStore>(dst, a, b, k_full, n);
+  const size_t rest = Sweep<kAnd>(a, b, k_full, n);
   *total = pref + rest;
   *prefix = pref + extra;
 }
 
 void NeonCounts(const uint64_t* a, size_t n, size_t k_full, uint64_t k_mask,
                 size_t* total, size_t* prefix) {
-  CountsImpl<false, false>(nullptr, a, nullptr, n, k_full, k_mask, total,
-                           prefix);
+  CountsImpl<false>(a, nullptr, n, k_full, k_mask, total, prefix);
 }
 
 void NeonAndCounts(const uint64_t* a, const uint64_t* b, size_t n,
                    size_t k_full, uint64_t k_mask, size_t* total,
                    size_t* prefix) {
-  CountsImpl<true, false>(nullptr, a, b, n, k_full, k_mask, total, prefix);
-}
-
-void NeonAssignAndCount(uint64_t* dst, const uint64_t* a, const uint64_t* b,
-                        size_t n, size_t k_full, uint64_t k_mask,
-                        size_t* total, size_t* prefix) {
-  CountsImpl<true, true>(dst, a, b, n, k_full, k_mask, total, prefix);
+  CountsImpl<true>(a, b, n, k_full, k_mask, total, prefix);
 }
 
 void NeonAssignAnd(uint64_t* dst, const uint64_t* a, const uint64_t* b,
@@ -83,8 +74,7 @@ void NeonAndWith(uint64_t* a, const uint64_t* b, size_t n) {
 }
 
 constexpr KernelOps kNeonOps = {
-    "neon",           NeonCounts,    NeonAndCounts,
-    NeonAssignAndCount, NeonAssignAnd, NeonAndWith,
+    "neon", NeonCounts, NeonAndCounts, NeonAssignAnd, NeonAndWith,
 };
 
 }  // namespace

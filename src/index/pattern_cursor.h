@@ -1,37 +1,36 @@
 // PatternCursor: the incremental-counting companion of BitmapIndex for
 // set-enumeration-tree traversals. A DFS over the search tree extends
-// the current pattern by one predicate at a time; the cursor carries the
-// parent's materialized intersection bitset down the stack so each child
-// node costs ONE fused AND+popcount pass against a single (attribute,
-// value) bitset, instead of re-intersecting all |p| predicate bitsets
-// from scratch (as BitmapIndex::PatternCount/TopKCount must for an
-// arbitrary pattern).
+// the current pattern by one predicate at a time; the cursor keeps the
+// current pattern's row set as a stack of frames, so counting a child
+// costs one AND against a single (attribute, value) bitset instead of
+// re-intersecting all |p| predicate bitsets from scratch (as
+// BitmapIndex::PatternCount/TopKCount must for an arbitrary pattern).
+//
+// Two-part frames: s_Rk(p) reads only the first ceil(k/64) words of a
+// row set, and a detect run counts each pattern's size s_D(p) once
+// (engine/size_memo.h answers the repeats). So Push ANDs only the
+// prefix words of the new frame, ChildTopK reads only prefix words,
+// and the remaining words of the stack's frames are filled only when a
+// child's size has to be counted (ChildCounts).
 //
 // Stack invariant: after Push(a1,v1)..Push(ad,vd), frame i-1 holds the
-// materialized intersection of the first i pushed predicate bitsets, so
-// the top frame is exactly the row set of the current pattern.
+// intersection of the first i pushed predicate bitsets over its prefix
+// words, and over every word for the frames below the filled mark.
+// Frame 0 is the first predicate's bitset itself and is never copied.
 //
-// Storage: the frames live in ONE contiguous arena (every frame of a
+// Storage: frames 1.. live in ONE contiguous arena (every frame of a
 // traversal shares the index's width, so the stack is a single buffer
-// with stride indexing, sized once to the deepest possible pattern).
-// Steady-state traversal performs no allocation, and per-query
-// allocations are O(1) amortized instead of one heap vector per depth.
-//
-// Fused counting: at depth >= 1, ChildCounts runs the kernel table's
-// assign_and_count — it counts the child AND materializes it into the
-// scratch slot above the stack in the same sweep. A Push of that very
-// child then just commits the slot (no second AND pass), which makes
-// the count-then-descend sequence of the search driver cost one sweep
-// per descended child instead of two.
+// with stride indexing, sized to the deepest possible pattern). The
+// traversal itself allocates nothing.
 #ifndef FAIRTOPK_INDEX_PATTERN_CURSOR_H_
 #define FAIRTOPK_INDEX_PATTERN_CURSOR_H_
 
 #include <cassert>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "index/bitmap_index.h"
-#include "index/bitset.h"
 #include "index/kernels/kernels.h"
 #include "pattern/pattern.h"
 
@@ -41,69 +40,58 @@ namespace fairtopk {
 /// referenced BitmapIndex must outlive the cursor and is only read.
 class PatternCursor {
  public:
-  explicit PatternCursor(const BitmapIndex& index) : index_(&index) {}
+  /// A cursor counting top-k prefixes of length `k` (k <= num_rows()).
+  PatternCursor(const BitmapIndex& index, size_t k);
 
-  /// Number of predicates currently materialized (0 = empty pattern).
+  /// Number of predicates currently pushed (0 = empty pattern).
   size_t depth() const { return depth_; }
-
-  /// Child-count evaluations answered from a materialized parent frame
-  /// (each one replaced |p| full intersections with a single AND).
-  /// Cumulative over the cursor's LIFETIME — Reset() deliberately
-  /// keeps the counter. Accounting that folds hits into per-phase
-  /// stats must consume deltas via TakeReuseHits(), never accumulate
-  /// this observer across phases (that double-counts).
-  uint64_t reuse_hits() const { return reuse_hits_; }
-
-  /// Returns the reuse hits since the previous TakeReuseHits() call
-  /// (or since construction) and marks them consumed. The search
-  /// driver's stats plumbing uses this, so a cursor reused across
-  /// search phases contributes each hit exactly once.
-  uint64_t TakeReuseHits() {
-    const uint64_t delta = reuse_hits_ - taken_reuse_hits_;
-    taken_reuse_hits_ = reuse_hits_;
-    return delta;
-  }
 
   /// Back to the empty pattern; the arena is kept.
   void Reset() {
     depth_ = 0;
-    scratch_valid_ = false;
+    filled_ = 0;
   }
 
-  /// s_D and s_Rk of (current pattern ∪ {attr = value}) in one pass.
-  /// At depth >= 1 the child's row set is also materialized into the
-  /// scratch frame, so an immediately following Push(attr, value) is
-  /// free.
-  void ChildCounts(size_t attr, int16_t value, size_t k, size_t* size_d,
-                   size_t* top_k) {
-    const Bitset& bits = index_->ValueBitset(attr, value);
+  /// s_Rk of (current pattern ∪ {attr = value}): ANDs the top frame's
+  /// prefix words with the value bitset's, nothing more.
+  size_t ChildTopK(size_t attr, int16_t value) const {
+    const uint64_t* bits = index_->ValueBitset(attr, value).words().data();
+    size_t total = 0;
+    size_t prefix = 0;
     if (depth_ == 0) {
-      bits.Counts(k, size_d, top_k);
+      kernels::Active().counts(bits, prefix_words_, k_full_, k_mask_, &total,
+                               &prefix);
+    } else {
+      kernels::Active().and_counts(Frame(depth_ - 1), bits, prefix_words_,
+                                   k_full_, k_mask_, &total, &prefix);
+    }
+    return prefix;
+  }
+
+  /// s_D and s_Rk of (current pattern ∪ {attr = value}) in one
+  /// full-width pass. First fills the words that the frames on the
+  /// stack still lack.
+  void ChildCounts(size_t attr, int16_t value, size_t* size_d,
+                   size_t* top_k) {
+    const uint64_t* bits = index_->ValueBitset(attr, value).words().data();
+    if (depth_ == 0) {
+      kernels::Active().counts(bits, words_, k_full_, k_mask_, size_d, top_k);
       return;
     }
-    ++reuse_hits_;
-    assert(bits.words().size() == frame_words_);
-    size_t k_full = 0;
-    uint64_t k_mask = 0;
-    kernels::SplitPrefix(k, &k_full, &k_mask);
-    kernels::Active().assign_and_count(Frame(depth_), Frame(depth_ - 1),
-                                       bits.words().data(), frame_words_,
-                                       k_full, k_mask, size_d, top_k);
-    scratch_valid_ = true;
-    scratch_attr_ = attr;
-    scratch_value_ = value;
+    FillFrames();
+    kernels::Active().and_counts(Frame(depth_ - 1), bits, words_, k_full_,
+                                 k_mask_, size_d, top_k);
   }
 
-  /// Descends into the child: materializes parent ∩ bitset(attr, value)
-  /// as the new top frame (or just commits the scratch frame when
-  /// ChildCounts(attr, value) was the preceding call).
+  /// Descends into the child: ANDs the prefix words of parent ∩
+  /// bitset(attr, value) into the new top frame.
   void Push(size_t attr, int16_t value);
 
   /// Ascends to the parent frame.
   void Pop() {
     assert(depth_ > 0);
     --depth_;
-    scratch_valid_ = false;
+    if (filled_ > depth_) filled_ = depth_;
   }
 
   /// Resets, then pushes every predicate of `p` (used to resume a
@@ -111,24 +99,27 @@ class PatternCursor {
   void SeedFrom(const Pattern& p);
 
  private:
-  uint64_t* Frame(size_t i) { return arena_.data() + i * frame_words_; }
+  const uint64_t* Frame(size_t i) const {
+    return i == 0 ? pushed_[0] : arena_.get() + (i - 1) * words_;
+  }
+  uint64_t* ArenaFrame(size_t i) { return arena_.get() + (i - 1) * words_; }
+
+  /// Completes the words past the prefix of every frame below depth_.
+  void FillFrames();
 
   const BitmapIndex* index_;
+  size_t words_;         // frame width: the index's words per bitset
+  size_t k_full_ = 0;    // prefix split of k (kernels::SplitPrefix)
+  uint64_t k_mask_ = 0;
+  size_t prefix_words_;  // ceil(k / 64): the words Push fills
   size_t depth_ = 0;
-  uint64_t reuse_hits_ = 0;
-  uint64_t taken_reuse_hits_ = 0;
+  size_t filled_ = 0;    // frames [0, filled_) hold every word
 
-  // One buffer of (max depth + 1) stride-frame_words_ frames: slots
-  // [0, depth_) are the live stack, slot depth_ is the scratch frame
-  // ChildCounts speculatively materializes into.
-  std::vector<uint64_t> arena_;
-  size_t frame_words_ = 0;
-
-  // Scratch memo: when valid, Frame(depth_) holds the materialized
-  // child (scratch_attr_ = scratch_value_) of the current top frame.
-  bool scratch_valid_ = false;
-  size_t scratch_attr_ = 0;
-  int16_t scratch_value_ = 0;
+  // pushed_[i]: words of the predicate bitset pushed at depth i + 1.
+  std::vector<const uint64_t*> pushed_;
+  // Frames 1..num_attributes-1, stride words_; allocated on the first
+  // push below the root.
+  std::unique_ptr<uint64_t[]> arena_;
 };
 
 }  // namespace fairtopk

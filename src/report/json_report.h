@@ -26,6 +26,7 @@ struct ReportContext {
 ///   "dataset": ..., "measure": ..., "algorithm": ...,
 ///   "k_min": int, "k_max": int,
 ///   "stats": {"nodes_visited": int, "cursor_reuse_hits": int,
+///             "sizes_counted": int,   // full-width size counts
 ///             "seconds": double,      // elapsed wall-clock
 ///             "cpu_seconds": double}, // summed per-worker busy time
 ///   "results": [

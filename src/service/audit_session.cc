@@ -420,6 +420,7 @@ Result<api::AuditResponse> AuditSession::Detect(
   const auto trace_work = [&request](const DetectionResult& result) {
     if (request.trace == nullptr) return;
     request.trace->OnCounter("nodes_visited", result.stats().nodes_visited);
+    request.trace->OnCounter("sizes_counted", result.stats().sizes_counted);
     request.trace->OnCounter("cursor_reuse_hits",
                              result.stats().cursor_reuse_hits);
   };

@@ -47,7 +47,9 @@ TEST_P(BitmapIndexRandomTest, CountsMatchNaiveScan) {
     EXPECT_EQ(index->PatternCount(p),
               NaiveCount(table, *space, p, ranking, 137))
         << p.ToString(*space);
-    for (size_t k : {size_t{1}, size_t{10}, size_t{64}, size_t{137}}) {
+    // Both sides of each word boundary, and a partial last word.
+    for (size_t k : {size_t{1}, size_t{10}, size_t{63}, size_t{64},
+                     size_t{65}, size_t{128}, size_t{136}, size_t{137}}) {
       EXPECT_EQ(index->TopKCount(p, k),
                 NaiveCount(table, *space, p, ranking, k))
           << p.ToString(*space) << " k=" << k;
@@ -57,6 +59,32 @@ TEST_P(BitmapIndexRandomTest, CountsMatchNaiveScan) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitmapIndexRandomTest,
                          ::testing::Values(1, 2, 3, 17, 99));
+
+// Patterns of three or more predicates are intersected a chunk of 256
+// words (16384 rows) at a time: cover several chunks and top-k
+// prefixes on both sides of a chunk boundary.
+TEST(BitmapIndexTest, CountsMatchNaiveScanAcrossChunks) {
+  const size_t n = 40000;
+  Table table = RandomTable(n, 4, {2, 3}, 23);
+  std::vector<uint32_t> ranking = RandomRanking(n, 23);
+  Result<PatternSpace> space =
+      PatternSpace::CreateAllCategorical(table.schema());
+  ASSERT_TRUE(space.ok());
+  Result<BitmapIndex> index = BitmapIndex::Build(table, *space, ranking);
+  ASSERT_TRUE(index.ok());
+
+  for (const Pattern& p : testing::AllPatterns(*space)) {
+    if (p.NumSpecified() < 3) continue;
+    EXPECT_EQ(index->PatternCount(p), NaiveCount(table, *space, p, ranking, n))
+        << p.ToString(*space);
+    for (size_t k : {size_t{16383}, size_t{16384}, size_t{16385},
+                     size_t{32769}, n}) {
+      EXPECT_EQ(index->TopKCount(p, k),
+                NaiveCount(table, *space, p, ranking, k))
+          << p.ToString(*space) << " k=" << k;
+    }
+  }
+}
 
 TEST(BitmapIndexTest, EmptyPatternCountsEverything) {
   Table table = RandomTable(50, 3, {2}, 5);

@@ -49,8 +49,6 @@ struct PrimitiveResults {
   size_t and_count;
   size_t and_count_prefix;
   size_t and_counts_total, and_counts_prefix;
-  size_t assign_total, assign_prefix;
-  std::vector<uint64_t> assign_and_count_words;
   std::vector<uint64_t> assign_and_words;
   std::vector<uint64_t> and_with_words;
 
@@ -65,9 +63,6 @@ PrimitiveResults RunPrimitives(const Bitset& a, const Bitset& b, size_t k) {
   r.and_count = a.AndCount(b);
   r.and_count_prefix = a.AndCountPrefix(b, k);
   a.AndCounts(b, k, &r.and_counts_total, &r.and_counts_prefix);
-  Bitset fused;
-  fused.AssignAndCount(a, b, k, &r.assign_total, &r.assign_prefix);
-  r.assign_and_count_words = fused.words();
   Bitset assigned;
   assigned.AssignAnd(a, b);
   r.assign_and_words = assigned.words();

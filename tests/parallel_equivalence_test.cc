@@ -1,9 +1,10 @@
 // Property suite for the engine's shard-and-merge determinism rule:
 // running any detection algorithm with num_threads > 1 must produce
 // results bit-identical to the sequential run — same sorted patterns at
-// every k — on randomized synthetic instances. Work counters are also
-// thread-count invariant (per-branch work is a pure function of the
-// index; per-worker stats merge on join).
+// every k — on randomized synthetic instances. Work counters, the size
+// memo's full-width counts included, are also thread-count invariant
+// (per-branch work is a pure function of the index and the branch's
+// share of the run's size memo; per-worker stats merge on join).
 #include <optional>
 
 #include <gtest/gtest.h>
@@ -75,6 +76,11 @@ class ParallelEquivalenceTest : public ::testing::TestWithParam<ParallelCase> {
           << "threads=" << threads;
       EXPECT_EQ(parallel->stats().cursor_reuse_hits,
                 sequential->stats().cursor_reuse_hits)
+          << "threads=" << threads;
+      // The size memo is split by root branch, so each shard counts
+      // exactly the sizes the sequential run counts in that branch.
+      EXPECT_EQ(parallel->stats().sizes_counted,
+                sequential->stats().sizes_counted)
           << "threads=" << threads;
     }
   }

@@ -1,6 +1,8 @@
-// Unit tests for PatternCursor: child counts through the materialized
-// parent intersection must equal the from-scratch BitmapIndex counts at
-// every depth, across push/pop cycles and re-seeding.
+// Unit tests for PatternCursor: child counts through the parent's frame
+// must equal the from-scratch BitmapIndex counts at every depth, for
+// top-k prefixes on both sides of a word boundary, across push/pop
+// cycles and re-seeding — including frames whose words past the prefix
+// are not filled yet.
 #include "index/pattern_cursor.h"
 
 #include <gtest/gtest.h>
@@ -11,181 +13,138 @@
 namespace fairtopk {
 namespace {
 
+// 150 rows = 3 words, so k = 65 leaves a full word past the prefix.
+constexpr size_t kRows = 150;
+
 DetectionInput RandomInput(uint64_t seed) {
-  Table table = testing::RandomTable(120, 4, {2, 3, 4}, seed);
+  Table table = testing::RandomTable(kRows, 4, {2, 3, 4}, seed);
   auto input = DetectionInput::PrepareWithRanking(
-      table, testing::RandomRanking(120, seed));
+      table, testing::RandomRanking(kRows, seed));
   EXPECT_TRUE(input.ok());
   return std::move(input).value();
 }
 
-TEST(PatternCursorTest, RootChildCountsMatchIndex) {
-  DetectionInput input = RandomInput(3);
-  const BitmapIndex& index = input.index();
-  PatternCursor cursor(index);
-  const size_t k = 25;
-  for (size_t a = 0; a < input.space().num_attributes(); ++a) {
-    for (int16_t v = 0; v < input.space().domain_size(a); ++v) {
+// Prefix lengths on both sides of a word boundary, plus all rows.
+const size_t kPrefixes[] = {1, 64, 65, kRows};
+
+/// Checks every child of `path` (the cursor's pattern) through both
+/// counting calls against the index. ChildTopK runs first, so it reads
+/// frames that may hold only their prefix words.
+void ExpectChildrenMatchIndex(PatternCursor& cursor, const BitmapIndex& index,
+                              const Pattern& path, size_t k) {
+  const PatternSpace& space = index.space();
+  for (size_t j = 0; j < space.num_attributes(); ++j) {
+    if (path.IsSpecified(j)) continue;
+    for (int16_t v = 0; v < space.domain_size(j); ++v) {
+      const Pattern child = path.With(j, v);
+      EXPECT_EQ(cursor.ChildTopK(j, v), index.TopKCount(child, k))
+          << child.ToString(space) << " k=" << k;
       size_t size_d = 0;
       size_t top_k = 0;
-      cursor.ChildCounts(a, v, k, &size_d, &top_k);
-      Pattern p = testing::PatternOf(input.space().num_attributes(),
-                                     {{a, v}});
-      EXPECT_EQ(size_d, index.PatternCount(p));
-      EXPECT_EQ(top_k, index.TopKCount(p, k));
+      cursor.ChildCounts(j, v, &size_d, &top_k);
+      EXPECT_EQ(size_d, index.PatternCount(child))
+          << child.ToString(space) << " k=" << k;
+      EXPECT_EQ(top_k, index.TopKCount(child, k))
+          << child.ToString(space) << " k=" << k;
     }
   }
-  // Depth-0 evaluations never reuse a parent frame.
-  EXPECT_EQ(cursor.reuse_hits(), 0u);
+}
+
+TEST(PatternCursorTest, RootChildCountsMatchIndex) {
+  DetectionInput input = RandomInput(3);
+  const Pattern empty = Pattern::Empty(input.space().num_attributes());
+  for (size_t k : kPrefixes) {
+    PatternCursor cursor(input.index(), k);
+    ExpectChildrenMatchIndex(cursor, input.index(), empty, k);
+  }
 }
 
 TEST(PatternCursorTest, DeepChildCountsMatchIndexAcrossPushPop) {
   DetectionInput input = RandomInput(7);
   const BitmapIndex& index = input.index();
   const size_t attrs = input.space().num_attributes();
-  PatternCursor cursor(index);
-  const size_t k = 40;
-
-  // Walk a fixed path, checking every sibling at every depth.
-  Pattern path = Pattern::Empty(attrs);
-  std::vector<std::pair<size_t, int16_t>> steps = {{0, 1}, {1, 2}, {2, 0}};
-  uint64_t expected_hits = 0;
-  for (size_t depth = 0; depth < steps.size(); ++depth) {
-    for (size_t j = 0; j < attrs; ++j) {
-      if (path.IsSpecified(j)) continue;
-      for (int16_t v = 0; v < input.space().domain_size(j); ++v) {
-        size_t size_d = 0;
-        size_t top_k = 0;
-        cursor.ChildCounts(j, v, k, &size_d, &top_k);
-        if (cursor.depth() > 0) ++expected_hits;
-        Pattern child = path.With(j, v);
-        EXPECT_EQ(size_d, index.PatternCount(child))
-            << child.ToString(input.space());
-        EXPECT_EQ(top_k, index.TopKCount(child, k))
-            << child.ToString(input.space());
-      }
+  const std::vector<std::pair<size_t, int16_t>> steps = {
+      {0, 1}, {1, 2}, {2, 0}};
+  for (size_t k : kPrefixes) {
+    PatternCursor cursor(index, k);
+    // Walk a fixed path, checking every child at every depth.
+    Pattern path = Pattern::Empty(attrs);
+    for (const auto& [attr, value] : steps) {
+      ExpectChildrenMatchIndex(cursor, index, path, k);
+      cursor.Push(attr, value);
+      path = path.With(attr, value);
     }
-    auto [attr, value] = steps[depth];
-    cursor.Push(attr, value);
-    path = path.With(attr, value);
+    ExpectChildrenMatchIndex(cursor, index, path, k);
+
+    // Pop back up and re-verify below depth 1.
+    cursor.Pop();
+    cursor.Pop();
+    ASSERT_EQ(cursor.depth(), 1u);
+    ExpectChildrenMatchIndex(cursor, index,
+                             testing::PatternOf(attrs, {{0, 1}}), k);
   }
-  EXPECT_EQ(cursor.reuse_hits(), expected_hits);
-
-  // Pop back up and re-verify a sibling at depth 1.
-  cursor.Pop();
-  cursor.Pop();
-  ASSERT_EQ(cursor.depth(), 1u);
-  size_t size_d = 0;
-  size_t top_k = 0;
-  cursor.ChildCounts(3, 0, k, &size_d, &top_k);
-  Pattern sibling =
-      testing::PatternOf(attrs, {{0, 1}, {3, 0}});
-  EXPECT_EQ(size_d, index.PatternCount(sibling));
-  EXPECT_EQ(top_k, index.TopKCount(sibling, k));
 }
 
-// Regression for the reuse-hit accounting contract: reuse_hits() is
-// cumulative over the cursor's lifetime (surviving Reset), while stats
-// plumbing must consume per-phase deltas via TakeReuseHits(). A cursor
-// reused across search phases must contribute each hit exactly once —
-// assigning or re-accumulating the lifetime counter double-counts.
-TEST(PatternCursorTest, TakeReuseHitsConsumesPerPhaseDeltas) {
-  DetectionInput input = RandomInput(13);
-  PatternCursor cursor(input.index());
-  const size_t k = 20;
-  size_t size_d = 0;
-  size_t top_k = 0;
-
-  // Phase 1: three depth>=1 evaluations.
-  cursor.Push(0, 0);
-  for (int16_t v = 0; v < 3; ++v) cursor.ChildCounts(1, v, k, &size_d, &top_k);
-  EXPECT_EQ(cursor.reuse_hits(), 3u);
-  EXPECT_EQ(cursor.TakeReuseHits(), 3u);
-  // Already consumed: an immediate second take yields nothing.
-  EXPECT_EQ(cursor.TakeReuseHits(), 0u);
-  EXPECT_EQ(cursor.reuse_hits(), 3u);
-
-  // Phase 2 on the SAME cursor: Reset keeps the lifetime counter, and
-  // the next take reports only this phase's hits.
-  cursor.Reset();
-  cursor.Push(2, 1);
-  for (int16_t v = 0; v < 2; ++v) cursor.ChildCounts(3, v, k, &size_d, &top_k);
-  EXPECT_EQ(cursor.reuse_hits(), 5u);
-  EXPECT_EQ(cursor.TakeReuseHits(), 2u);
-  EXPECT_EQ(cursor.TakeReuseHits(), 0u);
-}
-
-// The fused ChildCounts materializes the counted child into the scratch
-// frame; a Push of that same child commits it without a second AND
-// pass. Descending further must still produce exact counts — and a Push
-// of a DIFFERENT child than the last ChildCounts must not commit the
-// memoized frame.
-TEST(PatternCursorTest, FusedChildCountsThenPushDescendsCorrectly) {
-  DetectionInput input = RandomInput(17);
-  const BitmapIndex& index = input.index();
-  const size_t attrs = input.space().num_attributes();
-  PatternCursor cursor(input.index());
-  const size_t k = 35;
-  size_t size_d = 0;
-  size_t top_k = 0;
-
-  // Count-then-descend (the search driver's hot sequence): the Push
-  // commits the scratch frame from the preceding ChildCounts.
-  cursor.Push(0, 1);
-  cursor.ChildCounts(1, 2, k, &size_d, &top_k);
-  cursor.Push(1, 2);
-  ASSERT_EQ(cursor.depth(), 2u);
-  cursor.ChildCounts(2, 0, k, &size_d, &top_k);
-  Pattern grandchild = testing::PatternOf(attrs, {{0, 1}, {1, 2}, {2, 0}});
-  EXPECT_EQ(size_d, index.PatternCount(grandchild));
-  EXPECT_EQ(top_k, index.TopKCount(grandchild, k));
-
-  // Mismatch path: count X, count Y, then push X — the scratch frame
-  // holds Y and must NOT be committed for X.
-  cursor.Reset();
-  cursor.Push(0, 1);
-  cursor.ChildCounts(1, 0, k, &size_d, &top_k);
-  cursor.ChildCounts(1, 2, k, &size_d, &top_k);
-  cursor.Push(1, 0);
-  cursor.ChildCounts(2, 1, k, &size_d, &top_k);
-  Pattern mismatch = testing::PatternOf(attrs, {{0, 1}, {1, 0}, {2, 1}});
-  EXPECT_EQ(size_d, index.PatternCount(mismatch));
-  EXPECT_EQ(top_k, index.TopKCount(mismatch, k));
-
-  // Pop invalidates the memo: counting a child, popping, re-pushing to
-  // the same depth, then pushing that child's coordinates must re-AND
-  // against the NEW parent, not commit the stale frame.
-  cursor.Reset();
-  cursor.Push(0, 1);
-  cursor.ChildCounts(1, 2, k, &size_d, &top_k);
-  cursor.Pop();
-  cursor.Push(0, 0);
-  cursor.Push(1, 2);
-  cursor.ChildCounts(3, 1, k, &size_d, &top_k);
-  Pattern refreshed = testing::PatternOf(attrs, {{0, 0}, {1, 2}, {3, 1}});
-  EXPECT_EQ(size_d, index.PatternCount(refreshed));
-  EXPECT_EQ(top_k, index.TopKCount(refreshed, k));
-}
-
-TEST(PatternCursorTest, SeedFromMatchesManualPushes) {
+// A resumed search seeds the cursor below an interior node: the seeded
+// frames hold only their prefix words until a size is counted.
+TEST(PatternCursorTest, SeedFromCountsThroughPartlyFilledFrames) {
   DetectionInput input = RandomInput(11);
   const BitmapIndex& index = input.index();
   const size_t attrs = input.space().num_attributes();
-  Pattern from = testing::PatternOf(attrs, {{1, 0}, {3, 1}});
-  PatternCursor cursor(index);
-  cursor.SeedFrom(from);
-  EXPECT_EQ(cursor.depth(), 2u);
-  const size_t k = 30;
+  const Pattern from = testing::PatternOf(attrs, {{1, 0}, {3, 1}});
+  for (size_t k : kPrefixes) {
+    PatternCursor cursor(index, k);
+    cursor.SeedFrom(from);
+    ASSERT_EQ(cursor.depth(), 2u);
+    ExpectChildrenMatchIndex(cursor, index, from, k);
+
+    // One level deeper: the pushed frame is prefix-only again, below
+    // frames that ChildCounts has filled.
+    cursor.Push(2, 1);
+    const Pattern child = from.With(2, 1);
+    for (int16_t v = 0; v < input.space().domain_size(0); ++v) {
+      EXPECT_EQ(cursor.ChildTopK(0, v), index.TopKCount(child.With(0, v), k));
+    }
+    ExpectChildrenMatchIndex(cursor, index, child, k);
+
+    // Re-seeding resets the stack (the arena is reused).
+    cursor.SeedFrom(Pattern::Empty(attrs));
+    EXPECT_EQ(cursor.depth(), 0u);
+  }
+}
+
+// Pop forgets which frames were filled: after counting a size below
+// one parent, popping, and pushing a different parent at the same
+// depth, a size count must fill the new parent's words, not reuse the
+// old ones.
+TEST(PatternCursorTest, FillsTheCurrentFramesAfterPop) {
+  DetectionInput input = RandomInput(17);
+  const BitmapIndex& index = input.index();
+  const size_t attrs = input.space().num_attributes();
+  const size_t k = 65;
+  PatternCursor cursor(index, k);
   size_t size_d = 0;
   size_t top_k = 0;
-  cursor.ChildCounts(2, 1, k, &size_d, &top_k);
-  Pattern child = from.With(2, 1);
-  EXPECT_EQ(size_d, index.PatternCount(child));
-  EXPECT_EQ(top_k, index.TopKCount(child, k));
 
-  // Re-seeding resets the stack (pooled frames are reused).
-  cursor.SeedFrom(Pattern::Empty(attrs));
-  EXPECT_EQ(cursor.depth(), 0u);
+  cursor.Push(0, 1);
+  cursor.Push(1, 2);
+  cursor.ChildCounts(2, 0, &size_d, &top_k);  // fills both frames
+  cursor.Pop();
+  cursor.Pop();
+  cursor.Push(0, 0);
+  cursor.Push(1, 0);
+  cursor.ChildCounts(3, 1, &size_d, &top_k);
+  const Pattern refreshed = testing::PatternOf(attrs, {{0, 0}, {1, 0}, {3, 1}});
+  EXPECT_EQ(size_d, index.PatternCount(refreshed));
+  EXPECT_EQ(top_k, index.TopKCount(refreshed, k));
+
+  // Same depth, sibling parent, after its frame was filled.
+  cursor.Pop();
+  cursor.Push(1, 1);
+  cursor.ChildCounts(2, 1, &size_d, &top_k);
+  const Pattern sibling = testing::PatternOf(attrs, {{0, 0}, {1, 1}, {2, 1}});
+  EXPECT_EQ(size_d, index.PatternCount(sibling));
+  EXPECT_EQ(top_k, index.TopKCount(sibling, k));
 }
 
 }  // namespace

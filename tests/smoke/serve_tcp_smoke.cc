@@ -33,9 +33,25 @@ using fairtopk::ParseJson;
 using fairtopk::TcpConnect;
 using fairtopk::TcpConnection;
 
+/// Children forked and not yet reaped. Fail() kills them: an orphan
+/// would keep the test harness's output pipe open after this exits.
+std::vector<pid_t> g_children;
+
 [[noreturn]] void Fail(const std::string& message) {
   std::fprintf(stderr, "serve_tcp_smoke: FAIL: %s\n", message.c_str());
+  for (pid_t pid : g_children) {
+    kill(pid, SIGKILL);
+    waitpid(pid, nullptr, 0);
+  }
   std::exit(1);
+}
+
+/// Waits for child `pid` and forgets it; returns its wait status.
+int Reap(pid_t pid) {
+  int status = 0;
+  if (waitpid(pid, &status, 0) != pid) Fail("waitpid");
+  std::erase(g_children, pid);
+  return status;
 }
 
 /// One (id, ok) protocol outcome per response line.
@@ -110,6 +126,7 @@ std::string RunStdinMode(const std::string& binary, const std::string& csv,
     std::perror("execl");
     _exit(127);
   }
+  g_children.push_back(pid);
   close(to_child[0]);
   close(from_child[1]);
   size_t written = 0;
@@ -127,8 +144,7 @@ std::string RunStdinMode(const std::string& binary, const std::string& csv,
     out.append(buffer, static_cast<size_t>(n));
   }
   close(from_child[0]);
-  int status = 0;
-  waitpid(pid, &status, 0);
+  const int status = Reap(pid);
   if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
     Fail("serial stdin run exited abnormally");
   }
@@ -158,6 +174,7 @@ TcpServer StartTcpServer(const std::string& binary, const std::string& csv) {
     std::perror("execl");
     _exit(127);
   }
+  g_children.push_back(server.pid);
   close(err_pipe[1]);
   server.stderr_fd = err_pipe[0];
   // Read stderr until the "listening on HOST:PORT" line shows up.
@@ -285,8 +302,7 @@ int main(int argc, char** argv) {
       if (!received.ok() || *received == 0) break;
     }
   }
-  int status = 0;
-  if (waitpid(server.pid, &status, 0) != server.pid) Fail("waitpid");
+  const int status = Reap(server.pid);
   if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
     Fail("server did not exit 0 after SIGTERM");
   }

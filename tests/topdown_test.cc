@@ -1,19 +1,32 @@
-// Tests Algorithm 1 (single-k top-down search) against the worked
-// examples of the paper and against the brute-force oracle.
-#include "detect/topdown.h"
-
+// Tests Algorithm 1 (single-k top-down search, engine::MostGeneralBelow)
+// against the worked examples of the paper and against the brute-force
+// oracle, plus the run-wide size memo it shares across ks.
 #include <algorithm>
 
 #include <gtest/gtest.h>
 
 #include "datagen/running_example.h"
 #include "detect/detection_result.h"
+#include "detect/engine/search_driver.h"
+#include "detect/itertd.h"
 #include "test_util.h"
 
 namespace fairtopk {
 namespace {
 
 using testing::PatternOf;
+
+/// Algorithm 1 at a single `k`, on a fresh size memo.
+template <typename BoundFn>
+engine::SearchOutcome TopDownSearch(const BitmapIndex& index,
+                                    int size_threshold, int k,
+                                    const BoundFn& bound,
+                                    DetectionStats* stats) {
+  engine::SizeMemo sizes(index.space());
+  return engine::MostGeneralBelow(
+      index, {size_threshold, static_cast<size_t>(k), 1}, sizes, bound,
+      stats);
+}
 
 // Pattern-space attribute order of the running example:
 // 0=Gender{F,M} 1=School{MS,GP} 2=Address{R,U} 3=Failures{0,1,2}.
@@ -45,7 +58,7 @@ TEST(TopDownFixtureTest, Example23Counts) {
 TEST(TopDownSearchTest, Example46InitialSearch) {
   DetectionInput input = RunningInput();
   DetectionStats stats;
-  TopDownOutcome outcome = TopDownSearch(
+  engine::SearchOutcome outcome = TopDownSearch(
       input.index(), /*size_threshold=*/4, /*k=*/4,
       [](size_t) { return 2.0; }, &stats);
 
@@ -72,7 +85,7 @@ TEST(TopDownSearchTest, Example49InitialSearchProp) {
   const double alpha = 0.9;
   const double n = 16.0;
   const int k = 4;
-  TopDownOutcome outcome = TopDownSearch(
+  engine::SearchOutcome outcome = TopDownSearch(
       input.index(), /*size_threshold=*/5, k,
       [&](size_t size_d) {
         return alpha * static_cast<double>(size_d) * k / n;
@@ -97,7 +110,7 @@ TEST(TopDownSearchTest, MatchesBruteForceOnRandomData) {
       for (int tau : {5, 15}) {
         const double lower = 0.3 * k;
         auto bound = [lower](size_t) { return lower; };
-        TopDownOutcome outcome =
+        engine::SearchOutcome outcome =
             TopDownSearch(input->index(), tau, k, bound, nullptr);
         auto oracle = testing::BruteForceMostGeneralBiased(input->index(),
                                                            tau, k, bound);
@@ -110,7 +123,7 @@ TEST(TopDownSearchTest, MatchesBruteForceOnRandomData) {
 
 TEST(TopDownSearchTest, ResultAndDeferredAreDisjointAndCoverBiased) {
   DetectionInput input = RunningInput();
-  TopDownOutcome outcome = TopDownSearch(
+  engine::SearchOutcome outcome = TopDownSearch(
       input.index(), 4, 4, [](size_t) { return 2.0; }, nullptr);
   for (const Pattern& d : outcome.deferred) {
     EXPECT_FALSE(outcome.result.Contains(d));
@@ -123,7 +136,7 @@ TEST(TopDownSearchTest, ResultAndDeferredAreDisjointAndCoverBiased) {
 
 TEST(TopDownSearchTest, HighThresholdPrunesEverything) {
   DetectionInput input = RunningInput();
-  TopDownOutcome outcome = TopDownSearch(
+  engine::SearchOutcome outcome = TopDownSearch(
       input.index(), /*size_threshold=*/17, 4, [](size_t) { return 2.0; },
       nullptr);
   EXPECT_TRUE(outcome.result.empty());
@@ -132,10 +145,61 @@ TEST(TopDownSearchTest, HighThresholdPrunesEverything) {
 
 TEST(TopDownSearchTest, ZeroBoundReportsNothing) {
   DetectionInput input = RunningInput();
-  TopDownOutcome outcome = TopDownSearch(
+  engine::SearchOutcome outcome = TopDownSearch(
       input.index(), 4, 4, [](size_t) { return 0.0; }, nullptr);
   // Counts are never strictly below zero.
   EXPECT_TRUE(outcome.result.empty());
+}
+
+// The memo answers s_D for any pattern, in any lookup order, and
+// counts each pattern once.
+TEST(SizeMemoTest, SizeOfMatchesPatternCountAndCountsOnce) {
+  Table table = testing::RandomTable(90, 4, {2, 3}, 41);
+  auto input = DetectionInput::PrepareWithRanking(
+      table, testing::RandomRanking(90, 41));
+  ASSERT_TRUE(input.ok());
+  std::vector<Pattern> patterns = testing::AllPatterns(input->space());
+  // Deepest first: every lookup below creates the nodes on its path
+  // before their own sizes are known.
+  std::reverse(patterns.begin(), patterns.end());
+  engine::SizeMemo sizes(input->space());
+  DetectionStats stats;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Pattern& p : patterns) {
+      EXPECT_EQ(sizes.SizeOf(p, input->index(), &stats),
+                input->index().PatternCount(p))
+          << p.ToString(input->space());
+    }
+    EXPECT_EQ(stats.sizes_counted, patterns.size()) << "pass " << pass;
+  }
+}
+
+// One size memo per detect run: with a lower bound of 0 nothing is
+// biased, so every k walks the same tree, and only the first k counts
+// sizes over the full width — for any thread count.
+TEST(SizeMemoTest, IterTDCountsEachSizeOncePerRun) {
+  Table table = testing::RandomTable(200, 4, {2, 3}, 5);
+  auto input = DetectionInput::PrepareWithRanking(
+      table, testing::RandomRanking(200, 5));
+  ASSERT_TRUE(input.ok());
+  GlobalBoundSpec bounds;
+  bounds.lower = StepFunction::Constant(0.0);
+  for (int threads : {1, 4}) {
+    DetectionConfig one_k{20, 20, 5};
+    DetectionConfig ten_ks{20, 29, 5};
+    one_k.num_threads = ten_ks.num_threads = threads;
+    auto one = DetectGlobalIterTD(*input, bounds, one_k);
+    auto ten = DetectGlobalIterTD(*input, bounds, ten_ks);
+    ASSERT_TRUE(one.ok());
+    ASSERT_TRUE(ten.ok());
+    // A single search evaluates each node once, so counts each size.
+    EXPECT_GT(one->stats().nodes_visited, 0u);
+    EXPECT_EQ(one->stats().sizes_counted, one->stats().nodes_visited);
+    EXPECT_EQ(ten->stats().nodes_visited, 10 * one->stats().nodes_visited)
+        << "threads=" << threads;
+    EXPECT_EQ(ten->stats().sizes_counted, one->stats().sizes_counted)
+        << "threads=" << threads;
+  }
 }
 
 }  // namespace
