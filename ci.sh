@@ -15,6 +15,10 @@
 #   perf      perf smoke: pinned bench_micro subset vs the checked-in
 #             baseline via tools/bench_compare.py, plus the intra-run
 #             4-vs-1-worker serving throughput gate
+#   perfbench the repository benchmark (perfbench/run.py), 2 s per
+#             gated workload: builds the server from this checkout and
+#             fails on any TCP answer that differs from the in-process
+#             oracle
 #
 #   ./ci.sh                    # headers tier1 asan tsan
 #   ./ci.sh tier1              # a single stage
@@ -36,7 +40,7 @@ if command -v ccache >/dev/null 2>&1; then
 fi
 
 PERF_BASELINE="${PERF_BASELINE:-BENCH_pr7.json}"
-PERF_BENCHMARKS="BM_DetectGlobalIterTDSmall,BM_SessionReuseDetect/0,BM_SessionReuseDetect/1,BM_ConcurrentDetectThroughput/1/real_time,BM_ConcurrentDetectThroughput/4/real_time,BM_AndCounts/1024,BM_MetricsOverhead/0,BM_MetricsOverhead/1"
+PERF_BENCHMARKS="BM_DetectGlobalIterTDSmall,BM_ResultSetUpdate,BM_SessionReuseDetect/0,BM_SessionReuseDetect/1,BM_ConcurrentDetectThroughput/1/real_time,BM_ConcurrentDetectThroughput/4/real_time,BM_AndCounts/1024,BM_MetricsOverhead/0,BM_MetricsOverhead/1"
 
 # Bitset kernel variants the differential test is forced through (an
 # unavailable variant falls back to the automatic choice with a stderr
@@ -130,7 +134,7 @@ stage_perf() {
   fi
   cmake --build build-ci -j "${JOBS}" --target bench_micro
   ./build-ci/bench/bench_micro \
-    --benchmark_filter='BM_DetectGlobalIterTDSmall|BM_SessionReuseDetect|BM_ConcurrentDetectThroughput|BM_AndCounts|BM_MetricsOverhead' \
+    --benchmark_filter='BM_DetectGlobalIterTDSmall|BM_ResultSetUpdate|BM_SessionReuseDetect|BM_ConcurrentDetectThroughput|BM_AndCounts|BM_MetricsOverhead' \
     --benchmark_out=build-ci/bench_current.json \
     --benchmark_out_format=json
   # The SIMD-vs-scalar gate only binds when the run actually dispatched
@@ -173,6 +177,20 @@ stage_perf() {
   echo "perf smoke green (json: build-ci/bench_current.json)"
 }
 
+stage_perfbench() {
+  echo "== stage perfbench: repository benchmark, correctness run =="
+  # Short runs of the two workloads BENCHMARK.json gates. Each builds
+  # the library and fairtopk_serve from this checkout (under
+  # .bench_build/) and checks every TCP answer against the in-process
+  # oracle; run.py exits non-zero on a wrong answer, an error response
+  # or a timeout. Timings from 2 s runs are not gated here.
+  for workload in hot_dashboard cold_audit; do
+    echo "-- perfbench ${workload}"
+    python3 perfbench/run.py --workload "${workload}" --seed 1 \
+      --seconds 2 --trace 0
+  done
+}
+
 STAGES="${*:-}"
 if [ -z "${STAGES}" ]; then
   if [ "${SKIP_SANITIZE:-0}" = "1" ]; then
@@ -189,8 +207,9 @@ for stage in ${STAGES}; do
     asan) stage_asan ;;
     tsan) stage_tsan ;;
     perf) stage_perf ;;
+    perfbench) stage_perfbench ;;
     *)
-      echo "unknown stage '${stage}' (headers tier1 asan tsan perf)" >&2
+      echo "unknown stage '${stage}' (headers tier1 asan tsan perf perfbench)" >&2
       exit 2
       ;;
   esac

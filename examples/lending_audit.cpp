@@ -49,8 +49,7 @@ int main() {
   std::printf("=== Under-represented groups (alpha = %.1f) ===\n",
               bounds.alpha);
   for (int k : {10, 30, 49}) {
-    auto groups =
-        AnnotateProp(*under, *input, bounds, k, GroupOrder::kByBiasDesc);
+    auto groups = AnnotateProp(*under, bounds, k, GroupOrder::kByBiasDesc);
     const size_t total = groups.size();
     if (groups.size() > 12) groups.resize(12);
     std::printf("%s", RenderReport(groups, input->space(), k).c_str());

@@ -55,8 +55,8 @@ int main() {
   std::printf("=== Global representation bounds (L = 2) ===\n");
   for (int k = global_request.config.k_min;
        k <= global_request.config.k_max; ++k) {
-    auto groups = AnnotateGlobal(*global, *input, global_bounds, k,
-                                 GroupOrder::kByBiasDesc);
+    auto groups =
+        AnnotateGlobal(*global, global_bounds, k, GroupOrder::kByBiasDesc);
     std::printf("%s", RenderReport(groups, input->space(), k).c_str());
   }
 
@@ -77,8 +77,8 @@ int main() {
   std::printf("\n=== Proportional representation (alpha = 0.9) ===\n");
   for (int k = prop_request.config.k_min; k <= prop_request.config.k_max;
        ++k) {
-    auto groups = AnnotateProp(*prop, *input, prop_bounds, k,
-                               GroupOrder::kByBiasDesc);
+    auto groups =
+        AnnotateProp(*prop, prop_bounds, k, GroupOrder::kByBiasDesc);
     std::printf("%s", RenderReport(groups, input->space(), k).c_str());
   }
   return 0;

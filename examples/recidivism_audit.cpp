@@ -48,8 +48,8 @@ int main() {
     return 1;
   }
   std::printf("=== Global bounds (10/20/30/40 staircase) at k = 49 ===\n");
-  auto g_groups = AnnotateGlobal(*global, *input, gbounds, 49,
-                                 GroupOrder::kByBiasDesc);
+  auto g_groups =
+      AnnotateGlobal(*global, gbounds, 49, GroupOrder::kByBiasDesc);
   std::printf("%s\n", RenderReport(g_groups, input->space(), 49).c_str());
 
   PropBoundSpec pbounds;
@@ -60,8 +60,7 @@ int main() {
     return 1;
   }
   std::printf("=== Proportional (alpha = 0.8) at k = 49 ===\n");
-  auto p_groups = AnnotateProp(*prop, *input, pbounds, 49,
-                               GroupOrder::kByBiasDesc);
+  auto p_groups = AnnotateProp(*prop, pbounds, 49, GroupOrder::kByBiasDesc);
   std::printf("%s\n", RenderReport(p_groups, input->space(), 49).c_str());
 
   // Comparison with the divergence method: it enumerates ALL frequent

@@ -48,8 +48,8 @@ int main() {
   }
 
   const int report_k = 49;
-  auto groups = AnnotateGlobal(*detected, *input, bounds, report_k,
-                               GroupOrder::kBySizeDesc);
+  auto groups =
+      AnnotateGlobal(*detected, bounds, report_k, GroupOrder::kBySizeDesc);
   std::printf("%s\n", RenderReport(groups, input->space(), report_k).c_str());
   if (groups.empty()) {
     std::printf("no biased groups at k=%d\n", report_k);

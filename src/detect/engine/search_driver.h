@@ -292,8 +292,9 @@ struct SearchOutcome {
   std::vector<Pattern> deferred;
 };
 
-/// Algorithm 1's report step, shared between the per-branch visitors
-/// and the cross-branch merge (the classification "res or deferred"
+/// Algorithm 1's report step, shared between the per-branch visitors,
+/// the cross-branch merge and GLOBALBOUNDS' re-examination of the
+/// deferred set (the classification "res or deferred"
 /// depends only on the SET of reported patterns, so applying the same
 /// rule during merge reproduces the sequential outcome). One Update
 /// scan classifies everything: inserted (evictions → deferred),

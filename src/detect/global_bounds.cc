@@ -88,17 +88,7 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
                                      flat_bound, res, deferred, sp);
         continue;
       }
-      if (res.HasProperAncestorOf(d)) {
-        deferred.push_back(std::move(d));
-        continue;
-      }
-      UpdateOutcome update = res.Update(d);
-      for (Pattern& evicted : update.evicted) {
-        deferred.push_back(std::move(evicted));
-      }
-      if (!update.inserted) {
-        // A duplicate (already present); drop silently.
-      }
+      engine::ReportBiased(d, res, deferred);
     }
 
     return res.Sorted();

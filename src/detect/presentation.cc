@@ -22,7 +22,6 @@ void SortGroups(std::vector<ReportedGroup>& groups, GroupOrder order) {
 }  // namespace
 
 std::vector<ReportedGroup> AnnotateGlobal(const DetectionResult& result,
-                                          const DetectionInput& /*input*/,
                                           const GlobalBoundSpec& bounds,
                                           int k, GroupOrder order) {
   const std::vector<Pattern>& patterns = result.AtK(k);
@@ -41,7 +40,6 @@ std::vector<ReportedGroup> AnnotateGlobal(const DetectionResult& result,
 }
 
 std::vector<ReportedGroup> AnnotateProp(const DetectionResult& result,
-                                        const DetectionInput& /*input*/,
                                         const PropBoundSpec& bounds, int k,
                                         GroupOrder order) {
   const std::vector<Pattern>& patterns = result.AtK(k);

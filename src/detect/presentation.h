@@ -32,9 +32,8 @@ enum class GroupOrder {
 /// Annotates the patterns reported at `k` under global bounds and
 /// sorts them by `order`. Sizes and top-k counts are the ones stored in
 /// `result` (DetectionResult::CountsAtK), taken under the ranking it was
-/// detected on; `input` is not read.
+/// detected on.
 std::vector<ReportedGroup> AnnotateGlobal(const DetectionResult& result,
-                                          const DetectionInput& input,
                                           const GlobalBoundSpec& bounds,
                                           int k, GroupOrder order);
 
@@ -42,7 +41,6 @@ std::vector<ReportedGroup> AnnotateGlobal(const DetectionResult& result,
 /// sorts them by `order`. Counts and |D| come from `result`, as in
 /// AnnotateGlobal.
 std::vector<ReportedGroup> AnnotateProp(const DetectionResult& result,
-                                        const DetectionInput& input,
                                         const PropBoundSpec& bounds, int k,
                                         GroupOrder order);
 

@@ -169,16 +169,20 @@ class PropSearch {
     if (kt != 0) schedule_[kt].push_back(p);
   }
 
-  /// Inserts a biased pattern into Res or the deferred set, keeping the
-  /// most-general invariant (evictions flow into the deferred set).
+  /// Inserts a biased pattern into Res or the deferred set with one
+  /// update(Res, p), keeping the most-general invariant: evictions flow
+  /// into the deferred set, a pattern shadowed by a proper ancestor is
+  /// deferred, a duplicate is dropped (engine::ReportBiased's rule).
   void Place(const Pattern& p) {
-    if (res_.Contains(p) || deferred_.count(p) > 0) return;
-    if (res_.HasProperAncestorOf(p)) {
-      deferred_.insert(p);
+    if (deferred_.count(p) > 0) return;
+    UpdateOutcome update = res_.Update(p);
+    if (!update.inserted) {
+      if (!update.duplicate) deferred_.insert(p);
       return;
     }
-    UpdateOutcome update = res_.Update(p);
-    for (const Pattern& evicted : update.evicted) deferred_.insert(evicted);
+    for (Pattern& evicted : update.evicted) {
+      deferred_.insert(std::move(evicted));
+    }
   }
 
   /// Evaluates `p` — node `id` of `sizes`, its root branch's memo — at
@@ -269,12 +273,11 @@ class PropSearch {
         }
         continue;
       }
-      if (!res_.HasProperAncestorOf(d)) {
-        deferred_.erase(d);
-        UpdateOutcome update = res_.Update(d);
-        for (const Pattern& evicted : update.evicted) {
-          deferred_.insert(evicted);
-        }
+      // Still biased: promote unless a proper ancestor shadows it.
+      UpdateOutcome update = res_.Update(d);
+      if (update.inserted || update.duplicate) deferred_.erase(d);
+      for (Pattern& evicted : update.evicted) {
+        deferred_.insert(std::move(evicted));
       }
     }
   }

@@ -85,8 +85,8 @@ TEST(IntegrationTest, GermanProportionalPipeline) {
   EXPECT_GT(total, 0u);
 
   // Presentation: annotate the last k by bias.
-  auto groups = AnnotateProp(*optimized, *input, bounds, 49,
-                             GroupOrder::kByBiasDesc);
+  auto groups =
+      AnnotateProp(*optimized, bounds, 49, GroupOrder::kByBiasDesc);
   std::string report = RenderReport(groups, input->space(), 49);
   EXPECT_FALSE(report.empty());
 }

@@ -37,8 +37,7 @@ TEST(AnnotateGlobalTest, FillsCountsAndBias) {
   Fixture f = MakeFixture();
   GlobalBoundSpec bounds;
   bounds.lower = StepFunction::Constant(2.0);
-  auto groups = AnnotateGlobal(f.result, f.input, bounds, 4,
-                               GroupOrder::kBySizeDesc);
+  auto groups = AnnotateGlobal(f.result, bounds, 4, GroupOrder::kBySizeDesc);
   ASSERT_FALSE(groups.empty());
   for (const auto& g : groups) {
     EXPECT_EQ(g.size_in_d, f.input.index().PatternCount(g.pattern));
@@ -56,8 +55,7 @@ TEST(AnnotateGlobalTest, BiasOrderSortsByViolationMagnitude) {
   Fixture f = MakeFixture();
   GlobalBoundSpec bounds;
   bounds.lower = StepFunction::Constant(2.0);
-  auto groups = AnnotateGlobal(f.result, f.input, bounds, 4,
-                               GroupOrder::kByBiasDesc);
+  auto groups = AnnotateGlobal(f.result, bounds, 4, GroupOrder::kByBiasDesc);
   for (size_t i = 1; i < groups.size(); ++i) {
     EXPECT_GE(groups[i - 1].bias(), groups[i].bias());
   }
@@ -76,8 +74,7 @@ TEST(AnnotatePropTest, RequiredIsPerPattern) {
   config.size_threshold = 5;
   auto result = DetectPropIterTD(*input, bounds, config);
   ASSERT_TRUE(result.ok());
-  auto groups =
-      AnnotateProp(*result, *input, bounds, 4, GroupOrder::kByBiasDesc);
+  auto groups = AnnotateProp(*result, bounds, 4, GroupOrder::kByBiasDesc);
   ASSERT_FALSE(groups.empty());
   for (const auto& g : groups) {
     EXPECT_DOUBLE_EQ(
@@ -90,8 +87,7 @@ TEST(RenderReportTest, MentionsEveryGroup) {
   Fixture f = MakeFixture();
   GlobalBoundSpec bounds;
   bounds.lower = StepFunction::Constant(2.0);
-  auto groups = AnnotateGlobal(f.result, f.input, bounds, 4,
-                               GroupOrder::kBySizeDesc);
+  auto groups = AnnotateGlobal(f.result, bounds, 4, GroupOrder::kBySizeDesc);
   std::string report = RenderReport(groups, f.input.space(), 4);
   EXPECT_NE(report.find("top-4"), std::string::npos);
   for (const auto& g : groups) {

@@ -5,12 +5,14 @@
 //
 //   1. Cold start: fairtopk_serve --data-dir D --csv demo.csv, mutate
 //      the session over TCP (updates + an append), capture a detect
-//      answer and snapshot_info, SIGTERM — the server must compact the
-//      op log into a new snapshot generation and exit 0.
+//      answer and snapshot_info; open a catalog session "aux" with its
+//      own data_dir and update it too; SIGTERM — the server must
+//      compact both op logs into new snapshot generations and exit 0.
 //   2. Restart: fairtopk_serve --data-dir D with NO --csv. The same
 //      detect request must return byte-identical results, stats must
-//      show the compacted generation with an empty log, and a second
-//      SIGTERM must again exit 0.
+//      show the compacted generation with an empty log; reopening
+//      "aux" from its data_dir must show the same; a second SIGTERM
+//      must again exit 0.
 //
 // This is the user-visible contract of --data-dir: kill the process
 // whenever, restart it without the CSV, observe the same ranking.
@@ -202,6 +204,14 @@ int main(int argc, char** argv) {
   char data_dir_template[] = "persist_smoke_XXXXXX";
   if (mkdtemp(data_dir_template) == nullptr) Fail("mkdtemp");
   const std::string data_dir = data_dir_template;
+  char aux_dir_template[] = "persist_smoke_aux_XXXXXX";
+  if (mkdtemp(aux_dir_template) == nullptr) Fail("mkdtemp");
+  // Absolute: the server resolves a catalog data_dir itself.
+  const std::string aux_dir =
+      std::filesystem::absolute(aux_dir_template).string();
+  const std::string open_aux =
+      "{\"op\":\"open\",\"id\":\"o\",\"name\":\"aux\",\"data_dir\":\"" +
+      fairtopk::JsonEscape(aux_dir) + "\"";
 
   // ---- Phase 1: cold start, mutate, capture, SIGTERM-compact. ----
   Server first = Start(binary, {"--data-dir", data_dir, "--csv", csv,
@@ -221,8 +231,16 @@ int main(int argc, char** argv) {
       "\"region\":\"north\",\"score\":55.5}]}\n";
   mutate += kDetect;
   mutate += "{\"op\":\"snapshot_info\",\"id\":\"s\"}\n";
+  // A durable catalog session: cold start from the CSV, one update.
+  mutate += open_aux + ",\"csv\":\"" + fairtopk::JsonEscape(csv) +
+            "\",\"rank_by\":\"score\"}\n";
+  mutate +=
+      "{\"op\":\"update\",\"id\":\"u2\",\"session\":\"aux\","
+      "\"scores\":[[1,12.5]]}\n";
+  mutate +=
+      "{\"op\":\"snapshot_info\",\"id\":\"s2\",\"session\":\"aux\"}\n";
   const std::vector<std::string> phase1 = Drive(first.port, mutate);
-  if (phase1.size() != 4) {
+  if (phase1.size() != 7) {
     Fail("phase 1 got " + std::to_string(phase1.size()) + " responses");
   }
   MustParseOk(phase1[0], "update");
@@ -234,9 +252,21 @@ int main(int argc, char** argv) {
     Fail("expected 2 logged ops before compaction: " + phase1[3]);
   }
   const uint64_t gen1 = StorageUint(info1, "generation", "snapshot_info");
+  MustParseOk(phase1[4], "open aux");
+  MustParseOk(phase1[5], "update aux");
+  JsonValue aux_info1 = MustParseOk(phase1[6], "snapshot_info aux");
+  if (StorageUint(aux_info1, "log_records", "snapshot_info aux") != 1) {
+    Fail("expected 1 logged op in aux before compaction: " + phase1[6]);
+  }
+  const uint64_t aux_gen1 =
+      StorageUint(aux_info1, "generation", "snapshot_info aux");
   const std::string first_stderr = StopAndDrain(first);
-  if (first_stderr.find("compacted") == std::string::npos) {
-    Fail("shutdown did not report compaction:\n" + first_stderr);
+  for (const char* name : {"default", "aux"}) {
+    if (first_stderr.find("session " + std::string(name) + ": compacted") ==
+        std::string::npos) {
+      Fail("shutdown did not report compacting session " +
+           std::string(name) + ":\n" + first_stderr);
+    }
   }
 
   // ---- Phase 2: restart WITHOUT the CSV, must replay nothing and ----
@@ -253,8 +283,11 @@ int main(int argc, char** argv) {
   std::string probe;
   probe += kDetect;
   probe += "{\"op\":\"stats\",\"id\":\"s\"}\n";
+  probe += open_aux + "}\n";
+  probe +=
+      "{\"op\":\"snapshot_info\",\"id\":\"s2\",\"session\":\"aux\"}\n";
   const std::vector<std::string> phase2 = Drive(second.port, probe);
-  if (phase2.size() != 2) {
+  if (phase2.size() != 4) {
     Fail("phase 2 got " + std::to_string(phase2.size()) + " responses");
   }
   const std::string detect_after = phase2[0];
@@ -274,9 +307,19 @@ int main(int argc, char** argv) {
   if (!StorageOf(stats, "stats").BoolOr("persistent", false)) {
     Fail("stats.storage.persistent is not true: " + phase2[1]);
   }
+  MustParseOk(phase2[2], "reopen aux");
+  JsonValue aux_info2 = MustParseOk(phase2[3], "snapshot_info aux");
+  if (StorageUint(aux_info2, "log_records", "snapshot_info aux") != 0) {
+    Fail("aux reopened with op-log records (not compacted at shutdown): " +
+         phase2[3]);
+  }
+  if (StorageUint(aux_info2, "generation", "snapshot_info aux") <= aux_gen1) {
+    Fail("compaction did not advance aux's generation: " + phase2[3]);
+  }
   StopAndDrain(second);
   std::error_code discard;
   std::filesystem::remove_all(data_dir, discard);
+  std::filesystem::remove_all(aux_dir, discard);
 
   std::printf("serve_persist_smoke: OK (generation %llu -> %llu)\n",
               static_cast<unsigned long long>(gen1),

@@ -519,11 +519,9 @@ int RunAudit(const Args& args) {
   // Per-k presentation annotations against the request's bounds kind.
   auto annotate = [&](int k) {
     if (const auto* global = std::get_if<GlobalBoundSpec>(&request.bounds)) {
-      return AnnotateGlobal(*detected, *input, *global, k,
-                            GroupOrder::kByBiasDesc);
+      return AnnotateGlobal(*detected, *global, k, GroupOrder::kByBiasDesc);
     }
-    return AnnotateProp(*detected, *input,
-                        std::get<PropBoundSpec>(request.bounds), k,
+    return AnnotateProp(*detected, std::get<PropBoundSpec>(request.bounds), k,
                         GroupOrder::kByBiasDesc);
   };
 

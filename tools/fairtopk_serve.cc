@@ -11,7 +11,8 @@
 // cold-starts from the CSV and writes a snapshot, every maintenance op
 // is appended to an op log, and SIGTERM compacts the log into a fresh
 // snapshot generation — later starts skip the CSV entirely and reopen
-// from disk (README.md, "Persistence").
+// from disk (README.md, "Persistence"). Catalog sessions opened with a
+// `data_dir` are durable the same way, and shutdown compacts each one.
 //
 // Startup mirrors fairtopk_audit: the CSV is loaded, every numeric
 // column except the ranking column is bucketized so it can join group
@@ -291,23 +292,31 @@ int ResolveWorkers(int workers) {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
-/// On --data-dir shutdown: fold the accumulated op log into a fresh
-/// snapshot generation so the next start replays nothing.
-void CompactOnExit(SessionCatalog& catalog) {
-  std::shared_ptr<SessionCatalog::Entry> entry = catalog.Find("default");
-  if (entry == nullptr) return;
-  const SessionStorageInfo before = entry->session.storage_info();
-  if (!before.log_attached) return;
-  if (Status saved = entry->session.SaveSnapshot(); !saved.ok()) {
-    std::fprintf(stderr, "compaction failed (state persists in the op "
-                         "log): %s\n",
-                 saved.ToString().c_str());
-    return;
+/// At shutdown: fold each durable session's op log (the `--data-dir`
+/// default session and every catalog session opened with a
+/// `data_dir`) into a fresh snapshot generation, so the next open
+/// replays nothing.
+void CompactOnExit(const SessionCatalog& catalog) {
+  for (const SessionCatalog::Info& info : catalog.List()) {
+    std::shared_ptr<SessionCatalog::Entry> entry = catalog.Find(info.name);
+    if (entry == nullptr) continue;
+    const SessionStorageInfo before = entry->session.storage_info();
+    if (!before.log_attached) continue;
+    if (Status saved = entry->session.SaveSnapshot(); !saved.ok()) {
+      std::fprintf(stderr,
+                   "session %s: compaction failed (state persists in the "
+                   "op log): %s\n",
+                   info.name.c_str(), saved.ToString().c_str());
+      continue;
+    }
+    std::fprintf(stderr,
+                 "session %s: compacted %llu op(s) into snapshot "
+                 "generation %llu\n",
+                 info.name.c_str(),
+                 static_cast<unsigned long long>(before.log_records),
+                 static_cast<unsigned long long>(
+                     entry->session.storage_info().generation));
   }
-  std::fprintf(stderr, "compacted %llu op(s) into snapshot generation %llu\n",
-               static_cast<unsigned long long>(before.log_records),
-               static_cast<unsigned long long>(
-                   entry->session.storage_info().generation));
 }
 
 int RunServe(const Args& args) {
@@ -480,8 +489,8 @@ int RunServe(const Args& args) {
                server.connections_accepted());
   server.RequestShutdown();
   server.Wait();
-  // Requests are drained: the catalog's default session is quiescent,
-  // so this is the natural compaction point.
+  // Requests are drained: every catalog session is quiescent, so this
+  // is the natural compaction point.
   CompactOnExit(catalog);
   return 0;
 }
