@@ -442,20 +442,6 @@ void BM_ConcurrentDetectThroughput(benchmark::State& state) {
 }
 BENCHMARK(BM_ConcurrentDetectThroughput)->Arg(1)->Arg(4)->UseRealTime();
 
-// Thread-scaling of the sharded search (arg = num_threads). On the full
-// COMPAS pattern space the per-k searches are wide enough to shard.
-void BM_DetectGlobalIterTDThreads(benchmark::State& state) {
-  const DetectionInput& input = CompasInput();
-  GlobalBoundSpec bounds = GlobalBoundSpec::PaperDefault(49);
-  DetectionConfig config{10, 49, 50};
-  config.num_threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    auto result = DetectGlobalIterTD(input, bounds, config);
-    benchmark::DoNotOptimize(result);
-  }
-}
-BENCHMARK(BM_DetectGlobalIterTDThreads)->Arg(1)->Arg(2)->Arg(4);
-
 }  // namespace
 }  // namespace fairtopk
 

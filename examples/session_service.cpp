@@ -15,13 +15,12 @@ using namespace fairtopk;
 
 namespace {
 
-api::AuditRequest PropRequest(int threads) {
+api::AuditRequest PropRequest() {
   api::AuditRequest request;
   request.detector = "PropBounds";
   request.config.k_min = 10;
   request.config.k_max = 49;
   request.config.size_threshold = 100;
-  request.config.num_threads = threads;
   PropBoundSpec bounds;
   bounds.alpha = 0.8;
   request.bounds = bounds;
@@ -68,16 +67,15 @@ int main() {
   std::printf("session over %zu rows, %zu pattern attributes\n",
               session->num_rows(), session->space().num_attributes());
 
-  // Query 1: runs the detector. Query 2 (same parameters, different
-  // thread count) is served from the cache — results are thread-count
-  // invariant, so num_threads is not part of the cache key.
-  auto first = session->Detect(PropRequest(/*threads=*/1));
+  // Query 1: runs the detector. Query 2 (same parameters) is served
+  // from the cache.
+  auto first = session->Detect(PropRequest());
   if (!first.ok()) {
     std::fprintf(stderr, "%s\n", first.status().ToString().c_str());
     return 1;
   }
   PrintTopGroups(*session, *first->result, 49);
-  auto second = session->Detect(PropRequest(/*threads=*/4));
+  auto second = session->Detect(PropRequest());
   if (!second.ok()) {
     std::fprintf(stderr, "%s\n", second.status().ToString().c_str());
     return 1;
@@ -88,10 +86,10 @@ int main() {
   // A batch: the baseline and the optimized detector, each requested
   // twice — DetectMany runs each distinct cache key once and serves
   // the duplicates from the first run.
-  api::AuditRequest baseline = PropRequest(1);
+  api::AuditRequest baseline = PropRequest();
   baseline.detector = "PropIterTD";
   auto batch = session->DetectMany(
-      {PropRequest(1), baseline, PropRequest(1), baseline});
+      {PropRequest(), baseline, PropRequest(), baseline});
   if (!batch.ok()) {
     std::fprintf(stderr, "%s\n", batch.status().ToString().c_str());
     return 1;
@@ -102,7 +100,7 @@ int main() {
 
   // A cached result is the same immutable object the first query
   // returned, counts included.
-  auto repeat = session->Detect(PropRequest(1));
+  auto repeat = session->Detect(PropRequest());
   if (!repeat.ok()) {
     std::fprintf(stderr, "%s\n", repeat.status().ToString().c_str());
     return 1;
@@ -144,7 +142,7 @@ int main() {
     return 1;
   }
 
-  auto after = session->Detect(PropRequest(/*threads=*/1));
+  auto after = session->Detect(PropRequest());
   if (!after.ok()) {
     std::fprintf(stderr, "%s\n", after.status().ToString().c_str());
     return 1;

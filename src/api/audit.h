@@ -48,12 +48,10 @@ struct AuditRequest {
   metrics::TraceSink* trace = nullptr;
 
   /// Canonical cache key: detector name plus the canonical config and
-  /// bounds encodings (api/canonical.h). Excludes num_threads —
-  /// results are thread-count invariant by the engine's determinism
-  /// rule, so a 4-thread query may be served from a sequential run's
-  /// cache entry. Excludes `trace` (observability, not
-  /// parameterization). Distinct parameterizations yield distinct keys
-  /// (property-tested collision guard).
+  /// bounds encodings (api/canonical.h). Excludes num_threads, which
+  /// DetectionInput::ValidateConfig holds at 1, and `trace`
+  /// (observability, not parameterization). Distinct parameterizations
+  /// yield distinct keys (property-tested collision guard).
   std::string CacheKey() const;
 };
 

@@ -124,9 +124,6 @@ Result<DetectionConfig> ConfigFromJson(const JsonValue& request,
   FAIRTOPK_ASSIGN_OR_RETURN(
       config.size_threshold,
       ReadIntField(request, "tau", defaults.size_threshold));
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      config.num_threads,
-      ReadIntField(request, "threads", defaults.num_threads));
   return config;
 }
 

@@ -8,8 +8,8 @@
 // all of it:
 //
 //   * Canonical text form (CanonicalConfigKey / CanonicalBounds) —
-//     injective over (config, bounds) modulo num_threads, the basis of
-//     AuditRequest::CacheKey.
+//     injective over (config, bounds) modulo num_threads, which
+//     ValidateConfig holds at 1; the basis of AuditRequest::CacheKey.
 //   * JSON codec (ConfigFromJson / BoundsFromJson / WriteStepsJson) —
 //     the JSONL protocol's field vocabulary (`k_min`, `tau`, `lower`,
 //     `lower_steps`, `alpha`, ...).
@@ -52,10 +52,8 @@ std::string CanonicalSteps(const StepFunction& f);
 std::string CanonicalBounds(const BoundsSpec& bounds);
 
 /// Canonical text form of a detection config: "k=<min>..<max>|tau=<t>".
-/// num_threads is deliberately excluded — results are thread-count
-/// invariant by the engine's determinism rule, so two configs that
-/// differ only in threads must encode identically (one cache entry
-/// serves both).
+/// num_threads is excluded: DetectionInput::ValidateConfig accepts only
+/// 1, so every config that reaches a search has the same value.
 std::string CanonicalConfigKey(const DetectionConfig& config);
 
 /// Expands the fraction knobs into a full bounds spec of `kind` over
@@ -80,8 +78,8 @@ Result<double> ReadDoubleField(const JsonValue& request,
 /// Decodes [[start_k, value], ...] into a StepFunction.
 Result<StepFunction> StepsFromJson(const JsonValue& steps);
 
-/// Decodes the config fields (`k_min`, `k_max`, `tau`, `threads`) of a
-/// request, falling back to `defaults` per field.
+/// Decodes the config fields (`k_min`, `k_max`, `tau`) of a request,
+/// falling back to `defaults` per field.
 Result<DetectionConfig> ConfigFromJson(const JsonValue& request,
                                        const DetectionConfig& defaults);
 

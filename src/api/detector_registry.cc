@@ -155,9 +155,6 @@ std::string CapabilitiesJson(const DetectorRegistry& registry) {
     w.Key("k_min").String("int: first rank of the audited range");
     w.Key("k_max").String("int: last rank of the audited range");
     w.Key("tau").String("int: minimum group size in D");
-    w.Key("threads").String(
-        "int: worker threads (0 = hardware concurrency); never changes "
-        "results");
     if (d.bounds_kind == BoundsKind::kGlobal) {
       w.Key("lower").String(
           "number: lower staircase as a fraction of k (default from the "

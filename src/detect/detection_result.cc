@@ -130,9 +130,9 @@ Status DetectionInput::ValidateConfig(const DetectionConfig& config) const {
   if (config.size_threshold < 1) {
     return Status::InvalidArgument("size threshold must be positive");
   }
-  if (config.num_threads < 0) {
+  if (config.num_threads != 1) {
     return Status::InvalidArgument(
-        "num_threads must be >= 0 (0 = hardware concurrency)");
+        "num_threads must be 1: every search runs on the calling thread");
   }
   return Status::OK();
 }

@@ -23,11 +23,9 @@ struct DetectionConfig {
   /// Minimum group size in D (τs). Groups smaller than this are never
   /// reported (and, by anti-monotonicity, never expanded).
   int size_threshold = 50;
-  /// Worker threads for the full top-down searches: 1 (default) runs
-  /// sequentially, N > 1 shards the first-predicate subtrees across N
-  /// threads, 0 uses the hardware concurrency. Results are identical
-  /// for every value (the engine merges shard results in a fixed
-  /// subtree order).
+  /// Threads per search. Every search runs on the calling thread, so
+  /// ValidateConfig accepts only 1; the field remains because perfbench
+  /// still sets it.
   int num_threads = 1;
 };
 
@@ -46,20 +44,17 @@ struct DetectionStats {
   /// evaluation reads only the ceil(k/64) top-k prefix words.
   uint64_t sizes_counted = 0;
   /// Elapsed wall-clock seconds of the algorithm, set once by the
-  /// owning entry point. Deliberately NOT accumulated by Merge():
-  /// summing per-worker elapsed times would report N overlapping
-  /// workers as N× the real latency.
+  /// owning entry point. Not accumulated by Merge(): the entry point's
+  /// clock already covers every search it runs.
   double seconds = 0.0;
-  /// Summed busy time across workers (per-worker elapsed seconds inside
-  /// the engine's searches, added up on merge). At most `seconds` for
-  /// sequential runs; may exceed it under num_threads > 1, where
-  /// cpu_seconds / seconds approximates the effective parallelism.
+  /// Seconds spent inside full top-down searches
+  /// (engine::SequentialTopDown), a part of `seconds`: nearly all of it
+  /// for ITERTD and the upper-bound detectors, only the initial and
+  /// restarted searches for the incremental algorithms.
   double cpu_seconds = 0.0;
 
-  /// Accumulates another worker's counters. Parallel searches give each
-  /// worker its own DetectionStats and merge on join; workers never
-  /// share a mutable counter. Wall-clock `seconds` is owned by the
-  /// merged result and left untouched.
+  /// Adds one search's work counters and cpu_seconds into these;
+  /// `seconds` is left untouched.
   void Merge(const DetectionStats& other) {
     nodes_visited += other.nodes_visited;
     cursor_reuse_hits += other.cursor_reuse_hits;

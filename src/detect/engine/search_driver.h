@@ -1,7 +1,7 @@
 // The unified pattern-search engine: one top-down driver over the
 // search tree (Definition 4.1) shared by every detection algorithm.
 //
-// Three ideas collapse the previously duplicated DFS loops into this
+// Two ideas collapse the previously duplicated DFS loops into this
 // layer:
 //
 //  1. Count only what the search reads. The driver walks the tree with
@@ -17,17 +17,11 @@
 //     template parameters (any callable / visitor struct), so the hot
 //     loop has no type-erased std::function dispatch.
 //
-//  3. Shard-and-merge parallelism with a determinism rule. The root's
-//     children (first-predicate branches) own disjoint subtrees; each
-//     branch is searched with its OWN visitor instance, cursor and
-//     size-memo branch, and the per-branch states are merged in fixed
-//     branch order after all workers join. Because per-branch work is
-//     a pure function of the index and of the branch's earlier
-//     searches in the run, and the merge order never depends on thread
-//     scheduling, a run with N threads is bit-identical to a
-//     sequential run, work counters included — the
-//     sequential path executes the very same branch/merge sequence.
-//     Per-worker DetectionStats are merged on join, never shared.
+// Every search runs on the calling thread. One k's search takes tens
+// to hundreds of microseconds, and the incremental algorithms spend
+// most of their time outside full searches, so threads per search cost
+// more than they save; the serving layer runs requests in parallel
+// instead.
 //
 // Result delivery is streaming: detectors emit each k's finalized
 // violation set through a ResultSink (engine/result_sink.h) via the
@@ -37,11 +31,7 @@
 #ifndef FAIRTOPK_DETECT_ENGINE_SEARCH_DRIVER_H_
 #define FAIRTOPK_DETECT_ENGINE_SEARCH_DRIVER_H_
 
-#include <atomic>
 #include <cstdint>
-#include <limits>
-#include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -56,52 +46,33 @@
 
 namespace fairtopk::engine {
 
-/// Knobs of one top-down search. `num_threads` follows
-/// DetectionConfig::num_threads: <= 1 sequential, 0 = hardware
-/// concurrency.
+/// Knobs of one top-down search.
 struct SearchParams {
   int size_threshold = 1;
   size_t k = 1;
-  int num_threads = 1;
 };
-
-/// A first-predicate branch of the search tree: the subtree of patterns
-/// whose lowest-index predicate is (attr = value). Branches partition
-/// the non-empty patterns, which makes them the sharding unit.
-struct RootBranch {
-  size_t attr;
-  int16_t value;
-};
-
-/// All root branches of `space`, in search-tree order (attribute-major,
-/// then value) — the canonical merge order.
-std::vector<RootBranch> RootBranches(const PatternSpace& space);
-
-/// Number of workers to launch for `requested` threads over
-/// `num_branches` shards.
-int ResolveThreadCount(int requested, size_t num_branches);
 
 namespace internal {
 
 template <typename Visitor>
 void DescendFrom(const BitmapIndex& index, const SearchParams& params,
                  Pattern& node, uint32_t id, size_t first_attr,
-                 SizeMemo::Branch& sizes, PatternCursor& cursor,
-                 Visitor& visitor, DetectionStats& stats);
+                 SizeMemo& sizes, PatternCursor& cursor, Visitor& visitor,
+                 DetectionStats& stats);
 
 /// Evaluates the node (cursor's pattern ∪ {attr = value}), whose id in
-/// its root branch's memo is `id`: its size comes from the memo, or is
-/// counted over the full width through the cursor and stored; a node
-/// smaller than the size threshold is skipped (anti-monotone prune);
-/// otherwise its top-k prefix is counted and the node handed to the
-/// visitor, and the search descends below it iff the visitor returns
-/// true. `node` is the cursor's pattern, mutated in place and restored
-/// — visitors must copy the pattern if they keep it.
+/// the run's memo is `id`: its size comes from the memo, or is counted
+/// over the full width through the cursor and stored; a node smaller
+/// than the size threshold is skipped (anti-monotone prune); otherwise
+/// its top-k prefix is counted and the node handed to the visitor, and
+/// the search descends below it iff the visitor returns true. `node` is
+/// the cursor's pattern, mutated in place and restored — visitors must
+/// copy the pattern if they keep it.
 template <typename Visitor>
 void VisitNode(const BitmapIndex& index, const SearchParams& params,
                Pattern& node, size_t attr, int16_t value, uint32_t id,
-               SizeMemo::Branch& sizes, PatternCursor& cursor,
-               Visitor& visitor, DetectionStats& stats) {
+               SizeMemo& sizes, PatternCursor& cursor, Visitor& visitor,
+               DetectionStats& stats) {
   ++stats.nodes_visited;
   if (cursor.depth() > 0) ++stats.cursor_reuse_hits;
   const size_t threshold = static_cast<size_t>(params.size_threshold);
@@ -128,12 +99,12 @@ void VisitNode(const BitmapIndex& index, const SearchParams& params,
 
 /// Pre-order DFS below `node` (exclusive) over attributes >=
 /// `first_attr`. The cursor must be positioned AT `node`, and `id` is
-/// node's id in `sizes`, its root branch's memo.
+/// node's id in `sizes`.
 template <typename Visitor>
 void DescendFrom(const BitmapIndex& index, const SearchParams& params,
                  Pattern& node, uint32_t id, size_t first_attr,
-                 SizeMemo::Branch& sizes, PatternCursor& cursor,
-                 Visitor& visitor, DetectionStats& stats) {
+                 SizeMemo& sizes, PatternCursor& cursor, Visitor& visitor,
+                 DetectionStats& stats) {
   const PatternSpace& space = index.space();
   for (size_t j = first_attr; j < space.num_attributes(); ++j) {
     const int domain = space.domain_size(j);
@@ -144,30 +115,12 @@ void DescendFrom(const BitmapIndex& index, const SearchParams& params,
   }
 }
 
-/// Visits root branch `b` — its root and, as the visitor decides, its
-/// subtree — with a cursor at the empty pattern.
-template <typename Visitor>
-void VisitBranch(const BitmapIndex& index, const SearchParams& params,
-                 const RootBranch& b, SizeMemo& sizes, PatternCursor& cursor,
-                 Pattern& node, Visitor& visitor, DetectionStats& stats) {
-  VisitNode(index, params, node, b.attr, b.value, SizeMemo::Branch::kRoot,
-            sizes.branch(b.attr, b.value), cursor, visitor, stats);
-}
-
 }  // namespace internal
 
-/// True when `params` resolves to a single worker — entry points use
-/// this to pick the zero-overhead sequential path (one visitor, no
-/// per-branch states, no merge).
-inline bool RunsSequentially(const SearchParams& params) {
-  return ResolveThreadCount(params.num_threads,
-                            std::numeric_limits<size_t>::max()) <= 1;
-}
-
-/// Sequential full search: drives one visitor over every branch in
-/// branch order (the exact order the merge path reproduces). The
-/// visitor observes the same node sequence Algorithm 1's explicit-stack
-/// formulation would report.
+/// Full search: drives `visitor` over every non-empty pattern in
+/// pre-order, descending as the visitor decides — the node sequence
+/// Algorithm 1's explicit-stack formulation would report. Its elapsed
+/// time goes to stats->cpu_seconds.
 template <typename Visitor>
 void SequentialTopDown(const BitmapIndex& index, const SearchParams& params,
                        SizeMemo& sizes, Visitor& visitor,
@@ -176,82 +129,11 @@ void SequentialTopDown(const BitmapIndex& index, const SearchParams& params,
   PatternCursor cursor(index, params.k);
   Pattern node = Pattern::Empty(index.space().num_attributes());
   DetectionStats local;
-  for (const RootBranch& b : RootBranches(index.space())) {
-    internal::VisitBranch(index, params, b, sizes, cursor, node, visitor,
-                          local);
-  }
+  internal::DescendFrom(index, params, node, SizeMemo::kRoot, 0, sizes,
+                        cursor, visitor, local);
   if (stats != nullptr) {
     local.cpu_seconds = timer.ElapsedSeconds();
     stats->Merge(local);
-  }
-}
-
-/// Runs one visitor instance per root branch over that branch's subtree
-/// (branch root included), sharding branches across workers, then hands
-/// every visitor to `merge(branch_index, std::move(visitor))` in branch
-/// order. `make_visitor()` must produce independent, movable visitors
-/// whose operator()(const Pattern&, size_t size_d, size_t top_k) -> bool
-/// decides descent. Thread-count invariance: per-branch work touches
-/// only the (immutable) index and the branch's own visitor, cursor and
-/// size-memo branch, and the merge loop runs single-threaded in fixed
-/// order.
-template <typename VisitorFactory, typename MergeFn>
-void ShardedTopDown(const BitmapIndex& index, const SearchParams& params,
-                    SizeMemo& sizes, const VisitorFactory& make_visitor,
-                    const MergeFn& merge, DetectionStats* stats) {
-  const PatternSpace& space = index.space();
-  const std::vector<RootBranch> branches = RootBranches(space);
-  using VisitorT = std::decay_t<decltype(make_visitor())>;
-  const int threads = ResolveThreadCount(params.num_threads, branches.size());
-
-  if (threads <= 1) {
-    // Single worker: one visitor sweeps the branches in order — the
-    // concatenation of per-branch pre-orders, i.e. the same node
-    // sequence the merge path folds — with none of the per-branch
-    // state.
-    VisitorT visitor = make_visitor();
-    SequentialTopDown(index, params, sizes, visitor, stats);
-    merge(0, std::move(visitor));
-    return;
-  }
-
-  std::vector<VisitorT> states;
-  states.reserve(branches.size());
-  for (size_t i = 0; i < branches.size(); ++i) {
-    states.push_back(make_visitor());
-  }
-
-  std::vector<DetectionStats> worker_stats(static_cast<size_t>(threads));
-  std::atomic<size_t> next{0};
-  auto worker = [&](size_t w) {
-    WallTimer timer;
-    PatternCursor cursor(index, params.k);
-    Pattern node = Pattern::Empty(space.num_attributes());
-    DetectionStats& ws = worker_stats[w];
-    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
-         i < branches.size();
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      internal::VisitBranch(index, params, branches[i], sizes, cursor, node,
-                            states[i], ws);
-    }
-    // Per-worker busy time; Merge() folds these into cpu_seconds (and
-    // never into the wall-clock `seconds`, which the entry point owns).
-    ws.cpu_seconds = timer.ElapsedSeconds();
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(threads - 1));
-  for (int w = 1; w < threads; ++w) {
-    pool.emplace_back(worker, static_cast<size_t>(w));
-  }
-  worker(0);
-  for (std::thread& t : pool) t.join();
-
-  if (stats != nullptr) {
-    for (const DetectionStats& ws : worker_stats) stats->Merge(ws);
-  }
-  for (size_t i = 0; i < branches.size(); ++i) {
-    merge(i, std::move(states[i]));
   }
 }
 
@@ -268,7 +150,7 @@ void ShardedTopDown(const BitmapIndex& index, const SearchParams& params,
 /// (the remaining ks are never searched). The wall clock covers the
 /// per_k searches only — time spent inside the caller's sink is NOT
 /// detection time, so a slow streaming consumer cannot inflate
-/// `seconds` (which PR 3 deliberately keeps honest vs cpu_seconds).
+/// `seconds`.
 template <typename PerKFn>
 Status StreamPerK(const BitmapIndex& index, const DetectionConfig& config,
                   ResultSink& sink, const PerKFn& per_k) {
@@ -292,13 +174,10 @@ struct SearchOutcome {
   std::vector<Pattern> deferred;
 };
 
-/// Algorithm 1's report step, shared between the per-branch visitors,
-/// the cross-branch merge and GLOBALBOUNDS' re-examination of the
-/// deferred set (the classification "res or deferred"
-/// depends only on the SET of reported patterns, so applying the same
-/// rule during merge reproduces the sequential outcome). One Update
-/// scan classifies everything: inserted (evictions → deferred),
-/// shadowed by a proper ancestor (→ deferred), or duplicate (dropped).
+/// Algorithm 1's report step, shared between the top-down searches and
+/// GLOBALBOUNDS' re-examination of the deferred set. One Update scan
+/// classifies everything: inserted (evictions → deferred), shadowed by
+/// a proper ancestor (→ deferred), or duplicate (dropped).
 inline void ReportBiased(const Pattern& p, MostGeneralResultSet& res,
                          std::vector<Pattern>& deferred) {
   UpdateOutcome update = res.Update(p);
@@ -314,26 +193,21 @@ inline void ReportBiased(const Pattern& p, MostGeneralResultSet& res,
 namespace internal {
 
 /// Visitor of Algorithm 1: stop descent at biased nodes (top-k count
-/// strictly below the bound) and collect them with most-general
-/// semantics; descend through unbiased nodes.
+/// strictly below the bound) and report them into `res` / `deferred`
+/// with most-general semantics; descend through unbiased nodes.
 template <typename BoundFn>
-class BelowBoundCollector {
- public:
-  explicit BelowBoundCollector(const BoundFn& bound) : bound_(bound) {}
+struct BelowBoundCollector {
+  BoundFn bound;
+  MostGeneralResultSet& res;
+  std::vector<Pattern>& deferred;
 
   bool operator()(const Pattern& p, size_t size_d, size_t top_k) {
-    if (static_cast<double>(top_k) < bound_(size_d)) {
-      ReportBiased(p, outcome_.result, outcome_.deferred);
+    if (static_cast<double>(top_k) < bound(size_d)) {
+      ReportBiased(p, res, deferred);
       return false;
     }
     return true;
   }
-
-  SearchOutcome& outcome() { return outcome_; }
-
- private:
-  BoundFn bound_;
-  SearchOutcome outcome_;
 };
 
 }  // namespace internal
@@ -345,99 +219,63 @@ class BelowBoundCollector {
 /// inlined per instantiation: a constant L_k for the global problem,
 /// alpha * size * k / |D| for the proportional one. Shared by the
 /// ITERTD baselines, the full searches of GLOBALBOUNDS, and bound
-/// suggestion. `sizes` is the memo of the run the search belongs to;
-/// results are identical for any `params.num_threads`.
+/// suggestion. `sizes` is the memo of the run the search belongs to.
 template <typename BoundFn>
 SearchOutcome MostGeneralBelow(const BitmapIndex& index,
                                const SearchParams& params, SizeMemo& sizes,
                                const BoundFn& bound, DetectionStats* stats) {
-  if (RunsSequentially(params)) {
-    // Fast path: one collector reports straight into the final outcome;
-    // no per-branch states and no re-classification on merge.
-    internal::BelowBoundCollector<BoundFn> collector(bound);
-    SequentialTopDown(index, params, sizes, collector, stats);
-    return std::move(collector.outcome());
-  }
-  SearchOutcome merged;
-  ShardedTopDown(
-      index, params, sizes,
-      [&bound] { return internal::BelowBoundCollector<BoundFn>(bound); },
-      [&merged](size_t, internal::BelowBoundCollector<BoundFn>&& local) {
-        SearchOutcome& out = local.outcome();
-        for (const Pattern& p : out.result.patterns()) {
-          ReportBiased(p, merged.result, merged.deferred);
-        }
-        for (Pattern& d : out.deferred) {
-          ReportBiased(d, merged.result, merged.deferred);
-        }
-      },
-      stats);
-  return merged;
+  SearchOutcome outcome;
+  internal::BelowBoundCollector<BoundFn> collector{bound, outcome.result,
+                                                   outcome.deferred};
+  SequentialTopDown(index, params, sizes, collector, stats);
+  return outcome;
 }
 
-/// Generic sequential pre-order descent below non-empty `from` with
-/// an arbitrary visitor (used by the incremental PROPBOUNDS machinery
-/// to expand previously shadowed regions with its own bookkeeping).
+/// Generic pre-order descent below non-empty `from` with an arbitrary
+/// visitor (used by the incremental PROPBOUNDS machinery to expand
+/// previously shadowed regions with its own bookkeeping).
 template <typename Visitor>
 void VisitBelowFrom(const BitmapIndex& index, const SearchParams& params,
                     const Pattern& from, SizeMemo& sizes, Visitor& visitor,
                     DetectionStats* stats) {
-  auto [branch, id] = sizes.Locate(from);
+  const uint32_t id = sizes.Locate(from);
   PatternCursor cursor(index, params.k);
   cursor.SeedFrom(from);
   Pattern node = from;
   DetectionStats local;
   internal::DescendFrom(index, params, node, id,
                         static_cast<size_t>(from.MaxSpecifiedIndex() + 1),
-                        *branch, cursor, visitor, local);
+                        sizes, cursor, visitor, local);
   if (stats != nullptr) stats->Merge(local);
 }
 
 /// Resumes Algorithm 1 below an interior node `from` (procedure
 /// searchFromNode of Algorithm 2): `from` just stopped being biased, so
 /// its never-explored subtree is searched now, reporting into the
-/// caller's live result/deferred state. Sequential — callers invoke it
-/// from the (inherently serial) incremental phases.
+/// caller's live result/deferred state.
 template <typename BoundFn>
 void MostGeneralBelowFrom(const BitmapIndex& index, const SearchParams& params,
                           const Pattern& from, SizeMemo& sizes,
                           const BoundFn& bound, MostGeneralResultSet& res,
                           std::vector<Pattern>& deferred,
                           DetectionStats* stats) {
-  struct SharedCollector {
-    const BoundFn& bound;
-    MostGeneralResultSet& res;
-    std::vector<Pattern>& deferred;
-    bool operator()(const Pattern& p, size_t size_d, size_t top_k) {
-      if (static_cast<double>(top_k) < bound(size_d)) {
-        ReportBiased(p, res, deferred);
-        return false;
-      }
-      return true;
-    }
-  };
-  SharedCollector visitor{bound, res, deferred};
-  VisitBelowFrom(index, params, from, sizes, visitor, stats);
+  internal::BelowBoundCollector<BoundFn> collector{bound, res, deferred};
+  VisitBelowFrom(index, params, from, sizes, collector, stats);
 }
 
 namespace internal {
 
+/// Visitor of the exhaustive enumeration: files every violating node
+/// into `set` and always descends.
 template <typename ViolatesFn, typename SetT>
-class ExhaustiveVisitor {
- public:
-  explicit ExhaustiveVisitor(const ViolatesFn& violates)
-      : violates_(violates) {}
+struct ExhaustiveVisitor {
+  ViolatesFn violates;
+  SetT& set;
 
   bool operator()(const Pattern& p, size_t size_d, size_t top_k) {
-    if (violates_(size_d, top_k)) set_.Update(p);
+    if (violates(size_d, top_k)) set.Update(p);
     return true;
   }
-
-  SetT& set() { return set_; }
-
- private:
-  ViolatesFn violates_;
-  SetT set_;
 };
 
 }  // namespace internal
@@ -451,23 +289,10 @@ template <typename SetT, typename ViolatesFn>
 SetT ExhaustiveViolations(const BitmapIndex& index, const SearchParams& params,
                           SizeMemo& sizes, const ViolatesFn& violates,
                           DetectionStats* stats) {
-  if (RunsSequentially(params)) {
-    internal::ExhaustiveVisitor<ViolatesFn, SetT> visitor(violates);
-    SequentialTopDown(index, params, sizes, visitor, stats);
-    return std::move(visitor.set());
-  }
-  SetT merged;
-  ShardedTopDown(
-      index, params, sizes,
-      [&violates] {
-        return internal::ExhaustiveVisitor<ViolatesFn, SetT>(violates);
-      },
-      [&merged](size_t,
-                internal::ExhaustiveVisitor<ViolatesFn, SetT>&& local) {
-        for (const Pattern& p : local.set().patterns()) merged.Update(p);
-      },
-      stats);
-  return merged;
+  SetT set;
+  internal::ExhaustiveVisitor<ViolatesFn, SetT> visitor{violates, set};
+  SequentialTopDown(index, params, sizes, visitor, stats);
+  return set;
 }
 
 }  // namespace fairtopk::engine

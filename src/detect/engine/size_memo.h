@@ -10,16 +10,14 @@
 // reads its size here, and the search counts just the ceil(k/64) words
 // of the top-k prefix (index/pattern_cursor.h).
 //
-// Layout: one Branch per root branch of the search tree (the patterns
-// whose lowest-index predicate is one fixed (attribute, value)), so the
-// engine's concurrent shards never share one. Within a branch the
-// patterns form the search tree of Definition 4.1, stored as a trie of
-// dense ids: id 0 is the branch root, and the children of a node —
-// each adds one predicate on a later attribute — get one contiguous
-// block of ids the first time any of them is looked up. A child's id is
-// its parent's block start plus its value slot, so a lookup is two
-// array reads, the ids work for any pattern space, and a lookup that
-// hits allocates nothing.
+// Layout: the patterns form the search tree of Definition 4.1, stored
+// as a trie of dense ids: id 0 is the empty pattern, and the children
+// of a node — each adds one predicate on a later attribute — get one
+// contiguous block of ids the first time any of them is looked up. A
+// child's id is its parent's block start plus its value slot, so a
+// lookup is two array reads, the ids work for any pattern space, and a
+// lookup that hits allocates nothing. Not thread-safe: one run, on one
+// thread, owns a memo.
 #ifndef FAIRTOPK_DETECT_ENGINE_SIZE_MEMO_H_
 #define FAIRTOPK_DETECT_ENGINE_SIZE_MEMO_H_
 
@@ -27,7 +25,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "detect/detection_result.h"
@@ -40,53 +37,8 @@ class SizeMemo {
  public:
   /// Size of a node the run has not counted yet.
   static constexpr size_t kUnknown = std::numeric_limits<size_t>::max();
-
-  /// The sizes of one root branch's patterns. Not thread-safe: one
-  /// worker owns a branch at a time.
-  class Branch {
-   public:
-    /// Id of the branch root, the one-predicate pattern.
-    static constexpr uint32_t kRoot = 0;
-
-    /// Id of the child of node `parent` that adds (attr = value);
-    /// `attr` must come after every attribute `parent` specifies.
-    uint32_t Child(uint32_t parent, size_t attr, int16_t value) {
-      const uint32_t slot = memo_->Slot(attr, value);
-      if (nodes_[parent].children == kNoChildren) AddChildren(parent);
-      const Node& node = nodes_[parent];
-      assert(slot >= node.first_slot);
-      return node.children + (slot - node.first_slot);
-    }
-
-    /// s_D of node `id`, or kUnknown.
-    size_t size(uint32_t id) const { return nodes_[id].size; }
-    void set_size(uint32_t id, size_t size) { nodes_[id].size = size; }
-
-    /// s_D(p) of node `id`, which is `p`: the stored size, or, on a
-    /// miss, index.PatternCount(p), stored and tallied in
-    /// stats->sizes_counted (when non-null).
-    size_t SizeOf(uint32_t id, const Pattern& p, const BitmapIndex& index,
-                  DetectionStats* stats);
-
-   private:
-    friend class SizeMemo;
-    static constexpr uint32_t kNoChildren =
-        std::numeric_limits<uint32_t>::max();
-
-    struct Node {
-      size_t size = kUnknown;
-      uint32_t children = kNoChildren;  // id of the first child
-      uint32_t first_slot = 0;          // slot of the first child
-    };
-
-    Branch(const SizeMemo* memo, uint32_t root_slot);
-
-    /// Appends the block of `parent`'s children.
-    void AddChildren(uint32_t parent);
-
-    const SizeMemo* memo_;
-    std::vector<Node> nodes_;
-  };
+  /// Id of the empty pattern, the root of the search tree.
+  static constexpr uint32_t kRoot = 0;
 
   /// An empty memo for patterns over `space`.
   explicit SizeMemo(const PatternSpace& space);
@@ -94,37 +46,59 @@ class SizeMemo {
   SizeMemo(const SizeMemo&) = delete;
   SizeMemo& operator=(const SizeMemo&) = delete;
 
-  /// The branch of patterns whose lowest-index predicate is (attr =
-  /// value). Branches are numbered in search-tree order, the order of
-  /// engine::RootBranches.
-  Branch& branch(size_t attr, int16_t value) {
-    return branches_[Slot(attr, value)];
+  /// Id of the child of node `parent` that adds (attr = value);
+  /// `attr` must come after every attribute `parent` specifies.
+  uint32_t Child(uint32_t parent, size_t attr, int16_t value) {
+    const uint32_t slot = Slot(attr, value);
+    if (nodes_[parent].children == kNoChildren) AddChildren(parent);
+    const Node& node = nodes_[parent];
+    assert(slot >= node.first_slot);
+    return node.children + (slot - node.first_slot);
   }
 
-  /// The branch and id of non-empty `p`, creating the nodes on its
-  /// search-tree path.
-  std::pair<Branch*, uint32_t> Locate(const Pattern& p);
+  /// s_D of node `id`, or kUnknown.
+  size_t size(uint32_t id) const { return nodes_[id].size; }
+  void set_size(uint32_t id, size_t size) { nodes_[id].size = size; }
 
-  /// s_D(p) of non-empty `p`, as Branch::SizeOf.
+  /// The id of `p`, creating the nodes on its search-tree path.
+  uint32_t Locate(const Pattern& p);
+
+  /// s_D(p) of node `id`, which is `p`: the stored size, or, on a
+  /// miss, index.PatternCount(p), stored and tallied in
+  /// stats->sizes_counted (when non-null).
+  size_t SizeOf(uint32_t id, const Pattern& p, const BitmapIndex& index,
+                DetectionStats* stats);
+
+  /// s_D(p), as above, for a pattern located by Locate.
   size_t SizeOf(const Pattern& p, const BitmapIndex& index,
                 DetectionStats* stats) {
-    auto [branch, id] = Locate(p);
-    return branch->SizeOf(id, p, index, stats);
+    return SizeOf(Locate(p), p, index, stats);
   }
 
  private:
+  static constexpr uint32_t kNoChildren = std::numeric_limits<uint32_t>::max();
+
+  struct Node {
+    size_t size = kUnknown;
+    uint32_t children = kNoChildren;  // id of the first child
+    uint32_t first_slot = 0;          // slot of the first child
+  };
+
   /// Position of (attr, value) among every attribute's values, in
   /// search-tree order.
   uint32_t Slot(size_t attr, int16_t value) const {
     return offsets_[attr] + static_cast<uint32_t>(value);
   }
 
+  /// Appends the block of `parent`'s children.
+  void AddChildren(uint32_t parent);
+
   // offsets_[a]: slot of (a, 0); offsets_[num_attributes] = slot count.
   std::vector<uint32_t> offsets_;
   // first_child_slot_[s]: the first slot a child of a node whose last
   // predicate is slot s may add — the next attribute's (·, 0).
   std::vector<uint32_t> first_child_slot_;
-  std::vector<Branch> branches_;
+  std::vector<Node> nodes_;
 };
 
 }  // namespace fairtopk::engine

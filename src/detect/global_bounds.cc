@@ -32,12 +32,11 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
     DetectionStats* sp = &stats;
     const double lower = bounds.lower.At(k);
     const auto flat_bound = [lower](size_t) { return lower; };
+    const engine::SearchParams params{config.size_threshold,
+                                      static_cast<size_t>(k)};
     if (k == config.k_min || lower != bounds.lower.At(k - 1)) {
       // Initial iteration, or the bound stepped up: restart with a
       // fresh search (Algorithm 2, line 5).
-      const engine::SearchParams params{config.size_threshold,
-                                        static_cast<size_t>(k),
-                                        config.num_threads};
       engine::SearchOutcome outcome =
           engine::MostGeneralBelow(index, params, sizes, flat_bound, sp);
       res = std::move(outcome.result);
@@ -45,19 +44,15 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
       return res.Sorted();
     }
 
-    // The resumed searches of this iteration run sequentially (they are
-    // interleaved with the serial incremental bookkeeping).
-    const engine::SearchParams resume_params{config.size_threshold,
-                                             static_cast<size_t>(k), 1};
-
     // The new tuple occupies rank position k-1 (0-based). With a flat
     // bound, counts only grow, so the only possible transition is
     // biased -> not biased, and only for patterns the tuple satisfies.
     const size_t new_pos = static_cast<size_t>(k - 1);
 
-    // Phase 1: members of Res satisfied by the new tuple. Processed in
-    // sorted order so the incremental walk (and its work counters) is
-    // identical however the preceding full search was sharded.
+    // Phase 1: members of Res satisfied by the new tuple. Res's member
+    // order is unspecified (pattern/result_set.h), so they are
+    // processed in sorted order: the expansions, and with them the
+    // work counters, then run in one fixed order.
     std::vector<Pattern> candidates;
     for (const Pattern& p : res.patterns()) {
       if (index.RankedRowSatisfies(p, new_pos)) candidates.push_back(p);
@@ -69,14 +64,15 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
       const size_t top_k = index.TopKCount(p, static_cast<size_t>(k));
       if (static_cast<double>(top_k) >= lower) {
         res.Remove(p);
-        engine::MostGeneralBelowFrom(index, resume_params, p, sizes,
-                                     flat_bound, res, deferred, sp);
+        engine::MostGeneralBelowFrom(index, params, p, sizes, flat_bound,
+                                     res, deferred, sp);
       }
     }
 
     // Phase 2: re-examine the deferred set (Algorithm 2, line 8).
     // Entries may leave (count reached the bound), be promoted into Res
-    // (their subsuming ancestor left), or stay deferred.
+    // (their subsuming ancestor left), or stay deferred. Sorted like
+    // the candidates: evictions join the set in Res's member order.
     std::vector<Pattern> pending;
     pending.swap(deferred);
     std::sort(pending.begin(), pending.end());
@@ -84,8 +80,8 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
       ++sp->nodes_visited;
       const size_t top_k = index.TopKCount(d, static_cast<size_t>(k));
       if (static_cast<double>(top_k) >= lower) {
-        engine::MostGeneralBelowFrom(index, resume_params, d, sizes,
-                                     flat_bound, res, deferred, sp);
+        engine::MostGeneralBelowFrom(index, params, d, sizes, flat_bound,
+                                     res, deferred, sp);
         continue;
       }
       engine::ReportBiased(d, res, deferred);

@@ -16,8 +16,7 @@ Status DetectGlobalIterTDStream(const DetectionInput& input,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const double lower = bounds.lower.At(k);
         const engine::SearchParams params{config.size_threshold,
-                                          static_cast<size_t>(k),
-                                          config.num_threads};
+                                          static_cast<size_t>(k)};
         engine::SearchOutcome outcome = engine::MostGeneralBelow(
             input.index(), params, sizes,
             [lower](size_t) { return lower; }, &stats);
@@ -50,8 +49,7 @@ Status DetectPropIterTDStream(const DetectionInput& input,
         // evaluation order; boundary cases like bound == count would
         // otherwise be classified inconsistently.
         const engine::SearchParams params{config.size_threshold,
-                                          static_cast<size_t>(k),
-                                          config.num_threads};
+                                          static_cast<size_t>(k)};
         engine::SearchOutcome outcome = engine::MostGeneralBelow(
             input.index(), params, sizes,
             [&bounds, k, n](size_t size_d) {

@@ -31,65 +31,27 @@ class PropSearch {
         n_(static_cast<double>(index.num_rows())) {}
 
   /// Full top-down search at k_min (TopDownSearch of Algorithm 3), run
-  /// through the engine: each first-predicate subtree is harvested
-  /// independently (and in parallel when configured), then the
-  /// harvests are folded into the shared state in branch order — the
-  /// exact pre-order the sequential search would have produced. The
-  /// sequential path skips the harvest buffering and writes into the
-  /// shared maps directly (same pre-order, so identical state).
+  /// through the engine: biased nodes are placed, every other node is
+  /// expanded and scheduled for its k-tilde transition.
   void InitialSearch() {
     const int k = config_.k_min;
-    const engine::SearchParams params{config_.size_threshold,
-                                      static_cast<size_t>(k),
-                                      config_.num_threads};
-    if (engine::RunsSequentially(params)) {
-      struct DirectVisitor {
-        PropSearch* s;
-        int k;
-        bool operator()(const Pattern& p, size_t size_d, size_t top_k) {
-          if (s->Biased(top_k, size_d, k)) {
-            s->Place(p);
-            return false;
-          }
-          s->expanded_.insert(p);
-          s->RegisterKTilde(p, top_k, size_d, k);
-          return true;
-        }
-      };
-      DirectVisitor visitor{this, k};
-      engine::SequentialTopDown(index_, params, sizes_, visitor, stats_);
-      return;
-    }
-    struct Harvest {
-      const PropSearch* owner;
+    struct InitialVisitor {
+      PropSearch* s;
       int k;
-      // Pre-order records; folded into the shared state on merge.
-      std::vector<Pattern> expanded;
-      std::vector<Pattern> biased;
-      std::vector<std::pair<int, Pattern>> schedule;
       bool operator()(const Pattern& p, size_t size_d, size_t top_k) {
-        if (owner->Biased(top_k, size_d, k)) {
-          biased.push_back(p);
+        if (s->Biased(top_k, size_d, k)) {
+          s->Place(p);
           return false;
         }
-        expanded.push_back(p);
-        const int kt = owner->KTilde(top_k, size_d, k);
-        if (kt != 0) schedule.emplace_back(kt, p);
+        s->expanded_.insert(p);
+        s->RegisterKTilde(p, top_k, size_d, k);
         return true;
       }
     };
-    engine::ShardedTopDown(
-        index_, params, sizes_, [&] { return Harvest{this, k, {}, {}, {}}; },
-        [this](size_t, Harvest&& h) {
-          // Subtrees are disjoint, so every expanded/schedule entry is
-          // new.
-          for (Pattern& p : h.expanded) expanded_.insert(std::move(p));
-          for (auto& reg : h.schedule) {
-            schedule_[reg.first].push_back(std::move(reg.second));
-          }
-          for (const Pattern& p : h.biased) Place(p);
-        },
-        stats_);
+    const engine::SearchParams params{config_.size_threshold,
+                                      static_cast<size_t>(k)};
+    InitialVisitor visitor{this, k};
+    engine::SequentialTopDown(index_, params, sizes_, visitor, stats_);
   }
 
   /// One incremental step: process the arrival of the tuple at rank k
@@ -102,8 +64,8 @@ class PropSearch {
     const Pattern empty = Pattern::Empty(space_.num_attributes());
     for (size_t j = 0; j < space_.num_attributes(); ++j) {
       const int16_t v = index_.RankedCode(pos, j);
-      Visit(empty.With(j, v), sizes_.branch(j, v),
-            engine::SizeMemo::Branch::kRoot, k, /*full=*/false);
+      Visit(empty.With(j, v), sizes_.Child(engine::SizeMemo::kRoot, j, v), k,
+            /*full=*/false);
     }
 
     // (2) k-tilde firings: patterns untouched by the new tuple whose
@@ -185,14 +147,13 @@ class PropSearch {
     }
   }
 
-  /// Evaluates `p` — node `id` of `sizes`, its root branch's memo — at
-  /// iteration `k` and descends: fully when the subtree below `p` has
-  /// never been explored (or `full` is set by an un-biased ancestor),
-  /// selectively (new-tuple-satisfying children only) otherwise.
-  void Visit(const Pattern& p, engine::SizeMemo::Branch& sizes, uint32_t id,
-             int k, bool full) {
+  /// Evaluates `p` — node `id` of the run's memo — at iteration `k`
+  /// and descends: fully when the subtree below `p` has never been
+  /// explored (or `full` is set by an un-biased ancestor), selectively
+  /// (new-tuple-satisfying children only) otherwise.
+  void Visit(const Pattern& p, uint32_t id, int k, bool full) {
     CountStat();
-    const size_t size_d = sizes.SizeOf(id, p, index_, stats_);
+    const size_t size_d = sizes_.SizeOf(id, p, index_, stats_);
     if (size_d < static_cast<size_t>(config_.size_threshold)) return;
     const size_t top_k = index_.TopKCount(p, static_cast<size_t>(k));
 
@@ -216,12 +177,11 @@ class PropSearch {
       const int domain = space_.domain_size(j);
       for (int16_t v = 0; v < domain; ++v) {
         if (explore_all) {
-          Visit(p.With(j, v), sizes, sizes.Child(id, j, v), k, full);
+          Visit(p.With(j, v), sizes_.Child(id, j, v), k, full);
         } else if (index_.RankedCode(pos, j) == v) {
           // Child adds predicate A_j = v; the new tuple satisfies the
           // child iff it satisfies p (it does) and carries v in A_j.
-          Visit(p.With(j, v), sizes, sizes.Child(id, j, v), k,
-                /*full=*/false);
+          Visit(p.With(j, v), sizes_.Child(id, j, v), k, /*full=*/false);
         }
       }
     }
@@ -247,7 +207,7 @@ class PropSearch {
       }
     };
     const engine::SearchParams params{config_.size_threshold,
-                                      static_cast<size_t>(k), 1};
+                                      static_cast<size_t>(k)};
     ExpandVisitor visitor{this, k};
     engine::VisitBelowFrom(index_, params, d, sizes_, visitor, stats_);
   }

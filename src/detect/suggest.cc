@@ -30,9 +30,8 @@ GlobalBoundSpec StaircaseFor(double level, int k_min, int k_max) {
 /// callable double(size_t size_in_d)).
 template <typename BoundFn>
 size_t GroupsAt(const DetectionInput& input, engine::SizeMemo& sizes, int tau,
-                int k, const BoundFn& bound, int num_threads) {
-  const engine::SearchParams params{tau, static_cast<size_t>(k),
-                                    num_threads};
+                int k, const BoundFn& bound) {
+  const engine::SearchParams params{tau, static_cast<size_t>(k)};
   return engine::MostGeneralBelow(input.index(), params, sizes, bound,
                                   nullptr)
       .result.size();
@@ -105,8 +104,7 @@ Result<SuggestedParameters> SuggestParameters(const DetectionInput& input,
             StaircaseFor(level, config.k_min, config.k_max);
         const double bound = candidate.lower.At(config.k_max);
         return GroupsAt(input, sizes, out.size_threshold, config.k_max,
-                        [bound](size_t) { return bound; },
-                        config.num_threads);
+                        [bound](size_t) { return bound; });
       });
   out.global_level = global.level;
   out.global_bounds =
@@ -120,12 +118,10 @@ Result<SuggestedParameters> SuggestParameters(const DetectionInput& input,
         PropBoundSpec spec;
         spec.alpha = alpha;
         const int k = config.k_max;
-        return GroupsAt(
-            input, sizes, out.size_threshold, k,
-            [&spec, k, n](size_t size_d) {
-              return spec.LowerAt(static_cast<int>(size_d), k, n);
-            },
-            config.num_threads);
+        return GroupsAt(input, sizes, out.size_threshold, k,
+                        [&spec, k, n](size_t size_d) {
+                          return spec.LowerAt(static_cast<int>(size_d), k, n);
+                        });
       });
   out.alpha = prop.level;
   out.groups_at_kmax_prop = prop.groups;

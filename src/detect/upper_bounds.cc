@@ -37,8 +37,7 @@ Status DetectGlobalUpperBoundsStream(const DetectionInput& input,
       input.index(), config, sink,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const engine::SearchParams params{config.size_threshold,
-                                          static_cast<size_t>(k),
-                                          config.num_threads};
+                                          static_cast<size_t>(k)};
         MostSpecificResultSet res =
             engine::ExhaustiveViolations<MostSpecificResultSet>(
                 input.index(), params, sizes,
@@ -68,8 +67,7 @@ Status DetectPropUpperBoundsStream(const DetectionInput& input,
       input.index(), config, sink,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const engine::SearchParams params{config.size_threshold,
-                                          static_cast<size_t>(k),
-                                          config.num_threads};
+                                          static_cast<size_t>(k)};
         const double factor = bounds.beta * static_cast<double>(k) / n;
         MostSpecificResultSet res =
             engine::ExhaustiveViolations<MostSpecificResultSet>(

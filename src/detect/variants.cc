@@ -55,8 +55,7 @@ void EnumerateAtK(const DetectionInput& input, const DetectionConfig& config,
                   ReportingSemantics semantics, std::vector<Pattern>& out,
                   DetectionStats* stats) {
   const engine::SearchParams params{config.size_threshold,
-                                    static_cast<size_t>(k),
-                                    config.num_threads};
+                                    static_cast<size_t>(k)};
   if (semantics == ReportingSemantics::kMostGeneral) {
     out = engine::ExhaustiveViolations<MostGeneralResultSet>(
               input.index(), params, sizes, violates, stats)

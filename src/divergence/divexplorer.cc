@@ -45,7 +45,7 @@ Result<std::vector<DivergentGroup>> FindDivergentGroups(
           ? std::numeric_limits<int>::max()
           : static_cast<int>(min_count);
   const engine::SearchParams params{threshold,
-                                    static_cast<size_t>(options.k), 1};
+                                    static_cast<size_t>(options.k)};
   engine::SizeMemo sizes(index.space());
   engine::SequentialTopDown(index, params, sizes, score, nullptr);
 

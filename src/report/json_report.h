@@ -28,7 +28,7 @@ struct ReportContext {
 ///   "stats": {"nodes_visited": int, "cursor_reuse_hits": int,
 ///             "sizes_counted": int,   // full-width size counts
 ///             "seconds": double,      // elapsed wall-clock
-///             "cpu_seconds": double}, // summed per-worker busy time
+///             "cpu_seconds": double}, // of which in full searches
 ///   "results": [
 ///     {"k": int, "groups": [
 ///        {"pattern": {"Attr": "value", ...},

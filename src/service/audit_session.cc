@@ -6,6 +6,7 @@
 
 #include "common/metrics/metrics.h"
 #include "common/timer.h"
+#include "storage/snapshot_reader.h"
 #include "storage/snapshot_writer.h"
 
 namespace fairtopk {
@@ -17,16 +18,12 @@ namespace {
 struct StorageMetrics {
   metrics::Gauge& snapshot_bytes;
   metrics::Counter& oplog_records;
-  metrics::Histogram& open_read;
-  metrics::Histogram& open_mmap;
+  metrics::Histogram& open;
   metrics::Histogram& save;
 
   static StorageMetrics& Get() {
     static StorageMetrics* m = [] {
       auto& registry = metrics::MetricsRegistry::Global();
-      auto& open = registry.HistogramFamily(
-          "fairtopk_snapshot_open_micros",
-          "Snapshot open latency by open mode", {"mode"});
       return new StorageMetrics{
           registry
               .GaugeFamily("fairtopk_snapshot_bytes",
@@ -38,8 +35,10 @@ struct StorageMetrics {
                              "Maintenance records appended to session op "
                              "logs")
               .With({}),
-          open.With({"read"}),
-          open.With({"mmap"}),
+          registry
+              .HistogramFamily("fairtopk_snapshot_open_micros",
+                               "Snapshot open latency")
+              .With({}),
           registry
               .HistogramFamily("fairtopk_snapshot_save_micros",
                                "Snapshot save (write + rename) latency")
@@ -239,14 +238,13 @@ Result<AuditSession> AuditSession::CreateWithScores(Table table,
 }
 
 Result<AuditSession> AuditSession::OpenFromSnapshot(const std::string& path,
-                                                    SessionOptions options,
-                                                    storage::OpenMode mode) {
+                                                    SessionOptions options) {
   if (options.rebuild_threshold < 0.0 || options.rebuild_threshold > 1.0) {
     return Status::InvalidArgument("rebuild_threshold must be in [0, 1]");
   }
   WallTimer timer;
   FAIRTOPK_ASSIGN_OR_RETURN(storage::OpenedSnapshot snap,
-                            storage::ReadSnapshot(path, mode));
+                            storage::ReadSnapshot(path));
   // The serving invariant every incremental re-rank leans on: the
   // ranking is sorted under (scores, ascending) with ties by row id.
   // The snapshot reader checks structure, not order, so pin it here.
@@ -269,8 +267,7 @@ Result<AuditSession> AuditSession::OpenFromSnapshot(const std::string& path,
   if (metrics::Enabled()) {
     StorageMetrics& m = StorageMetrics::Get();
     m.snapshot_bytes.Set(static_cast<int64_t>(snap.info.file_bytes));
-    (mode == storage::OpenMode::kRead ? m.open_read : m.open_mmap)
-        .Observe(timer.ElapsedMicros());
+    m.open.Observe(timer.ElapsedMicros());
   }
   return session;
 }

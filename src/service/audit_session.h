@@ -7,10 +7,10 @@
 //
 //  * Query layer. Detect() serves any registered detector (the
 //    paper's six live in api::DetectorRegistry) named by a typed
-//    api::AuditRequest with per-query DetectionConfig (including
-//    num_threads); DetectMany() runs a batch against the one prepared
-//    input deduping identical cache keys (and running the distinct
-//    members concurrently when the session has a batch executor);
+//    api::AuditRequest with per-query DetectionConfig; DetectMany()
+//    runs a batch against the one prepared input deduping identical
+//    cache keys (and running the distinct members concurrently when
+//    the session has a batch executor);
 //    Suggest(), Verify() and Repair() expose calibration,
 //    single-group verification, and the rerank mitigation against the
 //    same prepared input. Every result carries its groups' counts,
@@ -18,9 +18,7 @@
 //    stays self-consistent after later maintenance.
 //
 //  * Result cache. Detect() results are cached under the request's
-//    canonical cache key (api/canonical.h; num_threads is
-//    deliberately excluded: the engine's shard-and-merge determinism
-//    rule makes results thread-count invariant). The cache is
+//    canonical cache key (api/canonical.h). The cache is
 //    invalidated explicitly (InvalidateCache) or automatically by any
 //    maintenance call that changes the ranking permutation.
 //
@@ -37,8 +35,7 @@
 //  * Readers share, writers exclude. Detect /
 //    DetectMany / Suggest / VerifyGlobal / VerifyProp / Repair take a
 //    shared lock on the session state and may run concurrently with
-//    each other (each query may additionally fan out internally via
-//    DetectionConfig::num_threads — the two axes multiply).
+//    each other; each query runs on the thread that called it.
 //    ApplyScoreUpdates / AppendRows* take the exclusive side: they
 //    wait for in-flight queries to drain and block new ones while the
 //    ranking and index are patched.
@@ -92,7 +89,6 @@
 #include "mitigate/rerank.h"
 #include "relation/table.h"
 #include "storage/op_log.h"
-#include "storage/snapshot_reader.h"
 
 namespace fairtopk {
 
@@ -197,9 +193,8 @@ class AuditSession {
   /// `options.pattern_attributes` is ignored: the snapshot's pattern
   /// space is authoritative. Snapshot errors are typed (kTruncated /
   /// kChecksumMismatch / kVersionMismatch / kCorruption).
-  static Result<AuditSession> OpenFromSnapshot(
-      const std::string& path, SessionOptions options = {},
-      storage::OpenMode mode = storage::OpenMode::kRead);
+  static Result<AuditSession> OpenFromSnapshot(const std::string& path,
+                                               SessionOptions options = {});
 
   /// Writes a snapshot of the current state to `path` via the atomic
   /// tmp+fsync+rename sequence, bumping the storage generation. With an

@@ -16,7 +16,7 @@ namespace fairtopk {
 struct ServeDefaults {
   /// Dataset label echoed in detection reports.
   std::string dataset;
-  /// k range, size threshold, and worker threads.
+  /// k range and size threshold.
   DetectionConfig config;
   /// Bound fraction knobs (--lower / --alpha) expanded over the
   /// request's k range when explicit bounds are omitted.

@@ -375,9 +375,6 @@ Result<std::string> JsonlService::HandleSuggest(const Target& target,
                             api::ReadIntField(request, "k_min", config.k_min));
   FAIRTOPK_ASSIGN_OR_RETURN(config.k_max,
                             api::ReadIntField(request, "k_max", config.k_max));
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      config.num_threads,
-      api::ReadIntField(request, "threads", config.num_threads));
   SuggestOptions options;
   FAIRTOPK_ASSIGN_OR_RETURN(
       int max_groups,
@@ -685,7 +682,6 @@ Result<std::string> JsonlService::HandleOpen(const JsonValue& request) {
   SessionSpec spec;
   spec.snapshot = request.StringOr("snapshot", "");
   spec.data_dir = request.StringOr("data_dir", "");
-  spec.mmap = request.BoolOr("mmap", spec.mmap);
   spec.fsync_always = request.BoolOr("fsync_always", spec.fsync_always);
   spec.csv = request.StringOr("csv", "");
   spec.rank_by = request.StringOr("rank_by", "");
@@ -723,8 +719,6 @@ Result<std::string> JsonlService::HandleOpen(const JsonValue& request) {
                             api::ReadIntField(request, "k_max", spec.k_max));
   FAIRTOPK_ASSIGN_OR_RETURN(spec.tau,
                             api::ReadIntField(request, "tau", spec.tau));
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      spec.threads, api::ReadIntField(request, "threads", spec.threads));
   spec.lower_fraction = request.NumberOr("lower", spec.lower_fraction);
   spec.alpha = request.NumberOr("alpha", spec.alpha);
   FAIRTOPK_ASSIGN_OR_RETURN(

@@ -6,7 +6,7 @@
 // Requests: {"op": ..., "id": <any scalar, echoed back>, ...}.
 //   op=detect   one detection query. The detector is selected by its
 //               registry name ("detector": "PropBounds") or by the
-//               wire pair measure/algo; k_min/k_max/tau/threads and
+//               wire pair measure/algo; k_min/k_max/tau and
 //               the bound parameters fall back to the session's
 //               defaults (field vocabulary: api/canonical.h, listed
 //               per detector by op=capabilities)
@@ -46,12 +46,11 @@
 //   op=open     {"name": ..., "csv": ..., "rank_by": ..., options} —
 //               loads a CSV into a new named session (knob vocabulary
 //               mirrors the fairtopk_serve flags: ascending, bins,
-//               drop, k_min/k_max/tau/threads, lower, alpha,
-//               cache_capacity, rebuild_threshold). "snapshot" opens a
-//               snapshot file read-only instead of a CSV; "data_dir"
-//               opens a durable directory (open-or-replay, cold start
-//               from "csv" when empty); "mmap" and "fsync_always"
-//               select the snapshot open mode and op-log durability
+//               drop, k_min/k_max/tau, lower, alpha, cache_capacity,
+//               rebuild_threshold). "snapshot" opens a snapshot file
+//               read-only instead of a CSV; "data_dir" opens a durable
+//               directory (open-or-replay, cold start from "csv" when
+//               empty); "fsync_always" selects op-log durability
 //   op=close    {"name": ...} — drops a session; requests already
 //               running against it finish unharmed
 //   op=list     the registered sessions and this client's current one

@@ -1,7 +1,7 @@
 // SocketServer: the JSONL protocol of service/jsonl_service.h served
 // over TCP. One acceptor thread hands each connection to a dedicated
 // reader thread; request lines from ALL connections execute on one
-// shared ThreadPool, so a process-wide --threads budget caps audit
+// shared ThreadPool, so a process-wide --workers budget caps audit
 // work no matter how many clients connect (readers only block on I/O
 // and never occupy a pool slot — requests are leaves, satisfying the
 // pool's no-nested-blocking rule).

@@ -110,8 +110,7 @@ Result<AuditSession> OpenPersistentSession(
 
   FAIRTOPK_ASSIGN_OR_RETURN(
       AuditSession session,
-      AuditSession::OpenFromSnapshot(snapshot_path, std::move(options),
-                                     persist_options.mode));
+      AuditSession::OpenFromSnapshot(snapshot_path, std::move(options)));
   storage::OpLog::Recovered recovered;
   FAIRTOPK_ASSIGN_OR_RETURN(
       storage::OpLog log,

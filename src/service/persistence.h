@@ -20,7 +20,6 @@
 #include "common/status.h"
 #include "service/audit_session.h"
 #include "storage/op_log.h"
-#include "storage/snapshot_reader.h"
 
 namespace fairtopk {
 
@@ -30,7 +29,6 @@ std::string OpLogPathFor(const std::string& data_dir);
 
 /// Knobs of OpenPersistentSession.
 struct PersistentOpenOptions {
-  storage::OpenMode mode = storage::OpenMode::kRead;
   storage::FsyncPolicy fsync = storage::FsyncPolicy::kNever;
 };
 

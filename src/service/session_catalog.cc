@@ -35,13 +35,10 @@ Status SessionCatalog::Open(const std::string& name,
   // seconds, and concurrent requests to other sessions must not stall
   // behind it. The name is only claimed on success; two concurrent
   // opens of the same name race to the emplace and the loser errors.
-  const storage::OpenMode mode =
-      spec.mmap ? storage::OpenMode::kMmap : storage::OpenMode::kRead;
   std::optional<AuditSession> session;
   std::string dataset;
   if (!spec.data_dir.empty()) {
     PersistentOpenOptions persist;
-    persist.mode = mode;
     persist.fsync = spec.fsync_always ? storage::FsyncPolicy::kAlways
                                       : storage::FsyncPolicy::kNever;
     Result<AuditSession> opened = OpenPersistentSession(
@@ -52,7 +49,7 @@ Status SessionCatalog::Open(const std::string& name,
     dataset = spec.data_dir;
   } else if (!spec.snapshot.empty()) {
     Result<AuditSession> opened =
-        AuditSession::OpenFromSnapshot(spec.snapshot, spec.session, mode);
+        AuditSession::OpenFromSnapshot(spec.snapshot, spec.session);
     if (!opened.ok()) return opened.status();
     session.emplace(std::move(opened).value());
     dataset = spec.snapshot;
@@ -66,7 +63,7 @@ Status SessionCatalog::Open(const std::string& name,
   ServeDefaults defaults;
   defaults.dataset = dataset;
   defaults.config = MakeToolConfig(spec.k_min, spec.k_max, spec.tau,
-                                   spec.threads, num_rows);
+                                   /*threads=*/1, num_rows);
   defaults.bounds.lower_fraction = spec.lower_fraction;
   defaults.bounds.alpha = spec.alpha;
   return Adopt(name, std::move(*session), std::move(defaults));

@@ -44,18 +44,15 @@ struct SessionSpec {
   /// the initial snapshot) otherwise. Maintenance ops are logged and
   /// `save` compacts. Takes precedence over `snapshot`.
   std::string data_dir;
-  /// Open snapshots via mmap instead of read().
-  bool mmap = false;
   /// fsync the op log after every maintenance op (data_dir only).
   bool fsync_always = false;
   bool ascending = false;
   int bins = 4;  ///< buckets per non-ranking numeric attribute
   std::vector<std::string> drop;  ///< columns to ignore
-  /// Request-field fallbacks (k range, tau, threads, bound knobs).
+  /// Request-field fallbacks (k range, tau, bound knobs).
   int k_min = 10;
   int k_max = 49;
   int tau = 0;  ///< 0 = 5% of rows
-  int threads = 1;
   double lower_fraction = 0.5;
   double alpha = 0.8;
   /// Session construction knobs (cache capacity, rebuild threshold,

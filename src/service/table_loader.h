@@ -2,9 +2,9 @@
 // catalog's runtime `open` op: load a CSV, validate the ranking
 // column, bucketize the remaining numeric columns so they can join
 // group definitions, and expand the shared knob vocabulary (k range /
-// tau / threads) into a DetectionConfig. Kept in one place so the
-// one-shot CLI, the serving tool, and catalog-opened sessions can
-// never drift in how they prepare a dataset — the bound expansion
+// tau) into a DetectionConfig. Kept in one place so the one-shot CLI,
+// the serving tool, and catalog-opened sessions can never drift in
+// how they prepare a dataset — the bound expansion
 // itself lives in api/canonical.h, the same canonical codec the JSONL
 // protocol and the session cache key use.
 #ifndef FAIRTOPK_SERVICE_TABLE_LOADER_H_
@@ -30,7 +30,9 @@ Result<Table> LoadAuditTable(const std::string& csv_path,
 /// Expands the shared range knobs into a DetectionConfig with the
 /// shared clamping rules: k_max is capped by the dataset size (with
 /// k_min dropping to 1 when the cap inverts the range) and tau
-/// defaults to 5% of the rows (minimum 2) when not set.
+/// defaults to 5% of the rows (minimum 2) when not set. `threads`
+/// becomes DetectionConfig::num_threads, which accepts only 1; the
+/// tools pass 1, and the parameter stays because perfbench calls this.
 DetectionConfig MakeToolConfig(int k_min, int k_max, int tau, int threads,
                                size_t num_rows);
 

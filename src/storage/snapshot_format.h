@@ -53,8 +53,8 @@ inline constexpr char kOpLogMagic[8] = {'F', 'T', 'K', 'O',
 inline constexpr uint32_t kSnapshotVersion = 1;
 inline constexpr uint32_t kOpLogVersion = 1;
 
-/// Sections are aligned so the index section (bitset words) lands on a
-/// cache-line boundary in a plain mmap of the file.
+/// Sections are aligned so the index section (bitset words) starts on
+/// a cache-line boundary of the file.
 inline constexpr size_t kSectionAlignment = 64;
 inline constexpr size_t kHeaderBytes = 64;
 inline constexpr size_t kTocEntryBytes = 32;

@@ -7,7 +7,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/mmap_file.h"
 #include "storage/snapshot_format.h"
 
 namespace fairtopk {
@@ -447,11 +446,7 @@ Result<OpenedSnapshot> ParseSnapshot(const uint8_t* data, size_t size) {
 
 }  // namespace
 
-Result<OpenedSnapshot> ReadSnapshot(const std::string& path, OpenMode mode) {
-  if (mode == OpenMode::kMmap) {
-    FAIRTOPK_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
-    return ParseSnapshot(file.data(), file.size());
-  }
+Result<OpenedSnapshot> ReadSnapshot(const std::string& path) {
   FAIRTOPK_ASSIGN_OR_RETURN(std::string bytes, SlurpFile(path));
   return ParseSnapshot(reinterpret_cast<const uint8_t*>(bytes.data()),
                        bytes.size());

@@ -43,14 +43,12 @@ AuditSession MakeSession(size_t rows, uint64_t seed,
   return std::move(session).value();
 }
 
-api::AuditRequest PropQuery(int k_min, int k_max, int tau,
-                            int threads = 1) {
+api::AuditRequest PropQuery(int k_min, int k_max, int tau) {
   api::AuditRequest request;
   request.detector = "PropBounds";
   request.config.k_min = k_min;
   request.config.k_max = k_max;
   request.config.size_threshold = tau;
-  request.config.num_threads = threads;
   PropBoundSpec bounds;
   bounds.alpha = 0.85;
   request.bounds = bounds;
@@ -120,18 +118,6 @@ TEST(AuditSessionTest, ResetStatsZeroesCountersButKeepsCache) {
   // entry.
   ASSERT_TRUE(session.Detect(query).ok());
   EXPECT_EQ(session.service_stats().detect_queries, 1u);
-  EXPECT_EQ(session.service_stats().cache_hits, 1u);
-}
-
-TEST(AuditSessionTest, ThreadCountDoesNotSplitCacheEntries) {
-  // The engine's determinism rule makes results thread-count
-  // invariant, so the cache key excludes num_threads.
-  AuditSession session = MakeSession(80, 3);
-  auto sequential = session.Detect(PropQuery(5, 30, 6, /*threads=*/1));
-  ASSERT_TRUE(sequential.ok());
-  auto parallel = session.Detect(PropQuery(5, 30, 6, /*threads=*/4));
-  ASSERT_TRUE(parallel.ok());
-  EXPECT_EQ(sequential->result.get(), parallel->result.get());
   EXPECT_EQ(session.service_stats().cache_hits, 1u);
 }
 
@@ -451,20 +437,17 @@ TEST(AuditSessionTest, DetectManyDedupesIdenticalCacheKeys) {
   AuditSession session = MakeSession(80, 16, options);
   api::AuditRequest a = PropQuery(5, 30, 6);
   api::AuditRequest b = PropQuery(5, 30, 7);
-  api::AuditRequest a_threaded = PropQuery(5, 30, 6, /*threads=*/4);
-  auto responses = session.DetectMany({a, b, a, a_threaded});
+  auto responses = session.DetectMany({a, b, a});
   ASSERT_TRUE(responses.ok()) << responses.status().ToString();
-  ASSERT_EQ(responses->size(), 4u);
+  ASSERT_EQ(responses->size(), 3u);
   EXPECT_FALSE((*responses)[0].cached);
   EXPECT_FALSE((*responses)[1].cached);
-  // The repeated request and its thread-count variant share run 0.
+  // The repeated request shares run 0.
   EXPECT_TRUE((*responses)[2].cached);
-  EXPECT_TRUE((*responses)[3].cached);
   EXPECT_EQ((*responses)[0].result.get(), (*responses)[2].result.get());
-  EXPECT_EQ((*responses)[0].result.get(), (*responses)[3].result.get());
   EXPECT_NE((*responses)[0].result.get(), (*responses)[1].result.get());
-  EXPECT_EQ(session.service_stats().detect_queries, 4u);
-  EXPECT_EQ(session.service_stats().cache_hits, 2u);
+  EXPECT_EQ(session.service_stats().detect_queries, 3u);
+  EXPECT_EQ(session.service_stats().cache_hits, 1u);
 }
 
 TEST(AuditSessionTest, DetectManyMatchesSequentialDetects) {

@@ -1,7 +1,7 @@
-// Integration tests for the fairtopk_audit CLI: drive the real binary
-// (path injected by CMake) against a CSV written through the library
-// and check exit codes, report output, and the repaired-CSV round
-// trip.
+// Integration tests for the command-line tools: drive the real
+// fairtopk_audit binary (path injected by CMake) against a CSV written
+// through the library and check exit codes, report output, and the
+// repaired-CSV round trip; fairtopk_serve's flag checks ride along.
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -14,8 +14,8 @@
 #include "relation/csv.h"
 #include "relation/table.h"
 
-#ifndef FAIRTOPK_AUDIT_PATH
-#error "FAIRTOPK_AUDIT_PATH must be defined by the build"
+#if !defined(FAIRTOPK_AUDIT_PATH) || !defined(FAIRTOPK_SERVE_PATH)
+#error "FAIRTOPK_AUDIT_PATH and FAIRTOPK_SERVE_PATH must be defined by the build"
 #endif
 
 namespace fairtopk {
@@ -41,14 +41,23 @@ std::string Quote(const std::string& s) {
   return quoted;
 }
 
-/// Runs the CLI with `args`, capturing stdout into `out_path`.
-/// Returns the process exit code (-1 on system() failure).
-int RunCli(const std::string& args, const std::string& out_path) {
-  const std::string command = Quote(FAIRTOPK_AUDIT_PATH) + " " + args + " > " +
-                              Quote(out_path) + " 2>/dev/null";
+/// Runs `binary` with `args` and stdin at EOF, capturing stdout into
+/// `out_path` and stderr into `err_path`. Returns the process exit
+/// code (-1 on system() failure).
+int RunTool(const std::string& binary, const std::string& args,
+            const std::string& out_path,
+            const std::string& err_path = "/dev/null") {
+  const std::string command = Quote(binary) + " " + args + " < /dev/null > " +
+                              Quote(out_path) + " 2> " + Quote(err_path);
   const int status = std::system(command.c_str());
   if (status < 0) return -1;
   return WEXITSTATUS(status);
+}
+
+/// Runs fairtopk_audit with `args`, as RunTool.
+int RunCli(const std::string& args, const std::string& out_path,
+           const std::string& err_path = "/dev/null") {
+  return RunTool(FAIRTOPK_AUDIT_PATH, args, out_path, err_path);
 }
 
 std::string ReadAll(const std::string& path) {
@@ -87,6 +96,46 @@ TEST(CliTest, MissingArgumentsPrintUsageAndFail) {
   EXPECT_EQ(RunCli("", out), 2);
   EXPECT_EQ(RunCli("--csv only.csv", out), 2);
   EXPECT_EQ(RunCli("--csv x.csv --rank-by s --measure nope", out), 2);
+}
+
+// Numeric flags parse strictly: a malformed or out-of-range value is a
+// usage error naming the flag and the value, never a silent default.
+TEST(CliTest, MalformedIntegerFlagIsUsageError) {
+  const std::string csv = WriteDemoCsv();
+  const std::string out = TempPath("cli_bad_int.out");
+  const std::string err = TempPath("cli_bad_int.err");
+  const std::string base = "--csv " + Quote(csv) + " --rank-by score ";
+  EXPECT_EQ(RunCli(base + "--kmax 1x", out, err), 2);
+  EXPECT_NE(ReadAll(err).find("--kmax expects an integer"), std::string::npos)
+      << ReadAll(err);
+  EXPECT_NE(ReadAll(err).find("'1x'"), std::string::npos) << ReadAll(err);
+  EXPECT_EQ(RunCli(base + "--tau abc", out), 2);
+  EXPECT_EQ(RunCli(base + "--kmin 0", out), 2);
+  EXPECT_EQ(RunCli(base + "--bins 1", out), 2);
+}
+
+TEST(CliTest, MalformedNumberFlagIsUsageError) {
+  const std::string csv = WriteDemoCsv();
+  const std::string out = TempPath("cli_bad_number.out");
+  const std::string err = TempPath("cli_bad_number.err");
+  const std::string base = "--csv " + Quote(csv) + " --rank-by score ";
+  EXPECT_EQ(RunCli(base + "--alpha 0.8x", out, err), 2);
+  EXPECT_NE(ReadAll(err).find("--alpha expects a number"), std::string::npos)
+      << ReadAll(err);
+  EXPECT_NE(ReadAll(err).find("'0.8x'"), std::string::npos) << ReadAll(err);
+  EXPECT_EQ(RunCli(base + "--lower abc", out), 2);
+}
+
+// Every search runs on one thread: fairtopk_audit has no --threads,
+// and fairtopk_serve accepts --threads 1 only.
+TEST(CliTest, ThreadCountsOtherThanOneAreUsageErrors) {
+  const std::string csv = WriteDemoCsv();
+  const std::string out = TempPath("cli_threads.out");
+  const std::string base = "--csv " + Quote(csv) + " --rank-by score ";
+  EXPECT_EQ(RunCli(base + "--threads 2", out), 2);
+  EXPECT_EQ(RunTool(FAIRTOPK_SERVE_PATH, base + "--threads 2", out), 2);
+  EXPECT_EQ(RunTool(FAIRTOPK_SERVE_PATH, base + "--threads 0", out), 2);
+  EXPECT_EQ(RunTool(FAIRTOPK_SERVE_PATH, base + "--threads 1", out), 0);
 }
 
 TEST(CliTest, DetectionReportsBiasedGroups) {

@@ -57,14 +57,12 @@ Table StressTable(size_t rows, uint64_t seed) {
   return std::move(table).value();
 }
 
-api::AuditRequest Query(const std::string& detector, int k_max, int tau,
-                        int threads = 1) {
+api::AuditRequest Query(const std::string& detector, int k_max, int tau) {
   api::AuditRequest query;
   query.detector = detector;
   query.config.k_min = 5;
   query.config.k_max = k_max;
   query.config.size_threshold = tau;
-  query.config.num_threads = threads;
   const api::DetectorDescriptor* descriptor =
       api::DetectorRegistry::Global().Find(detector);
   EXPECT_NE(descriptor, nullptr) << detector;
@@ -279,7 +277,7 @@ TEST(ConcurrentSessionTest, StressStormMatchesSerialReplayOfOpLog) {
 
   const std::vector<api::AuditRequest> reader_queries = {
       Query("PropBounds", 40, 10), Query("GlobalIterTD", 40, 10),
-      Query("GlobalBounds", 30, 12, /*threads=*/2),
+      Query("GlobalBounds", 30, 12),
       Query("PropUpperBounds", 30, 12)};
 
   std::atomic<bool> failed{false};

@@ -132,8 +132,7 @@ TEST(DetectorRegistryTest, AddingADetectorIsOneRegistration) {
   EXPECT_NE(capabilities.find("\"AlwaysEmpty\""), std::string::npos);
 }
 
-/// Structural equality of the cache-key-relevant request fields
-/// (num_threads deliberately excluded — the key must ignore it).
+/// Structural equality of the cache-key-relevant request fields.
 bool KeyRelevantFieldsEqual(const AuditRequest& a, const AuditRequest& b) {
   if (a.detector != b.detector) return false;
   if (a.config.k_min != b.config.k_min || a.config.k_max != b.config.k_max ||
@@ -162,7 +161,6 @@ AuditRequest RandomRequest(Rng& rng) {
   request.config.k_max =
       request.config.k_min + static_cast<int>(rng.UniformUint64(40));
   request.config.size_threshold = 1 + static_cast<int>(rng.UniformUint64(30));
-  request.config.num_threads = static_cast<int>(rng.UniformUint64(4));
   if (d.bounds_kind == BoundsKind::kGlobal) {
     GlobalBoundSpec bounds;
     std::vector<std::pair<int, double>> steps;
@@ -236,16 +234,6 @@ TEST(CacheKeyPropertyTest, SingleFieldPerturbationsChangeTheKey) {
         }
     }
     EXPECT_NE(base.CacheKey(), tweaked.CacheKey()) << base.CacheKey();
-  }
-}
-
-TEST(CacheKeyPropertyTest, ThreadCountNeverEntersTheKey) {
-  Rng rng(99);
-  for (int trial = 0; trial < 200; ++trial) {
-    AuditRequest a = RandomRequest(rng);
-    AuditRequest b = a;
-    b.config.num_threads = a.config.num_threads + 1 + rng.UniformUint64(7);
-    EXPECT_EQ(a.CacheKey(), b.CacheKey());
   }
 }
 

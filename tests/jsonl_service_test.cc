@@ -151,6 +151,8 @@ TEST_F(JsonlServiceTest, CapabilitiesListsAllRegisteredDetectors) {
     ASSERT_NE(params, nullptr);
     EXPECT_NE(params->Find("k_min"), nullptr);
     EXPECT_NE(params->Find("tau"), nullptr);
+    // Every search runs on one thread: there is no thread knob.
+    EXPECT_EQ(params->Find("threads"), nullptr);
     if (d.StringOr("bounds", "") == "global") {
       EXPECT_NE(params->Find("lower_steps"), nullptr);
       EXPECT_EQ(params->Find("alpha"), nullptr);

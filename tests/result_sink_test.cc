@@ -140,5 +140,26 @@ TEST(ResultSinkTest, SinkErrorAbortsTheRun) {
   }
 }
 
+// Every search runs on the calling thread, so any thread count but 1
+// is an invalid request, for every detector and both entry points.
+TEST(ResultSinkTest, ThreadCountOtherThanOneIsInvalid) {
+  DetectionInput input = TestInput(60, 4);
+  for (const api::DetectorDescriptor& descriptor :
+       api::DetectorRegistry::Global().detectors()) {
+    for (int threads : {0, 4}) {
+      api::AuditRequest request = RequestFor(descriptor);
+      request.config.num_threads = threads;
+      auto result = api::RunAudit(input, request);
+      ASSERT_FALSE(result.ok()) << descriptor.name << " threads=" << threads;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+      RecordingSink sink;
+      EXPECT_EQ(api::RunAuditStream(input, request, sink).code(),
+                StatusCode::kInvalidArgument)
+          << descriptor.name << " threads=" << threads;
+      EXPECT_TRUE(sink.ks.empty()) << descriptor.name;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fairtopk

@@ -3,8 +3,7 @@
 // steps (patching or rebuilding its index per the threshold) must be
 // indistinguishable from a session freshly built from the final table
 // and scores — same ranking permutation, and bit-identical
-// DetectionResults with equal work counters for every detector at 1
-// and 4 threads.
+// DetectionResults with equal work counters for every detector.
 #include <optional>
 #include <string>
 #include <vector>
@@ -117,7 +116,7 @@ class SessionEquivalenceTest : public ::testing::TestWithParam<SessionCase> {
         ASSERT_TRUE(session_->AppendRows(rows).ok());
       }
       if (step % 2 == 0) {
-        ASSERT_TRUE(session_->Detect(Query("PropBounds", 1)).ok());
+        ASSERT_TRUE(session_->Detect(Query("PropBounds")).ok());
       }
     }
 
@@ -136,14 +135,13 @@ class SessionEquivalenceTest : public ::testing::TestWithParam<SessionCase> {
     fresh_.emplace(std::move(fresh).value());
   }
 
-  api::AuditRequest Query(const std::string& detector, int threads) const {
+  api::AuditRequest Query(const std::string& detector) const {
     const SessionCase& c = GetParam();
     api::AuditRequest query;
     query.detector = detector;
     query.config.k_min = 5;
     query.config.k_max = static_cast<int>(c.rows / 2);
     query.config.size_threshold = static_cast<int>(c.rows / 15);
-    query.config.num_threads = threads;
     const api::DetectorDescriptor* descriptor =
         api::DetectorRegistry::Global().Find(detector);
     EXPECT_NE(descriptor, nullptr) << detector;
@@ -163,25 +161,23 @@ class SessionEquivalenceTest : public ::testing::TestWithParam<SessionCase> {
 
   void ExpectEquivalent(const std::string& detector) {
     ASSERT_EQ(session_->ranking(), fresh_->ranking());
-    for (int threads : {1, 4}) {
-      auto incremental = session_->Detect(Query(detector, threads));
-      ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
-      auto scratch = fresh_->Detect(Query(detector, threads));
-      ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
-      const DetectionResult& a = *incremental->result;
-      const DetectionResult& b = *scratch->result;
-      ASSERT_EQ(a.k_min(), b.k_min());
-      ASSERT_EQ(a.k_max(), b.k_max());
-      for (int k = a.k_min(); k <= a.k_max(); ++k) {
-        ASSERT_EQ(a.AtK(k), b.AtK(k))
-            << "seed=" << GetParam().seed << " detector=" << detector
-            << " threads=" << threads << " k=" << k;
-      }
-      // Work counters are a pure function of (index, config): equal
-      // counters are strong evidence the patched index is bit-exact.
-      EXPECT_EQ(a.stats().nodes_visited, b.stats().nodes_visited);
-      EXPECT_EQ(a.stats().cursor_reuse_hits, b.stats().cursor_reuse_hits);
+    auto incremental = session_->Detect(Query(detector));
+    ASSERT_TRUE(incremental.ok()) << incremental.status().ToString();
+    auto scratch = fresh_->Detect(Query(detector));
+    ASSERT_TRUE(scratch.ok()) << scratch.status().ToString();
+    const DetectionResult& a = *incremental->result;
+    const DetectionResult& b = *scratch->result;
+    ASSERT_EQ(a.k_min(), b.k_min());
+    ASSERT_EQ(a.k_max(), b.k_max());
+    for (int k = a.k_min(); k <= a.k_max(); ++k) {
+      ASSERT_EQ(a.AtK(k), b.AtK(k))
+          << "seed=" << GetParam().seed << " detector=" << detector
+          << " k=" << k;
     }
+    // Work counters are a pure function of (index, config): equal
+    // counters are strong evidence the patched index is bit-exact.
+    EXPECT_EQ(a.stats().nodes_visited, b.stats().nodes_visited);
+    EXPECT_EQ(a.stats().cursor_reuse_hits, b.stats().cursor_reuse_hits);
   }
 
   std::optional<AuditSession> session_;

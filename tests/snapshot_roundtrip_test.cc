@@ -1,6 +1,6 @@
 // Round-trip tests for the snapshot format (src/storage/): a session
-// saved and re-opened — through both the read() and mmap paths — must
-// be indistinguishable from the original: bit-identical rankings,
+// saved and re-opened must be indistinguishable from the original:
+// bit-identical rankings,
 // scores, and detection results (patterns AND work counters) for every
 // registered detector, across maintenance (updates + appends) before
 // the save.
@@ -117,7 +117,7 @@ void ExpectStateIdentical(AuditSession& a, AuditSession& b) {
   }
 }
 
-TEST(SnapshotRoundtripTest, FreshSessionBothOpenModes) {
+TEST(SnapshotRoundtripTest, FreshSessionRoundtrips) {
   const std::string path =
       ::testing::TempDir() + "/snapshot_roundtrip_fresh.ftk";
   AuditSession original = MustCreate(400, 7);
@@ -125,15 +125,11 @@ TEST(SnapshotRoundtripTest, FreshSessionBothOpenModes) {
   EXPECT_EQ(original.storage_info().generation, 1u);
   EXPECT_GT(original.storage_info().snapshot_bytes, 0u);
 
-  for (storage::OpenMode mode :
-       {storage::OpenMode::kRead, storage::OpenMode::kMmap}) {
-    SCOPED_TRACE(mode == storage::OpenMode::kRead ? "read" : "mmap");
-    auto restored = AuditSession::OpenFromSnapshot(path, {}, mode);
-    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    EXPECT_EQ(restored->storage_info().generation, 1u);
-    ExpectStateIdentical(original, *restored);
-    ExpectDetectorsIdentical(original, *restored);
-  }
+  auto restored = AuditSession::OpenFromSnapshot(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored->storage_info().generation, 1u);
+  ExpectStateIdentical(original, *restored);
+  ExpectDetectorsIdentical(original, *restored);
 }
 
 TEST(SnapshotRoundtripTest, SurvivesMaintenanceBeforeSave) {
@@ -160,14 +156,10 @@ TEST(SnapshotRoundtripTest, SurvivesMaintenanceBeforeSave) {
   ASSERT_TRUE(original.AppendRows(rows).ok());
 
   ASSERT_TRUE(original.SaveSnapshot(path).ok());
-  for (storage::OpenMode mode :
-       {storage::OpenMode::kRead, storage::OpenMode::kMmap}) {
-    SCOPED_TRACE(mode == storage::OpenMode::kRead ? "read" : "mmap");
-    auto restored = AuditSession::OpenFromSnapshot(path, {}, mode);
-    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    ExpectStateIdentical(original, *restored);
-    ExpectDetectorsIdentical(original, *restored);
-  }
+  auto restored = AuditSession::OpenFromSnapshot(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ExpectStateIdentical(original, *restored);
+  ExpectDetectorsIdentical(original, *restored);
 }
 
 TEST(SnapshotRoundtripTest, ExplicitScoresSessionRoundtrips) {

@@ -139,7 +139,7 @@ TEST(StorageCorruptionTest, SnapshotByteFlips) {
   const std::string mutated =
       ::testing::TempDir() + "/corrupt_snapshot_mutated.ftk";
   const std::string pristine = WriteFixtureSnapshot(fixture);
-  auto baseline = storage::ReadSnapshot(fixture, storage::OpenMode::kRead);
+  auto baseline = storage::ReadSnapshot(fixture);
   ASSERT_TRUE(baseline.ok());
   const SnapshotDigest want = DigestOf(*baseline);
 
@@ -147,19 +147,15 @@ TEST(StorageCorruptionTest, SnapshotByteFlips) {
     std::string bytes = pristine;
     bytes[offset] = static_cast<char>(bytes[offset] ^ 0x5A);
     DumpFile(mutated, bytes);
-    for (storage::OpenMode mode :
-         {storage::OpenMode::kRead, storage::OpenMode::kMmap}) {
-      SCOPED_TRACE("offset " + std::to_string(offset) +
-                   (mode == storage::OpenMode::kRead ? " read" : " mmap"));
-      auto opened = storage::ReadSnapshot(mutated, mode);
-      if (opened.ok()) {
-        // The flip landed in unchecksummed padding/reserved space —
-        // acceptable only if nothing observable changed.
-        ExpectDigestEqual(want, DigestOf(*opened));
-      } else {
-        EXPECT_TRUE(IsTypedStorageError(opened.status()))
-            << opened.status().ToString();
-      }
+    SCOPED_TRACE("offset " + std::to_string(offset));
+    auto opened = storage::ReadSnapshot(mutated);
+    if (opened.ok()) {
+      // The flip landed in unchecksummed padding/reserved space —
+      // acceptable only if nothing observable changed.
+      ExpectDigestEqual(want, DigestOf(*opened));
+    } else {
+      EXPECT_TRUE(IsTypedStorageError(opened.status()))
+          << opened.status().ToString();
     }
   }
 }
@@ -174,15 +170,11 @@ TEST(StorageCorruptionTest, SnapshotTruncations) {
   for (size_t keep : FuzzOffsets(pristine.size(), 100, 0xBEEF)) {
     if (keep >= pristine.size()) continue;
     DumpFile(mutated, pristine.substr(0, keep));
-    for (storage::OpenMode mode :
-         {storage::OpenMode::kRead, storage::OpenMode::kMmap}) {
-      SCOPED_TRACE("keep " + std::to_string(keep) +
-                   (mode == storage::OpenMode::kRead ? " read" : " mmap"));
-      auto opened = storage::ReadSnapshot(mutated, mode);
-      ASSERT_FALSE(opened.ok());
-      EXPECT_TRUE(IsTypedStorageError(opened.status()))
-          << opened.status().ToString();
-    }
+    SCOPED_TRACE("keep " + std::to_string(keep));
+    auto opened = storage::ReadSnapshot(mutated);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_TRUE(IsTypedStorageError(opened.status()))
+        << opened.status().ToString();
   }
 }
 
@@ -190,8 +182,7 @@ TEST(StorageCorruptionTest, SnapshotGarbageAndEmptyFiles) {
   const std::string path = ::testing::TempDir() + "/garbage_snapshot.ftk";
   // Empty.
   DumpFile(path, "");
-  EXPECT_TRUE(IsTypedStorageError(
-      storage::ReadSnapshot(path, storage::OpenMode::kRead).status()));
+  EXPECT_TRUE(IsTypedStorageError(storage::ReadSnapshot(path).status()));
   // Random noise, various sizes.
   Rng rng(42);
   for (size_t size : {1u, 63u, 64u, 65u, 4096u}) {
@@ -200,13 +191,10 @@ TEST(StorageCorruptionTest, SnapshotGarbageAndEmptyFiles) {
       c = static_cast<char>(rng.UniformUint64(256));
     }
     DumpFile(path, noise);
-    for (storage::OpenMode mode :
-         {storage::OpenMode::kRead, storage::OpenMode::kMmap}) {
-      auto opened = storage::ReadSnapshot(path, mode);
-      ASSERT_FALSE(opened.ok());
-      EXPECT_TRUE(IsTypedStorageError(opened.status()))
-          << "size " << size << ": " << opened.status().ToString();
-    }
+    auto opened = storage::ReadSnapshot(path);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_TRUE(IsTypedStorageError(opened.status()))
+        << "size " << size << ": " << opened.status().ToString();
   }
 }
 

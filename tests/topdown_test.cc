@@ -24,8 +24,7 @@ engine::SearchOutcome TopDownSearch(const BitmapIndex& index,
                                     DetectionStats* stats) {
   engine::SizeMemo sizes(index.space());
   return engine::MostGeneralBelow(
-      index, {size_threshold, static_cast<size_t>(k), 1}, sizes, bound,
-      stats);
+      index, {size_threshold, static_cast<size_t>(k)}, sizes, bound, stats);
 }
 
 // Pattern-space attribute order of the running example:
@@ -176,7 +175,7 @@ TEST(SizeMemoTest, SizeOfMatchesPatternCountAndCountsOnce) {
 
 // One size memo per detect run: with a lower bound of 0 nothing is
 // biased, so every k walks the same tree, and only the first k counts
-// sizes over the full width — for any thread count.
+// sizes over the full width.
 TEST(SizeMemoTest, IterTDCountsEachSizeOncePerRun) {
   Table table = testing::RandomTable(200, 4, {2, 3}, 5);
   auto input = DetectionInput::PrepareWithRanking(
@@ -184,22 +183,15 @@ TEST(SizeMemoTest, IterTDCountsEachSizeOncePerRun) {
   ASSERT_TRUE(input.ok());
   GlobalBoundSpec bounds;
   bounds.lower = StepFunction::Constant(0.0);
-  for (int threads : {1, 4}) {
-    DetectionConfig one_k{20, 20, 5};
-    DetectionConfig ten_ks{20, 29, 5};
-    one_k.num_threads = ten_ks.num_threads = threads;
-    auto one = DetectGlobalIterTD(*input, bounds, one_k);
-    auto ten = DetectGlobalIterTD(*input, bounds, ten_ks);
-    ASSERT_TRUE(one.ok());
-    ASSERT_TRUE(ten.ok());
-    // A single search evaluates each node once, so counts each size.
-    EXPECT_GT(one->stats().nodes_visited, 0u);
-    EXPECT_EQ(one->stats().sizes_counted, one->stats().nodes_visited);
-    EXPECT_EQ(ten->stats().nodes_visited, 10 * one->stats().nodes_visited)
-        << "threads=" << threads;
-    EXPECT_EQ(ten->stats().sizes_counted, one->stats().sizes_counted)
-        << "threads=" << threads;
-  }
+  auto one = DetectGlobalIterTD(*input, bounds, DetectionConfig{20, 20, 5});
+  auto ten = DetectGlobalIterTD(*input, bounds, DetectionConfig{20, 29, 5});
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(ten.ok());
+  // A single search evaluates each node once, so counts each size.
+  EXPECT_GT(one->stats().nodes_visited, 0u);
+  EXPECT_EQ(one->stats().sizes_counted, one->stats().nodes_visited);
+  EXPECT_EQ(ten->stats().nodes_visited, 10 * one->stats().nodes_visited);
+  EXPECT_EQ(ten->stats().sizes_counted, one->stats().sizes_counted);
 }
 
 }  // namespace

@@ -32,9 +32,6 @@
 //                          used by --algo upper / verification)
 //   --kmin K --kmax K      rank range (default 10..49, clamped to |D|)
 //   --tau N                group size threshold (default 5% of rows)
-//   --threads N            worker threads for the top-down searches
-//                          (default 1; 0 = hardware concurrency;
-//                          results are identical for every value)
 //   --bins N               buckets per numeric attribute (default 4)
 //   --drop col1,col2       columns to ignore (ids, names, ...)
 //   --suggest              calibrate bounds automatically
@@ -49,7 +46,6 @@
 //   --help                 print the flag table and exit
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <optional>
@@ -91,7 +87,6 @@ struct Args {
   int k_min = 10;
   int k_max = 49;
   int tau = 0;  // 0 = 5% of rows
-  int threads = 1;
   int bins = 4;
   std::vector<std::string> drop;
   bool suggest = false;
@@ -134,10 +129,6 @@ void PrintUsage(std::FILE* out) {
       "                         to |D|)\n"
       "  --tau N                group size threshold (default 5%% of\n"
       "                         rows)\n"
-      "  --threads N            worker threads for the top-down\n"
-      "                         searches (default 1; 0 = hardware\n"
-      "                         concurrency; results are identical\n"
-      "                         for every value)\n"
       "  --bins N               buckets per numeric attribute\n"
       "                         (default 4)\n"
       "  --drop col1,col2       columns to ignore (ids, names, ...)\n"
@@ -171,6 +162,30 @@ bool ParseArgs(int argc, char** argv, Args& args, bool& help) {
       }
       return argv[++i];
     };
+    auto next_int = [&](const char* name, int min, int max,
+                        int& out) -> bool {
+      const char* v = next(name);
+      if (v == nullptr) return false;
+      auto parsed = ParseInt(v);
+      if (!parsed.has_value() || *parsed < min || *parsed > max) {
+        std::fprintf(stderr, "%s expects an integer in [%d, %d], got '%s'\n",
+                     name, min, max, v);
+        return false;
+      }
+      out = static_cast<int>(*parsed);
+      return true;
+    };
+    auto next_double = [&](const char* name, double& out) -> bool {
+      const char* v = next(name);
+      if (v == nullptr) return false;
+      auto parsed = ParseDouble(v);
+      if (!parsed.has_value()) {
+        std::fprintf(stderr, "%s expects a number, got '%s'\n", name, v);
+        return false;
+      }
+      out = *parsed;
+      return true;
+    };
     if (flag == "--help" || flag == "-h") {
       help = true;
       return true;
@@ -193,52 +208,21 @@ bool ParseArgs(int argc, char** argv, Args& args, bool& help) {
       if (v == nullptr) return false;
       args.algo = v;
     } else if (flag == "--alpha") {
-      const char* v = next("--alpha");
-      if (v == nullptr) return false;
-      args.alpha = std::atof(v);
+      if (!next_double("--alpha", args.alpha)) return false;
     } else if (flag == "--beta") {
-      const char* v = next("--beta");
-      if (v == nullptr) return false;
-      args.beta = std::atof(v);
+      if (!next_double("--beta", args.beta)) return false;
     } else if (flag == "--upper") {
-      const char* v = next("--upper");
-      if (v == nullptr) return false;
-      args.upper = std::atof(v);
+      if (!next_double("--upper", args.upper)) return false;
     } else if (flag == "--lower") {
-      const char* v = next("--lower");
-      if (v == nullptr) return false;
-      args.lower_fraction = std::atof(v);
+      if (!next_double("--lower", args.lower_fraction)) return false;
     } else if (flag == "--kmin") {
-      const char* v = next("--kmin");
-      if (v == nullptr) return false;
-      args.k_min = std::atoi(v);
+      if (!next_int("--kmin", 1, 1 << 30, args.k_min)) return false;
     } else if (flag == "--kmax") {
-      const char* v = next("--kmax");
-      if (v == nullptr) return false;
-      args.k_max = std::atoi(v);
+      if (!next_int("--kmax", 1, 1 << 30, args.k_max)) return false;
     } else if (flag == "--tau") {
-      const char* v = next("--tau");
-      if (v == nullptr) return false;
-      args.tau = std::atoi(v);
-    } else if (flag == "--threads") {
-      const char* v = next("--threads");
-      if (v == nullptr) return false;
-      // Strict parse: 0 means "hardware concurrency", so an atoi-style
-      // silent 0 on a typo would select maximal parallelism.
-      char* end = nullptr;
-      const long threads = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || threads < 0 || threads > 4096) {
-        std::fprintf(stderr,
-                     "--threads must be a non-negative integer "
-                     "(0 = hardware concurrency), got '%s'\n",
-                     v);
-        return false;
-      }
-      args.threads = static_cast<int>(threads);
+      if (!next_int("--tau", 1, 1 << 30, args.tau)) return false;
     } else if (flag == "--bins") {
-      const char* v = next("--bins");
-      if (v == nullptr) return false;
-      args.bins = std::atoi(v);
+      if (!next_int("--bins", 2, 1 << 20, args.bins)) return false;
     } else if (flag == "--drop") {
       const char* v = next("--drop");
       if (v == nullptr) return false;
@@ -357,7 +341,7 @@ int RunAudit(const Args& args) {
     // Snapshot open: the table, ranking and index come back exactly as
     // saved — no parse, no bucketize, no index build.
     Result<storage::OpenedSnapshot> snap =
-        storage::ReadSnapshot(args.snapshot, storage::OpenMode::kRead);
+        storage::ReadSnapshot(args.snapshot);
     if (!snap.ok()) {
       std::fprintf(stderr, "%s\n", snap.status().ToString().c_str());
       return 1;
@@ -433,7 +417,7 @@ int RunAudit(const Args& args) {
   api::AuditRequest request;
   request.detector = args.detector->name;
   request.config = MakeToolConfig(args.k_min, args.k_max, args.tau,
-                                  args.threads, table->num_rows());
+                                  /*threads=*/1, table->num_rows());
   Result<api::BoundsSpec> bounds = api::BoundsFromDefaults(
       args.detector->bounds_kind,
       api::BoundsDefaults{args.lower_fraction, args.alpha}, request.config);

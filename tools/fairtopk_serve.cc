@@ -60,7 +60,6 @@ struct Args {
   std::string csv;
   std::string rank_by;
   std::string data_dir;  // empty = in-memory only
-  bool mmap = false;
   bool fsync_always = false;
   bool ascending = false;
   int k_min = 10;
@@ -107,8 +106,8 @@ void PrintUsage(std::FILE* out) {
       "                         clamped to |D|)\n"
       "  --tau N                default group size threshold\n"
       "                         (default 5%% of rows)\n"
-      "  --threads N            default worker threads per query\n"
-      "                         (0 = hardware concurrency)\n"
+      "  --threads 1            threads per query: every query runs\n"
+      "                         on one thread, so only 1 is accepted\n"
       "  --lower X              default global lower bound, fraction\n"
       "                         of k (default 0.5)\n"
       "  --alpha X              default proportional multiplier\n"
@@ -123,8 +122,6 @@ void PrintUsage(std::FILE* out) {
       "                         snapshot otherwise; update/append ops\n"
       "                         are logged, op=save compacts, and\n"
       "                         shutdown compacts automatically\n"
-      "  --mmap                 open snapshots via mmap instead of\n"
-      "                         read()\n"
       "  --fsync-always         fsync the op log after every\n"
       "                         maintenance op (durable to the power\n"
       "                         cord, slower updates)\n"
@@ -143,8 +140,7 @@ void PrintUsage(std::FILE* out) {
       "                         responses into input order (TCP\n"
       "                         connections are always ordered)\n"
       "  --batch-workers N      pool running detect_batch members\n"
-      "                         concurrently (default 0 = serial;\n"
-      "                         multiplies with per-query --threads)\n"
+      "                         concurrently (default 0 = serial)\n"
       "  --listen PORT          serve TCP on --host instead of stdin\n"
       "                         (0 picks an ephemeral port, printed on\n"
       "                         stderr); SIGINT/SIGTERM drains and\n"
@@ -218,7 +214,7 @@ bool ParseArgs(int argc, char** argv, Args& args, bool& help) {
     } else if (flag == "--tau") {
       if (!next_int("--tau", 1, 1 << 30, args.tau)) return false;
     } else if (flag == "--threads") {
-      if (!next_int("--threads", 0, 4096, args.threads)) return false;
+      if (!next_int("--threads", 1, 1, args.threads)) return false;
     } else if (flag == "--bins") {
       if (!next_int("--bins", 2, 1 << 20, args.bins)) return false;
     } else if (flag == "--cache-capacity") {
@@ -249,8 +245,6 @@ bool ParseArgs(int argc, char** argv, Args& args, bool& help) {
       const char* v = next("--data-dir");
       if (v == nullptr) return false;
       args.data_dir = v;
-    } else if (flag == "--mmap") {
-      args.mmap = true;
     } else if (flag == "--fsync-always") {
       args.fsync_always = true;
     } else if (flag == "--listen") {
@@ -351,8 +345,6 @@ int RunServe(const Args& args) {
   std::optional<AuditSession> session;
   if (!args.data_dir.empty()) {
     PersistentOpenOptions persist;
-    persist.mode = args.mmap ? storage::OpenMode::kMmap
-                             : storage::OpenMode::kRead;
     persist.fsync = args.fsync_always ? storage::FsyncPolicy::kAlways
                                       : storage::FsyncPolicy::kNever;
     PersistentOpenReport report;
