@@ -6,15 +6,14 @@
 //    shared lock — identical in-flight queries coalesce onto one run;
 //  * a writer thread applies score updates through the exclusive lock,
 //    invalidating the result cache only when the permutation changes;
-//  * a DetectMany batch fans its distinct members out on a dedicated
-//    ThreadPool (SessionOptions::batch_executor), deduping repeats.
+//  * a DetectMany batch runs its distinct members on the calling
+//    thread, deduping repeats.
 #include <atomic>
 #include <cstdio>
 #include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "datagen/synthetic.h"
 #include "service/audit_session.h"
 
@@ -46,13 +45,7 @@ int main() {
     return 1;
   }
 
-  SessionOptions options;
-  // Dedicated pool for DetectMany batches — deliberately separate from
-  // the client threads below (pool tasks must be leaves).
-  options.batch_executor = std::make_shared<ThreadPool>(2);
-  auto session =
-      AuditSession::Create(std::move(table).value(), "score",
-                           /*ascending=*/false, options);
+  auto session = AuditSession::Create(std::move(table).value(), "score");
   if (!session.ok()) {
     std::fprintf(stderr, "%s\n", session.status().ToString().c_str());
     return 1;
@@ -95,8 +88,8 @@ int main() {
     return 1;
   }
 
-  // A batch with repeats: distinct members run concurrently on the
-  // batch executor, repeats are deduped in-batch.
+  // A batch with repeats: distinct members run once each, repeats are
+  // deduped in-batch.
   std::vector<api::AuditRequest> batch = {GlobalQuery(100), GlobalQuery(150),
                                           GlobalQuery(200), GlobalQuery(100),
                                           GlobalQuery(150)};

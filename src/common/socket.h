@@ -4,8 +4,9 @@
 // stack; no framing or protocol knowledge lives here.
 //
 // Thread model: a TcpConnection is used by one reader thread plus any
-// number of senders serializing externally (the socket server writes
-// whole response lines under a per-connection mutex). ShutdownRead()
+// number of senders serializing externally (the socket server's pool
+// workers write whole response lines one at a time, under the
+// connection's request-pipeline lock). ShutdownRead()
 // and ShutdownWrite() are safe to call from another thread while a
 // Receive/SendAll is blocked — that is the mechanism the server's
 // graceful shutdown uses to unblock idle connection readers. Close()

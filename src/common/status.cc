@@ -28,6 +28,8 @@ const char* StatusCodeName(StatusCode code) {
       return "VERSION_MISMATCH";
     case StatusCode::kTruncated:
       return "TRUNCATED";
+    case StatusCode::kResourceExhausted:
+      return "RESOURCE_EXHAUSTED";
   }
   return "UNKNOWN";
 }

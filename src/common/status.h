@@ -25,6 +25,7 @@ enum class StatusCode {
   kChecksumMismatch = 9,
   kVersionMismatch = 10,
   kTruncated = 11,
+  kResourceExhausted = 12,
 };
 
 /// Returns a stable human-readable name for a status code ("OK",
@@ -80,6 +81,9 @@ class Status {
   }
   static Status Truncated(std::string msg) {
     return Status(StatusCode::kTruncated, std::move(msg));
+  }
+  static Status ResourceExhausted(std::string msg) {
+    return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
 
   /// True iff this status represents success.

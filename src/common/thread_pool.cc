@@ -34,11 +34,6 @@ void ThreadPool::Submit(std::function<void()> fn) {
   wake_.notify_one();
 }
 
-size_t ThreadPool::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size() + running_;
-}
-
 void ThreadPool::WorkerLoop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -46,39 +41,10 @@ void ThreadPool::WorkerLoop() {
     if (queue_.empty()) return;  // stopping_ and fully drained
     std::function<void()> task = std::move(queue_.front());
     queue_.pop_front();
-    ++running_;
     lock.unlock();
     task();
     lock.lock();
-    --running_;
   }
-}
-
-void ParallelFor(Executor* executor, size_t n,
-                 const std::function<void(size_t)>& fn) {
-  if (executor == nullptr || n <= 1) {
-    for (size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  // Fork/join on the caller: submit every index, then block until the
-  // last completion. The join state lives on this frame — safe because
-  // we never return before `done == n`.
-  std::mutex mutex;
-  std::condition_variable joined;
-  size_t done = 0;
-  for (size_t i = 0; i < n; ++i) {
-    executor->Submit([&, i] {
-      fn(i);
-      // Notify UNDER the lock: the waiter owns this frame and may
-      // destroy `joined` the moment it observes done == n, which it
-      // cannot do before this task releases the mutex.
-      std::lock_guard<std::mutex> lock(mutex);
-      ++done;
-      joined.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  joined.wait(lock, [&] { return done == n; });
 }
 
 }  // namespace fairtopk

@@ -1,27 +1,20 @@
-// Executor and ThreadPool: the task-execution primitives behind the
-// concurrent serving stack (service/audit_session.h's DetectMany
-// batches and service/jsonl_service.h's --workers front-end).
-//
-// Executor is the minimal submission interface — "run this closure,
-// possibly on another thread". ThreadPool is the one production
-// implementation: a fixed set of workers draining one FIFO queue.
+// ThreadPool: the one pool that runs request lines in fairtopk_serve,
+// fed through service/request_pipeline.h by the stdin stream or by
+// every TCP connection: a fixed set of workers draining one FIFO
+// queue.
 // Deliberately work-stealing-free: tasks here are coarse serving units
-// (one detection query, one request line), so a single locked deque is
-// contention-free at realistic rates and keeps the completion order
-// reasoning trivial. InlineExecutor runs everything on the calling
-// thread — the zero-thread fallback that lets call sites take an
-// Executor unconditionally.
+// (one request line), so a single locked deque is contention-free at
+// realistic rates and keeps the completion order reasoning trivial.
 //
 // Deadlock rule: tasks submitted to a ThreadPool must be LEAVES — they
 // must never block on other tasks submitted to the same pool (a full
-// pool of blocked waiters starves the queue). The serving stack obeys
-// this by giving the JSONL line workers and the session's batch
-// executor separate pools.
+// pool of blocked waiters starves the queue). A request line obeys
+// this: a detect_batch runs its members on the worker that holds the
+// line.
 #ifndef FAIRTOPK_COMMON_THREAD_POOL_H_
 #define FAIRTOPK_COMMON_THREAD_POOL_H_
 
 #include <condition_variable>
-#include <cstddef>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -30,30 +23,10 @@
 
 namespace fairtopk {
 
-/// Minimal task-submission interface. Implementations decide where and
-/// when the closure runs; Submit itself never blocks on task
-/// completion.
-class Executor {
- public:
-  virtual ~Executor() = default;
-
-  /// Schedules `fn` for execution. The closure may run before Submit
-  /// returns (inline executors) or on another thread at any later
-  /// point; it must not assume anything about the calling thread.
-  virtual void Submit(std::function<void()> fn) = 0;
-};
-
-/// Runs every task synchronously on the submitting thread. The
-/// degenerate executor used when concurrency is disabled.
-class InlineExecutor : public Executor {
- public:
-  void Submit(std::function<void()> fn) override { fn(); }
-};
-
 /// A fixed-size pool of workers draining one FIFO task queue.
 /// Destruction drains: tasks already submitted all run before the
 /// workers join (so a scope-local pool is a natural fork/join region).
-class ThreadPool : public Executor {
+class ThreadPool {
  public:
   /// Spawns `num_threads` workers; 0 means std::thread::hardware_concurrency
   /// (at least 1).
@@ -63,34 +36,22 @@ class ThreadPool : public Executor {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Drains the queue, then joins every worker.
-  ~ThreadPool() override;
+  ~ThreadPool();
 
-  void Submit(std::function<void()> fn) override;
+  /// Schedules `fn` on a worker; never waits for it to run.
+  void Submit(std::function<void()> fn);
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
-
-  /// Tasks submitted and not yet finished (approximate — sampled under
-  /// the queue lock).
-  size_t pending() const;
 
  private:
   void WorkerLoop();
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable wake_;
   std::deque<std::function<void()>> queue_;
-  size_t running_ = 0;     ///< tasks currently executing
   bool stopping_ = false;  ///< set by the destructor; queue still drains
   std::vector<std::thread> workers_;
 };
-
-/// Runs fn(0), ..., fn(n-1) on `executor` and blocks until every call
-/// has returned. A null executor (or n <= 1) runs the calls inline on
-/// the caller — the serial fallback every call site gets for free.
-/// The closures must be independent leaves (see the deadlock rule
-/// above); exceptions must not escape `fn`.
-void ParallelFor(Executor* executor, size_t n,
-                 const std::function<void(size_t)>& fn);
 
 }  // namespace fairtopk
 

@@ -509,25 +509,9 @@ Result<std::vector<api::AuditResponse>> AuditSession::DetectMany(
   }
 
   std::vector<std::optional<Result<api::AuditResponse>>> runs(n);
-  Executor* executor = options_.batch_executor.get();
-  if (executor == nullptr) {
-    // Serial: preserve the early-abort (later members never run after
-    // a failure).
-    for (size_t i : distinct) {
-      runs[i] = Detect(requests[i]);
-      if (!runs[i]->ok()) return runs[i]->status();
-    }
-  } else {
-    // Concurrent: every distinct member runs (each is a leaf task
-    // taking the session's shared lock); the response is still the
-    // first failure in batch order, matching the serial contract.
-    ParallelFor(executor, distinct.size(), [&](size_t j) {
-      const size_t i = distinct[j];
-      runs[i] = Detect(requests[i]);
-    });
-    for (size_t i : distinct) {
-      if (!runs[i]->ok()) return runs[i]->status();
-    }
+  for (size_t i : distinct) {
+    runs[i] = Detect(requests[i]);
+    if (!runs[i]->ok()) return runs[i]->status();
   }
 
   std::vector<api::AuditResponse> responses;

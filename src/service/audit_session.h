@@ -9,8 +9,7 @@
 //    paper's six live in api::DetectorRegistry) named by a typed
 //    api::AuditRequest with per-query DetectionConfig; DetectMany()
 //    runs a batch against the one prepared input deduping identical
-//    cache keys (and running the distinct members concurrently when
-//    the session has a batch executor);
+//    cache keys;
 //    Suggest(), Verify() and Repair() expose calibration,
 //    single-group verification, and the rerank mitigation against the
 //    same prepared input. Every result carries its groups' counts,
@@ -81,7 +80,6 @@
 
 #include "api/audit.h"
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "detect/bounds.h"
 #include "detect/detection_result.h"
 #include "detect/suggest.h"
@@ -114,12 +112,6 @@ struct SessionOptions {
   /// blowup when many rows move far). 0 always merges, SIZE_MAX always
   /// repairs.
   size_t repair_rerank_max_batch = 256;
-  /// Executor running DetectMany's distinct batch members concurrently
-  /// (null runs them serially on the caller). Must be a pool DEDICATED
-  /// to session batches: the submitted tasks are leaves, but a caller
-  /// blocking inside DetectMany on the same pool that runs its
-  /// requests can starve itself (see common/thread_pool.h).
-  std::shared_ptr<Executor> batch_executor;
 };
 
 /// One score change of ApplyScoreUpdates.
@@ -235,10 +227,10 @@ class AuditSession {
   /// with identical cache keys are served from the first run — also
   /// with caching disabled, where in-batch deduplication is the only
   /// sharing (deduplicated entries count as cache hits in the service
-  /// stats and are marked `cached`). Distinct members run concurrently
-  /// on SessionOptions::batch_executor when one is set. Responses
-  /// align with `requests` by index; the first (in batch order)
-  /// failing request aborts the batch.
+  /// stats and are marked `cached`). Distinct members run one after
+  /// another on the calling thread. Responses align with `requests` by
+  /// index; the first (in batch order) failing request aborts the
+  /// batch, and later members do not run.
   Result<std::vector<api::AuditResponse>> DetectMany(
       const std::vector<api::AuditRequest>& requests);
 

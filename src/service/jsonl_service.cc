@@ -1,11 +1,9 @@
 #include "service/jsonl_service.h"
 
+#include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <iostream>
-#include <istream>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <ostream>
 #include <string_view>
@@ -15,8 +13,6 @@
 #include <vector>
 
 #include "common/metrics/metrics.h"
-#include "common/thread_pool.h"
-#include "common/timer.h"
 #include "index/kernels/kernels.h"
 #include "report/json_report.h"
 #include "storage/snapshot_format.h"
@@ -44,8 +40,9 @@ struct ServiceMetrics {
                                  "code",
                                  {"op", "code"}),
           registry.HistogramFamily("fairtopk_request_latency_micros",
-                                   "End-to-end request latency (parse to "
-                                   "serialized response)",
+                                   "End-to-end request latency (admission "
+                                   "to serialized response, queue wait "
+                                   "included)",
                                    {"op"}),
           registry.CounterFamily("fairtopk_slow_queries_total",
                                  "Requests that crossed the slow-query-log "
@@ -55,6 +52,14 @@ struct ServiceMetrics {
     return *m;
   }
 };
+
+/// Whole microseconds from `start` to now.
+uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
 
 /// Canonicalizes the wire op into a bounded label set so a client
 /// sending arbitrary op strings cannot grow unbounded metric series.
@@ -347,9 +352,9 @@ Result<std::string> JsonlService::HandleDetectBatch(const Target& target,
                               DecodeRequest(q, *target.defaults));
     batch.push_back(std::move(query));
   }
-  // Batch members run concurrently on the session's batch executor, so
-  // the (single-threaded) request trace is NOT attached to them — the
-  // batch still reports parse/serialize spans and per-op latency.
+  // DetectMany takes no trace, so batch members are not traced one by
+  // one — the batch still reports parse/serialize spans and per-op
+  // latency.
   FAIRTOPK_ASSIGN_OR_RETURN(std::vector<api::AuditResponse> responses,
                             target.session->DetectMany(batch));
   metrics::SpanTimer span(trace, "serialize");
@@ -860,13 +865,14 @@ void JsonlService::WriteSlowQueryLine(const JsonValue* request,
   out.flush();
 }
 
-std::string JsonlService::HandleLine(const std::string& line,
-                                     Context& context) {
+std::string JsonlService::HandleLine(
+    const std::string& line, Context& context,
+    std::chrono::steady_clock::time_point admitted) {
   const uint64_t slow_threshold = observability_.slow_query_log_micros;
   metrics::RequestTrace trace_storage;
   metrics::TraceSink* trace =
       slow_threshold > 0 ? &trace_storage : nullptr;
-  WallTimer total;
+  if (trace != nullptr) trace->OnSpan("queue", MicrosSince(admitted));
 
   Result<JsonValue> request = [&] {
     metrics::SpanTimer span(trace, "parse");
@@ -897,7 +903,7 @@ std::string JsonlService::HandleLine(const std::string& line,
     }
   }
 
-  const uint64_t micros = total.ElapsedMicros();
+  const uint64_t micros = MicrosSince(admitted);
   const char* op_label = OpLabel(op);
   if (metrics::Enabled()) {
     ServiceMetrics& m = ServiceMetrics::Get();
@@ -918,90 +924,13 @@ std::string JsonlService::HandleLine(const std::string& line) {
   return HandleLine(line, context);
 }
 
-namespace {
-
-bool IsBlankLine(const std::string& line) {
-  for (char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
+std::string JsonlService::RejectLine(const Status& status) {
+  if (metrics::Enabled()) {
+    ServiceMetrics& m = ServiceMetrics::Get();
+    m.requests.With({"other"}).Inc();
+    m.errors.With({"other", StatusCodeName(status.code())}).Inc();
   }
-  return true;
-}
-
-}  // namespace
-
-void JsonlService::Serve(std::istream& in, std::ostream& out,
-                         const ServeOptions& options) {
-  Context context;
-  std::string line;
-  if (options.workers <= 1) {
-    while (std::getline(in, line)) {
-      // Skip blank lines so hand-written scripts can use them for
-      // readability.
-      if (IsBlankLine(line)) continue;
-      out << HandleLine(line, context) << '\n';
-      out.flush();
-    }
-    return;
-  }
-
-  // Concurrent mode: the calling thread reads and admits lines (with
-  // read-ahead backpressure so a huge piped script is not slurped into
-  // memory), pool workers execute them, and completions write whole
-  // response lines under one output lock — in completion order, or
-  // through a reorder buffer keyed by admission sequence when
-  // `ordered`. Requests are leaves (HandleLine never blocks on another
-  // request), satisfying the pool's deadlock rule.
-  ThreadPool pool(options.workers);
-  const size_t max_pending =
-      options.max_pending != 0
-          ? options.max_pending
-          : static_cast<size_t>(options.workers) * 4;
-  std::mutex mutex;
-  std::condition_variable room;  // signaled whenever a request finishes
-  size_t in_flight = 0;
-  size_t next_to_emit = 0;                 // ordered mode: next sequence
-  std::map<size_t, std::string> held;      // ordered mode: done, waiting
-  size_t sequence = 0;
-  while (std::getline(in, line)) {
-    if (IsBlankLine(line)) continue;
-    {
-      std::unique_lock<std::mutex> lock(mutex);
-      // Ordered mode bounds admitted-but-unemitted (sequence -
-      // next_to_emit), which counts the reorder buffer too: a slow
-      // early request must throttle admission, not just execution, or
-      // `held` would absorb the whole remaining stream. Unordered mode
-      // emits on completion, so in-flight alone is the backlog.
-      room.wait(lock, [&] {
-        return options.ordered ? sequence - next_to_emit < max_pending
-                               : in_flight < max_pending;
-      });
-      ++in_flight;
-    }
-    pool.Submit([this, &out, &options, &mutex, &room, &in_flight,
-                 &next_to_emit, &held, &context, seq = sequence, line] {
-      std::string response = HandleLine(line, context);
-      std::lock_guard<std::mutex> lock(mutex);
-      if (!options.ordered) {
-        out << response << '\n';
-        out.flush();
-      } else {
-        held.emplace(seq, std::move(response));
-        while (!held.empty() && held.begin()->first == next_to_emit) {
-          out << held.begin()->second << '\n';
-          held.erase(held.begin());
-          ++next_to_emit;
-        }
-        out.flush();
-      }
-      --in_flight;
-      room.notify_all();
-    });
-    ++sequence;
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  room.wait(lock, [&] { return in_flight == 0; });
-  // Every response emitted: in ordered mode the reorder buffer drains
-  // exactly when the last gap closes, so `held` is empty here.
+  return ErrorResponse(JsonValue::Null(), status);
 }
 
 }  // namespace fairtopk

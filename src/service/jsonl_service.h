@@ -1,7 +1,9 @@
 // Batched JSONL front-end over audit sessions: one JSON request
 // object per input line, one JSON response object per output line —
-// the wire protocol of tools/fairtopk_serve on stdin/stdout and, via
-// service/net/socket_server.h, on TCP.
+// the wire protocol of tools/fairtopk_serve on stdin/stdout and on
+// TCP. This file holds the per-line protocol (HandleLine); framing,
+// admission and response order belong to service/request_pipeline.h,
+// which both front ends share.
 //
 // Requests: {"op": ..., "id": <any scalar, echoed back>, ...}.
 //   op=detect   one detection query. The detector is selected by its
@@ -12,7 +14,8 @@
 //               per detector by op=capabilities)
 //   op=detect_batch  {"queries": [{...}, ...]} — several detection
 //               queries against the one prepared input via
-//               AuditSession::DetectMany (identical queries run once)
+//               AuditSession::DetectMany (identical queries run once;
+//               the members run on the worker that holds the line)
 //   op=capabilities  the registered detectors with their parameter
 //               schemas, generated from api::DetectorRegistry
 //   op=suggest  parameter calibration (SuggestParameters)
@@ -66,21 +69,17 @@
 // gets an {"id": null, "ok": false, ...} envelope and the stream
 // continues; every line gets exactly one response line.
 //
-// With ServeOptions::workers > 1 the loop executes independent request
-// lines concurrently on a thread pool over the (thread-safe) session.
-// Responses are emitted in COMPLETION order by default — clients
-// correlate by the echoed "id" — or in input order with
-// ServeOptions::ordered (a reorder buffer holds completed responses
-// until their predecessors flush). Ordering of effects is only
-// guaranteed through the session's reader/writer lock: a write op
-// (update/append) excludes concurrent detects while it patches the
-// ranking, but WHICH requests run before the write is scheduling —
-// order-sensitive scripts should serialize externally or run with one
-// worker.
+// With more than one pool worker, independent request lines of one
+// stream run concurrently over the (thread-safe) session; responses
+// still leave in input order. Ordering of effects is only guaranteed
+// through the session's reader/writer lock: a write op (update/append)
+// excludes concurrent detects while it patches the ranking, but WHICH
+// requests run before the write is scheduling — order-sensitive
+// scripts should serialize externally or run with one worker.
 #ifndef FAIRTOPK_SERVICE_JSONL_SERVICE_H_
 #define FAIRTOPK_SERVICE_JSONL_SERVICE_H_
 
-#include <cstddef>
+#include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -97,18 +96,6 @@
 #include "service/session_catalog.h"
 
 namespace fairtopk {
-
-/// Execution knobs of one Serve() loop.
-struct ServeOptions {
-  /// Request lines executed concurrently; <= 1 serves serially on the
-  /// calling thread (the classic one-line-at-a-time loop).
-  int workers = 1;
-  /// Emit responses in input order instead of completion order.
-  bool ordered = false;
-  /// Upper bound on request lines admitted but not yet answered
-  /// (read-ahead backpressure); 0 picks 4 * workers.
-  size_t max_pending = 0;
-};
 
 /// Observability knobs of a JsonlService (fairtopk_serve flags).
 struct ObservabilityOptions {
@@ -131,8 +118,8 @@ struct ObservabilityOptions {
 class JsonlService {
  public:
   /// Per-client request state: the session selected by op=use. One per
-  /// serving loop / network connection; safe to share between the
-  /// concurrent workers of one loop (which of two racing requests sees
+  /// stream (stdin, or one network connection); safe to share between
+  /// the concurrent workers of one stream (which of two racing requests sees
   /// a concurrent `use` is scheduling, like all cross-request
   /// ordering).
   class Context {
@@ -179,21 +166,23 @@ class JsonlService {
 
   /// Handles one request line against `context`; returns the response
   /// line (no trailing newline). Never fails — protocol errors become
-  /// error responses.
-  std::string HandleLine(const std::string& line, Context& context);
+  /// error responses. The request's latency (the latency histogram
+  /// and the slow-query log) counts from `admitted`, when the front
+  /// end accepted the line, so it includes the wait for a pool worker;
+  /// a trace reports that wait as its "queue" span.
+  std::string HandleLine(const std::string& line, Context& context,
+                         std::chrono::steady_clock::time_point admitted =
+                             std::chrono::steady_clock::now());
 
   /// Single-shot convenience: a throwaway default Context per line
   /// (every line starts on the service's default session).
   std::string HandleLine(const std::string& line);
 
-  /// Reads request lines from `in` until EOF, writing one response
-  /// line per request to `out` (blank lines are skipped). Flushes after
-  /// every response so the tool can be driven interactively by a pipe.
-  /// With options.workers > 1, lines are dispatched to a pool and
-  /// responses stream back tagged by their echoed id (see the file
-  /// comment for the ordering contract). One Context spans the loop.
-  void Serve(std::istream& in, std::ostream& out,
-             const ServeOptions& options = {});
+  /// The response to a line the front end refused without parsing it
+  /// (one longer than RequestPipeline::kMaxLineBytes): an
+  /// {"id":null,"ok":false,...} envelope carrying `status`, counted as
+  /// an error of op "other".
+  std::string RejectLine(const Status& status);
 
  private:
   /// One request's resolved destination: the session to run against,

@@ -1,26 +1,19 @@
 #include "service/net/socket_server.h"
 
+#include <string>
 #include <utility>
 
 #include "common/metrics/metrics.h"
+#include "service/request_pipeline.h"
 
 namespace fairtopk {
 
 namespace {
 
-bool IsBlank(const std::string& line) {
-  for (char c : line) {
-    if (c != ' ' && c != '\t' && c != '\r') return false;
-  }
-  return true;
-}
-
 /// Process-global socket front-end metrics, resolved once.
 struct NetMetrics {
   metrics::Counter& accepted;
   metrics::Gauge& active;
-  metrics::Gauge& reorder_depth;
-  metrics::Counter& backpressure_stalls;
 
   static NetMetrics& Get() {
     static NetMetrics* m = [] {
@@ -33,16 +26,6 @@ struct NetMetrics {
           registry
               .GaugeFamily("fairtopk_connections_active",
                            "TCP connections currently being served")
-              .With({}),
-          registry
-              .GaugeFamily("fairtopk_reorder_buffer_depth",
-                           "Completed responses held for in-order emission "
-                           "across all connections")
-              .With({}),
-          registry
-              .CounterFamily("fairtopk_backpressure_stalls_total",
-                             "Times a connection reader blocked on the "
-                             "admission window (max_pending)")
               .With({})};
     }();
     return *m;
@@ -52,14 +35,8 @@ struct NetMetrics {
 }  // namespace
 
 SocketServer::SocketServer(JsonlService* service, TcpListener listener,
-                           SocketServerOptions options)
-    : service_(service),
-      listener_(std::move(listener)),
-      options_(options),
-      max_pending_(options.max_pending != 0
-                       ? options.max_pending
-                       : static_cast<size_t>(options.workers) * 4),
-      pool_(options.workers) {}
+                           int workers)
+    : service_(service), listener_(std::move(listener)), pool_(workers) {}
 
 SocketServer::~SocketServer() {
   RequestShutdown();
@@ -78,10 +55,8 @@ void SocketServer::RequestShutdown() {
   listener_.Interrupt();
   // Readers blocked in Receive() see EOF and fall into their drain
   // path. Connections mid-request are untouched: the reader only
-  // exits after its reorder buffer empties.
+  // exits after its pipeline has answered every admitted line.
   for (Connection& connection : connections_) {
-    // Under the connection mutex: ShutdownRead must not race the
-    // reader's final Close() (which recycles the descriptor).
     std::lock_guard<std::mutex> connection_lock(connection.mutex);
     connection.socket.ShutdownRead();
   }
@@ -89,9 +64,9 @@ void SocketServer::RequestShutdown() {
 
 void SocketServer::Wait() {
   if (acceptor_.joinable()) acceptor_.join();
-  // After the acceptor exits no new connections_ nodes appear, and
-  // std::list nodes are stable, so walking without the lock while
-  // joining (readers still mutate their own entries) is safe.
+  // After the acceptor exits nothing adds or removes connections_
+  // nodes (readers only append to finished_, under the lock), and
+  // std::list nodes are stable, so joining without the lock is safe.
   for (Connection& connection : connections_) {
     if (connection.reader.joinable()) connection.reader.join();
   }
@@ -107,97 +82,61 @@ void SocketServer::AcceptLoop() {
     Result<TcpConnection> accepted = listener_.Accept();
     if (!accepted.ok()) continue;  // transient (e.g. ECONNABORTED)
     if (!accepted->valid()) return;  // Interrupt(): clean exit
+    ReapFinished();
     std::lock_guard<std::mutex> lock(mutex_);
     if (shutdown_) return;  // raced with RequestShutdown: drop it
-    connections_.emplace_back();
-    Connection& connection = connections_.back();
-    connection.socket = std::move(*accepted);
+    const ConnectionList::iterator connection =
+        connections_.emplace(connections_.end());
+    connection->socket = std::move(*accepted);
     ++accepted_;
     if (metrics::Enabled()) {
       NetMetrics::Get().accepted.Inc();
       NetMetrics::Get().active.Inc();
     }
-    connection.reader = std::thread(
-        [this, &connection] { ReadLoop(connection); });
+    connection->reader = std::thread([this, connection] {
+      ReadLoop(*connection);
+      std::lock_guard<std::mutex> finished_lock(mutex_);
+      finished_.push_back(connection);
+    });
   }
 }
 
+void SocketServer::ReapFinished() {
+  ConnectionList done;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (ConnectionList::iterator connection : finished_) {
+      done.splice(done.end(), connections_, connection);
+    }
+    finished_.clear();
+  }
+  // Each reader's last act was to list itself, so these joins return
+  // at once.
+  for (Connection& connection : done) connection.reader.join();
+}
+
 void SocketServer::ReadLoop(Connection& connection) {
-  std::string pending;  // bytes received, not yet newline-terminated
+  RequestPipeline pipeline(
+      service_, &pool_, [&connection](const std::string& line) {
+        // The peer may already be gone (client closed after a one-shot
+        // script); the pipeline then stops writing.
+        return connection.socket.SendAll(line).ok();
+      });
   char buffer[4096];
   for (;;) {
     Result<size_t> received =
         connection.socket.Receive(buffer, sizeof(buffer));
     if (!received.ok() || *received == 0) break;  // error, EOF, shutdown
-    pending.append(buffer, *received);
-    size_t start = 0;
-    for (size_t newline = pending.find('\n', start);
-         newline != std::string::npos;
-         newline = pending.find('\n', start)) {
-      std::string line = pending.substr(start, newline - start);
-      start = newline + 1;
-      if (!IsBlank(line)) SubmitLine(connection, std::move(line));
-    }
-    pending.erase(0, start);
+    pipeline.Feed(buffer, *received);
   }
-  // A final unterminated line is still a request — matching the
-  // stdin loop, where getline yields it.
-  if (!IsBlank(pending)) SubmitLine(connection, std::move(pending));
-  // Drain: every admitted line must be answered before the FIN.
-  std::unique_lock<std::mutex> lock(connection.mutex);
-  connection.room.wait(lock, [&] {
-    return connection.next_to_emit == connection.sequence;
-  });
-  // Still under the mutex: Close() recycles the fd, so it must not
-  // overlap a shutdown thread's ShutdownRead on this connection.
-  connection.socket.ShutdownWrite();
-  connection.socket.Close();
-  // The gauge counts served connections, so the decrement pairs with
-  // the accept-side increment even though the Connection node itself
-  // lives until Wait().
-  if (metrics::Enabled()) NetMetrics::Get().active.Dec();
-}
-
-void SocketServer::SubmitLine(Connection& connection, std::string line) {
+  // Drain: every admitted line is answered before the FIN.
+  pipeline.Finish();
   {
-    std::unique_lock<std::mutex> lock(connection.mutex);
-    // Same predicate as the ordered stdin loop: the window counts the
-    // reorder buffer too, so one slow early request throttles this
-    // socket's admission instead of letting `held` absorb everything
-    // the client writes.
-    const auto admissible = [&] {
-      return connection.sequence - connection.next_to_emit < max_pending_;
-    };
-    if (!admissible() && metrics::Enabled()) {
-      NetMetrics::Get().backpressure_stalls.Inc();
-    }
-    connection.room.wait(lock, admissible);
-    ++connection.sequence;
-  }
-  const size_t seq = connection.sequence - 1;
-  pool_.Submit([this, &connection, seq, line = std::move(line)] {
-    std::string response = service_->HandleLine(line, connection.context);
     std::lock_guard<std::mutex> lock(connection.mutex);
-    connection.held.emplace(seq, std::move(response));
-    if (metrics::Enabled()) NetMetrics::Get().reorder_depth.Inc();
-    while (!connection.held.empty() &&
-           connection.held.begin()->first == connection.next_to_emit) {
-      if (!connection.send_failed) {
-        std::string& out = connection.held.begin()->second;
-        out.push_back('\n');
-        // The peer may already be gone (client closed after a
-        // one-shot script); keep draining so the reader can exit, but
-        // stop writing.
-        if (!connection.socket.SendAll(out).ok()) {
-          connection.send_failed = true;
-        }
-      }
-      connection.held.erase(connection.held.begin());
-      ++connection.next_to_emit;
-      if (metrics::Enabled()) NetMetrics::Get().reorder_depth.Dec();
-    }
-    connection.room.notify_all();
-  });
+    connection.socket.ShutdownWrite();
+    connection.socket.Close();
+  }
+  if (metrics::Enabled()) NetMetrics::Get().active.Dec();
 }
 
 }  // namespace fairtopk

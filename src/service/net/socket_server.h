@@ -6,14 +6,9 @@
 // and never occupy a pool slot — requests are leaves, satisfying the
 // pool's no-nested-blocking rule).
 //
-// Framing: requests are newline-delimited, exactly as on stdin.
-// Blank/whitespace-only lines are skipped, a trailing unterminated
-// line at EOF is still served, and CR before LF is tolerated (telnet
-// clients). Responses to one connection are emitted in that
-// connection's input order through a per-connection reorder buffer;
-// `max_pending` bounds admitted-but-unanswered lines per connection
-// (a slow request throttles reading from that socket — TCP backpressure
-// reaches the client — without stalling other connections).
+// Each connection is one stream of service/request_pipeline.h: a slow
+// request throttles reading from that socket only, and its responses
+// come back in that connection's input order.
 //
 // Shutdown: RequestShutdown() stops the acceptor and half-closes the
 // receive side of every open connection, so blocked readers see EOF.
@@ -24,39 +19,27 @@
 #ifndef FAIRTOPK_SERVICE_NET_SOCKET_SERVER_H_
 #define FAIRTOPK_SERVICE_NET_SOCKET_SERVER_H_
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <list>
-#include <map>
-#include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/socket.h"
-#include "common/status.h"
 #include "common/thread_pool.h"
 #include "service/jsonl_service.h"
 
 namespace fairtopk {
-
-/// Execution knobs of one SocketServer.
-struct SocketServerOptions {
-  /// Size of the shared request-execution pool.
-  int workers = 2;
-  /// Per-connection bound on lines admitted but not yet answered;
-  /// 0 picks 4 * workers (mirrors ServeOptions::max_pending).
-  size_t max_pending = 0;
-};
 
 /// Serves `service` over a listening socket until shut down. The
 /// service (and whatever catalog/session it is bound to) must outlive
 /// the server. Start() may be called once.
 class SocketServer {
  public:
-  SocketServer(JsonlService* service, TcpListener listener,
-               SocketServerOptions options);
+  /// Runs request lines on a pool of `workers` threads (0 means
+  /// hardware concurrency).
+  SocketServer(JsonlService* service, TcpListener listener, int workers);
   /// Joins all threads (terminal RequestShutdown included) — a
   /// destructed server is fully stopped.
   ~SocketServer();
@@ -84,41 +67,34 @@ class SocketServer {
   size_t connections_accepted() const;
 
  private:
-  /// Per-connection serving state: the socket, its reader thread, the
-  /// client's session Context, and the reorder buffer the shared pool
-  /// completes into.
+  /// One accepted connection: its socket and reader thread. The
+  /// stream's pipeline lives on the reader's stack.
   struct Connection {
     TcpConnection socket;
-    JsonlService::Context context;
     std::thread reader;
-
+    /// Keeps RequestShutdown()'s ShutdownRead() off the reader's final
+    /// Close(), which recycles the descriptor.
     std::mutex mutex;
-    std::condition_variable room;    ///< signaled per finished request
-    size_t next_to_emit = 0;         ///< next sequence to send
-    size_t sequence = 0;             ///< lines admitted so far
-    std::map<size_t, std::string> held;  ///< done, awaiting predecessors
-    bool send_failed = false;  ///< peer gone: stop writing, just drain
   };
+  using ConnectionList = std::list<Connection>;
 
   void AcceptLoop();
   void ReadLoop(Connection& connection);
-  /// Admits one request line (blocking on the connection's
-  /// backpressure window) and schedules it on the pool.
-  void SubmitLine(Connection& connection, std::string line);
+  /// Joins and frees the connections whose reader has exited.
+  void ReapFinished();
 
   JsonlService* service_;
   TcpListener listener_;
-  const SocketServerOptions options_;
-  const size_t max_pending_;
   ThreadPool pool_;
 
   std::thread acceptor_;
-  mutable std::mutex mutex_;  ///< guards connections_ and the counters
-  /// All connections ever accepted; nodes are stable (Connection is
-  /// not movable) and joined in Wait(). A long-lived server pays a
-  /// small tombstone per closed connection — the tool's lifetime is a
-  /// serving run, so simplicity wins over reaping.
-  std::list<Connection> connections_;
+  mutable std::mutex mutex_;  ///< guards the members below
+  /// Connections not yet reaped; nodes are stable (Connection is not
+  /// movable). The acceptor reaps finished ones at every accept, and
+  /// Wait() joins the rest.
+  ConnectionList connections_;
+  /// Connections whose reader has exited, awaiting the acceptor's join.
+  std::vector<ConnectionList::iterator> finished_;
   size_t accepted_ = 0;
   bool shutdown_ = false;
 };

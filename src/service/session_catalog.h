@@ -56,7 +56,7 @@ struct SessionSpec {
   double lower_fraction = 0.5;
   double alpha = 0.8;
   /// Session construction knobs (cache capacity, rebuild threshold,
-  /// batch executor, ...).
+  /// ...).
   SessionOptions session;
 };
 

@@ -9,9 +9,7 @@
 //    running detect/suggest/verify/invalidate; afterwards the session
 //    must be bit-identical to a serial replay of the same per-thread
 //    op logs on a fresh session (ranking, scores, and every detector's
-//    results + work counters);
-//  * concurrent DetectMany over a batch executor matching the serial
-//    batch member for member.
+//    results + work counters).
 //
 // The suites carry the `concurrency` CTest label, so ci.sh's TSan
 // stage picks them up automatically.
@@ -25,7 +23,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "relation/table.h"
 #include "service/audit_session.h"
 
@@ -401,66 +398,6 @@ TEST(ConcurrentSessionTest, ConcurrentReadersMatchSerial) {
   }
   // 4 threads x 6 queries + 6 verification detects.
   EXPECT_EQ(session->service_stats().detect_queries, 30u);
-}
-
-// ---------------------------------------------------------------------------
-// DetectMany on a batch executor.
-
-TEST(ConcurrentSessionTest, DetectManyOnExecutorMatchesSerial) {
-  SessionOptions concurrent_options;
-  concurrent_options.cache_capacity = 0;  // in-batch dedup only
-  concurrent_options.batch_executor = std::make_shared<ThreadPool>(4);
-  auto concurrent = AuditSession::Create(StressTable(120, 41), "score", false,
-                                         concurrent_options);
-  ASSERT_TRUE(concurrent.ok());
-  SessionOptions serial_options;
-  serial_options.cache_capacity = 0;
-  auto serial =
-      AuditSession::Create(StressTable(120, 41), "score", false,
-                           serial_options);
-  ASSERT_TRUE(serial.ok());
-
-  std::vector<api::AuditRequest> batch;
-  for (int tau : {8, 10, 12, 14}) {
-    batch.push_back(Query("GlobalBounds", 40, tau));
-  }
-  const std::vector<api::AuditRequest> distinct = batch;
-  batch.insert(batch.end(), distinct.begin(), distinct.end());
-
-  auto concurrent_responses = concurrent->DetectMany(batch);
-  auto serial_responses = serial->DetectMany(batch);
-  ASSERT_TRUE(concurrent_responses.ok())
-      << concurrent_responses.status().ToString();
-  ASSERT_TRUE(serial_responses.ok());
-  ASSERT_EQ(concurrent_responses->size(), batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const api::AuditResponse& a = (*concurrent_responses)[i];
-    const api::AuditResponse& b = (*serial_responses)[i];
-    EXPECT_EQ(a.cached, b.cached) << i;
-    ExpectSameResult(*a.result, *b.result, "batch[" + std::to_string(i) +
-                                               "]");
-  }
-  // The 4 duplicates are served from their distinct twins.
-  for (size_t i = distinct.size(); i < batch.size(); ++i) {
-    EXPECT_TRUE((*concurrent_responses)[i].cached);
-    EXPECT_EQ((*concurrent_responses)[i].result.get(),
-              (*concurrent_responses)[i - distinct.size()].result.get());
-  }
-}
-
-TEST(ConcurrentSessionTest, DetectManyOnExecutorReportsFirstFailure) {
-  SessionOptions options;
-  options.batch_executor = std::make_shared<ThreadPool>(2);
-  auto session =
-      AuditSession::Create(StressTable(60, 51), "score", false, options);
-  ASSERT_TRUE(session.ok());
-
-  api::AuditRequest good = Query("PropBounds", 20, 6);
-  api::AuditRequest bad = Query("PropBounds", 20, 6);
-  bad.config.k_max = 100000;  // exceeds the table
-  auto responses = session->DetectMany({good, bad, good});
-  ASSERT_FALSE(responses.ok());
-  EXPECT_EQ(responses.status().code(), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
 // In-process tests for the TCP serving layer
 // (src/service/net/socket_server.h): concurrent connections over a
 // session catalog, JSONL framing quirks (blank lines, CRLF, a
-// trailing unterminated line), per-connection response ordering,
-// close-during-in-flight safety, and graceful shutdown draining.
+// trailing unterminated line, a line over the size bound),
+// per-connection response ordering, close-during-in-flight safety,
+// graceful shutdown draining, and reaping of finished connections.
 // These run under TSan via the `concurrency` CTest label — the tool
 // smoke test (smoke_serve_tcp) exercises the same stack end-to-end
 // but is unregistered in sanitizer builds (FAIRTOPK_BUILD_TOOLS=OFF).
 #include "service/net/socket_server.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <string>
 #include <thread>
@@ -21,6 +25,7 @@
 #include "common/rng.h"
 #include "common/socket.h"
 #include "relation/table.h"
+#include "service/request_pipeline.h"
 #include "service/session_catalog.h"
 
 namespace fairtopk {
@@ -157,11 +162,11 @@ class SocketServerTest : public ::testing::Test {
   }
 
   /// Listens on an ephemeral port and starts the server.
-  SocketServer& StartServer(SocketServerOptions options = {}) {
+  SocketServer& StartServer(int workers = 2) {
     auto listener = TcpListener::Listen("127.0.0.1", 0);
     EXPECT_TRUE(listener.ok()) << listener.status().ToString();
     server_.emplace(&service_.value(), std::move(listener).value(),
-                    options);
+                    workers);
     server_->Start();
     return server_.value();
   }
@@ -179,9 +184,7 @@ class SocketServerTest : public ::testing::Test {
 };
 
 TEST_F(SocketServerTest, ConcurrentClientsGetOrderedResponses) {
-  SocketServerOptions options;
-  options.workers = 4;
-  SocketServer& server = StartServer(options);
+  SocketServer& server = StartServer(4);
 
   constexpr int kClients = 4;
   constexpr int kRequests = 12;
@@ -251,9 +254,7 @@ TEST_F(SocketServerTest, FramingSkipsBlanksAndServesTrailingPartialLine) {
 }
 
 TEST_F(SocketServerTest, CloseDuringInFlightRequestIsSafe) {
-  SocketServerOptions options;
-  options.workers = 2;
-  SocketServer& server = StartServer(options);
+  SocketServer& server = StartServer(2);
 
   g_net_gate_release.store(false, std::memory_order_release);
   TcpConnection blocked = Connect();
@@ -304,10 +305,7 @@ TEST_F(SocketServerTest, CloseDuringInFlightRequestIsSafe) {
 }
 
 TEST_F(SocketServerTest, ShutdownDrainsInFlightRequests) {
-  SocketServerOptions options;
-  options.workers = 2;
-  options.max_pending = 4;
-  SocketServer& server = StartServer(options);
+  SocketServer& server = StartServer(2);
 
   g_net_gate_release.store(false, std::memory_order_release);
   TcpConnection connection = Connect();
@@ -330,6 +328,63 @@ TEST_F(SocketServerTest, ShutdownDrainsInFlightRequests) {
             (std::vector<std::string>{"slow", "s1", "s2"}));
   server.Wait();
 }
+
+TEST_F(SocketServerTest, OverlongLineIsAnsweredAndSkipped) {
+  SocketServer& server = StartServer();
+  TcpConnection connection = Connect();
+  ASSERT_TRUE(connection.valid());
+  // kMaxLineBytes + 1 MiB bytes with no newline: answered with
+  // RESOURCE_EXHAUSTED and dropped through the newline, after which
+  // the connection keeps serving.
+  const std::string chunk(size_t{1} << 20, 'x');
+  for (size_t sent = 0; sent <= RequestPipeline::kMaxLineBytes;
+       sent += chunk.size()) {
+    ASSERT_TRUE(connection.SendAll(chunk).ok());
+  }
+  ASSERT_TRUE(
+      connection.SendAll("\n{\"op\":\"stats\",\"id\":\"after\"}\n").ok());
+  connection.ShutdownWrite();
+  auto lines = ReadAllLines(connection);
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_NE(lines[0].find("\"id\":null"), std::string::npos) << lines[0];
+  EXPECT_NE(lines[0].find("RESOURCE_EXHAUSTED"), std::string::npos)
+      << lines[0];
+  EXPECT_NE(lines[1].find("\"id\":\"after\""), std::string::npos)
+      << lines[1];
+  EXPECT_NE(lines[1].find("\"ok\":true"), std::string::npos) << lines[1];
+  server.RequestShutdown();
+  server.Wait();
+}
+
+#ifdef __linux__
+/// Mappings in this process; every unjoined exited thread keeps its
+/// stack (and guard page) mapped.
+size_t MappedRegions() {
+  std::ifstream maps("/proc/self/maps");
+  return static_cast<size_t>(std::count(std::istreambuf_iterator<char>(maps),
+                                        std::istreambuf_iterator<char>(),
+                                        '\n'));
+}
+
+TEST_F(SocketServerTest, FinishedConnectionsAreReaped) {
+  SocketServer& server = StartServer();
+  const auto one_request = [this] {
+    TcpConnection connection = Connect();
+    ASSERT_TRUE(connection.valid());
+    ASSERT_TRUE(connection.SendAll("{\"op\":\"stats\",\"id\":1}\n").ok());
+    connection.ShutdownWrite();
+    ASSERT_EQ(ReadAllLines(connection).size(), 1u);
+  };
+  // Warm up the allocator's arenas and the thread-stack cache.
+  for (int i = 0; i < 50; ++i) one_request();
+  const size_t before = MappedRegions();
+  for (int i = 0; i < 2000; ++i) one_request();
+  EXPECT_LE(MappedRegions(), before + 32);
+  server.RequestShutdown();
+  server.Wait();
+  EXPECT_EQ(server.connections_accepted(), 2050u);
+}
+#endif
 
 TEST_F(SocketServerTest, ClientVanishingMidResponseDoesNotWedgeShutdown) {
   SocketServer& server = StartServer();

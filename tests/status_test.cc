@@ -28,6 +28,8 @@ TEST(StatusTest, NamedConstructorsProduceDistinctCodes) {
   EXPECT_EQ(Status::Internal("x").code(), StatusCode::kInternal);
   EXPECT_EQ(Status::Unimplemented("x").code(), StatusCode::kUnimplemented);
   EXPECT_EQ(Status::IoError("x").code(), StatusCode::kIoError);
+  EXPECT_EQ(Status::ResourceExhausted("x").code(),
+            StatusCode::kResourceExhausted);
 }
 
 TEST(StatusTest, EqualityComparesCodeAndMessage) {
@@ -40,6 +42,8 @@ TEST(StatusCodeNameTest, CoversAllCodes) {
   EXPECT_STREQ(StatusCodeName(StatusCode::kOk), "OK");
   EXPECT_STREQ(StatusCodeName(StatusCode::kIoError), "IO_ERROR");
   EXPECT_STREQ(StatusCodeName(StatusCode::kUnimplemented), "UNIMPLEMENTED");
+  EXPECT_STREQ(StatusCodeName(StatusCode::kResourceExhausted),
+               "RESOURCE_EXHAUSTED");
 }
 
 TEST(ResultTest, HoldsValue) {

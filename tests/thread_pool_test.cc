@@ -1,10 +1,8 @@
 // Unit tests for common/thread_pool.h: task delivery, destructor
-// drain, ParallelFor's fork/join contract, and the inline fallback.
+// drain, and submission from worker threads.
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <chrono>
-#include <set>
 #include <thread>
 #include <vector>
 
@@ -12,17 +10,6 @@
 
 namespace fairtopk {
 namespace {
-
-TEST(InlineExecutorTest, RunsOnTheCallingThread) {
-  InlineExecutor executor;
-  const std::thread::id caller = std::this_thread::get_id();
-  bool ran = false;
-  executor.Submit([&] {
-    ran = true;
-    EXPECT_EQ(std::this_thread::get_id(), caller);
-  });
-  EXPECT_TRUE(ran);
-}
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   std::atomic<int> count{0};
@@ -79,46 +66,6 @@ TEST(ThreadPoolTest, SubmitFromWorkerThreads) {
     while (outer_run.load() < 10) std::this_thread::yield();
   }
   EXPECT_EQ(nested_run.load(), 10);
-}
-
-TEST(ParallelForTest, NullExecutorRunsInlineInOrder) {
-  std::vector<size_t> order;
-  ParallelFor(nullptr, 5, [&order](size_t i) { order.push_back(i); });
-  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
-}
-
-TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  std::mutex mutex;
-  std::multiset<size_t> seen;
-  ParallelFor(&pool, 64, [&](size_t i) {
-    std::lock_guard<std::mutex> lock(mutex);
-    seen.insert(i);
-  });
-  EXPECT_EQ(seen.size(), 64u);
-  for (size_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(seen.count(i), 1u) << i;
-  }
-}
-
-TEST(ParallelForTest, BlocksUntilEveryTaskCompleted) {
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  ParallelFor(&pool, 8, [&completed](size_t) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    completed.fetch_add(1, std::memory_order_relaxed);
-  });
-  // The join must not return early — all 8 completions are visible.
-  EXPECT_EQ(completed.load(), 8);
-}
-
-TEST(ParallelForTest, ManyMoreTasksThanWorkersTerminates) {
-  ThreadPool pool(2);
-  std::atomic<int> completed{0};
-  ParallelFor(&pool, 500, [&completed](size_t) {
-    completed.fetch_add(1, std::memory_order_relaxed);
-  });
-  EXPECT_EQ(completed.load(), 500);
 }
 
 }  // namespace

@@ -26,8 +26,9 @@
 // Without --listen, the process reads one JSON request object per
 // stdin line and writes one JSON response object per stdout line until
 // EOF. With --listen PORT it serves the same protocol to concurrent
-// TCP connections (per-connection input-order responses) until SIGINT
-// or SIGTERM, which drains in-flight requests and exits 0 — see
+// TCP connections until SIGINT or SIGTERM, which drains in-flight
+// requests and exits 0. Both modes run every stream through one
+// RequestPipeline (input-order responses) on one --workers pool — see
 // src/service/jsonl_service.h for the protocol and README.md for
 // worked transcripts.
 #include <algorithm>
@@ -45,11 +46,11 @@
 #include "common/signals.h"
 #include "common/socket.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "service/jsonl_service.h"
 #include "service/net/metrics_http.h"
 #include "service/net/socket_server.h"
 #include "service/persistence.h"
+#include "service/request_pipeline.h"
 #include "service/session_catalog.h"
 #include "service/table_loader.h"
 
@@ -73,11 +74,8 @@ struct Args {
   double rebuild_threshold = 0.5;
   int cache_capacity = 64;
   int workers = 1;
-  bool ordered = false;
-  int batch_workers = 0;
   int listen_port = -1;  // -1 = stdin/stdout mode
   std::string host = "127.0.0.1";
-  int max_pending = 0;
   int metrics_port = -1;  // -1 = no Prometheus endpoint
   int slow_query_micros = 0;  // 0 = slow-query log off
 };
@@ -131,25 +129,19 @@ void PrintUsage(std::FILE* out) {
       "  --cache-capacity N     cached detection results (default 64,\n"
       "                         0 disables)\n"
       "  --workers N            request lines executed concurrently\n"
-      "                         (default 1 = serial; 0 = hardware\n"
-      "                         concurrency). On stdin, responses\n"
-      "                         stream in completion order, tagged by\n"
-      "                         request id; on TCP the pool is shared\n"
-      "                         by all connections\n"
-      "  --ordered              with --workers on stdin, reorder\n"
-      "                         responses into input order (TCP\n"
-      "                         connections are always ordered)\n"
-      "  --batch-workers N      pool running detect_batch members\n"
-      "                         concurrently (default 0 = serial)\n"
+      "                         (default 1; 0 = hardware concurrency),\n"
+      "                         on one pool shared by stdin or every\n"
+      "                         TCP connection. Responses always come\n"
+      "                         back in each stream's input order; a\n"
+      "                         stream reads ahead at most 4 lines per\n"
+      "                         worker, and a request line may be at\n"
+      "                         most 64 MiB\n"
       "  --listen PORT          serve TCP on --host instead of stdin\n"
       "                         (0 picks an ephemeral port, printed on\n"
       "                         stderr); SIGINT/SIGTERM drains and\n"
       "                         exits 0\n"
       "  --host ADDR            numeric address to bind\n"
       "                         (default 127.0.0.1)\n"
-      "  --max-pending N        per-connection / stdin-loop bound on\n"
-      "                         admitted-but-unanswered lines\n"
-      "                         (default 4 * workers)\n"
       "  --metrics-port P       serve Prometheus text metrics via\n"
       "                         HTTP GET /metrics on --host:P (0 picks\n"
       "                         an ephemeral port, printed on stderr);\n"
@@ -223,12 +215,6 @@ bool ParseArgs(int argc, char** argv, Args& args, bool& help) {
       }
     } else if (flag == "--workers") {
       if (!next_int("--workers", 0, 4096, args.workers)) return false;
-    } else if (flag == "--ordered") {
-      args.ordered = true;
-    } else if (flag == "--batch-workers") {
-      if (!next_int("--batch-workers", 0, 4096, args.batch_workers)) {
-        return false;
-      }
     } else if (flag == "--lower") {
       if (!next_double("--lower", args.lower_fraction)) return false;
     } else if (flag == "--alpha") {
@@ -253,10 +239,6 @@ bool ParseArgs(int argc, char** argv, Args& args, bool& help) {
       const char* v = next("--host");
       if (v == nullptr) return false;
       args.host = v;
-    } else if (flag == "--max-pending") {
-      if (!next_int("--max-pending", 0, 1 << 20, args.max_pending)) {
-        return false;
-      }
     } else if (flag == "--metrics-port") {
       if (!next_int("--metrics-port", 0, 65535, args.metrics_port)) {
         return false;
@@ -320,13 +302,6 @@ int RunServe(const Args& args) {
   SessionOptions session_options;
   session_options.rebuild_threshold = args.rebuild_threshold;
   session_options.cache_capacity = static_cast<size_t>(args.cache_capacity);
-  if (args.batch_workers > 0) {
-    // Dedicated pool for detect_batch members; deliberately separate
-    // from the front-end workers (a request line blocking inside
-    // DetectMany must never occupy the pool its sub-queries need).
-    session_options.batch_executor =
-        std::make_shared<ThreadPool>(args.batch_workers);
-  }
 
   auto cold_start = [&args,
                      &session_options]() -> Result<AuditSession> {
@@ -427,16 +402,11 @@ int RunServe(const Args& args) {
   }
 
   if (args.listen_port < 0) {
-    ServeOptions serve_options;
-    serve_options.workers = workers;
-    serve_options.ordered = args.ordered;
-    serve_options.max_pending = static_cast<size_t>(args.max_pending);
     std::fprintf(stderr,
                  "session ready: %d rows, %zu pattern attributes, "
-                 "%d worker(s)%s\n",
-                 n, attributes, serve_options.workers,
-                 serve_options.ordered ? " (ordered)" : "");
-    service.Serve(std::cin, std::cout, serve_options);
+                 "%d worker(s)\n",
+                 n, attributes, workers);
+    ServeStream(&service, std::cin, std::cout, workers);
     CompactOnExit(catalog);
     return 0;
   }
@@ -455,10 +425,7 @@ int RunServe(const Args& args) {
     std::fprintf(stderr, "%s\n", listener.status().ToString().c_str());
     return 1;
   }
-  SocketServerOptions server_options;
-  server_options.workers = workers;
-  server_options.max_pending = static_cast<size_t>(args.max_pending);
-  SocketServer server(&service, std::move(listener).value(), server_options);
+  SocketServer server(&service, std::move(listener).value(), workers);
   server.Start();
   std::fprintf(stderr,
                "session ready: %d rows, %zu pattern attributes, "
