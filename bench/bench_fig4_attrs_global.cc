@@ -32,8 +32,9 @@ void Run() {
       if (!baseline_alive && !optimized_alive) break;
       DetectionInput input = PrepareInput(dataset, attrs);
       if (baseline_alive) {
-        RunOutcome run = TimedRun(
-            [&] { return DetectGlobalIterTD(input, bounds, config); });
+        RunOutcome run = TimedRun(input, [&](const DetectionInput& cold) {
+          return DetectGlobalIterTD(cold, bounds, config);
+        });
         std::printf("fig4,%s,%zu,IterTD,%.4f,%llu\n", dataset.name.c_str(),
                     attrs, run.seconds,
                     static_cast<unsigned long long>(run.nodes_visited));
@@ -44,8 +45,9 @@ void Run() {
         }
       }
       if (optimized_alive) {
-        RunOutcome run = TimedRun(
-            [&] { return DetectGlobalBounds(input, bounds, config); });
+        RunOutcome run = TimedRun(input, [&](const DetectionInput& cold) {
+          return DetectGlobalBounds(cold, bounds, config);
+        });
         std::printf("fig4,%s,%zu,GlobalBounds,%.4f,%llu\n",
                     dataset.name.c_str(), attrs, run.seconds,
                     static_cast<unsigned long long>(run.nodes_visited));

@@ -29,8 +29,9 @@ void Run() {
       if (!baseline_alive && !optimized_alive) break;
       DetectionInput input = PrepareInput(dataset, attrs);
       if (baseline_alive) {
-        RunOutcome run = TimedRun(
-            [&] { return DetectPropIterTD(input, bounds, config); });
+        RunOutcome run = TimedRun(input, [&](const DetectionInput& cold) {
+          return DetectPropIterTD(cold, bounds, config);
+        });
         std::printf("fig5,%s,%zu,IterTD,%.4f,%llu\n", dataset.name.c_str(),
                     attrs, run.seconds,
                     static_cast<unsigned long long>(run.nodes_visited));
@@ -41,8 +42,9 @@ void Run() {
         }
       }
       if (optimized_alive) {
-        RunOutcome run = TimedRun(
-            [&] { return DetectPropBounds(input, bounds, config); });
+        RunOutcome run = TimedRun(input, [&](const DetectionInput& cold) {
+          return DetectPropBounds(cold, bounds, config);
+        });
         std::printf("fig5,%s,%zu,PropBounds,%.4f,%llu\n",
                     dataset.name.c_str(), attrs, run.seconds,
                     static_cast<unsigned long long>(run.nodes_visited));

@@ -24,13 +24,15 @@ void Run() {
     DetectionInput input = PrepareInput(dataset, kNumAttrs);
     for (int tau = 10; tau <= 100; tau += 10) {
       config.size_threshold = tau;
-      RunOutcome base = TimedRun(
-          [&] { return DetectGlobalIterTD(input, bounds, config); });
+      RunOutcome base = TimedRun(input, [&](const DetectionInput& cold) {
+        return DetectGlobalIterTD(cold, bounds, config);
+      });
       std::printf("fig6,%s,%d,IterTD,%.4f,%llu\n", dataset.name.c_str(), tau,
                   base.seconds,
                   static_cast<unsigned long long>(base.nodes_visited));
-      RunOutcome opt = TimedRun(
-          [&] { return DetectGlobalBounds(input, bounds, config); });
+      RunOutcome opt = TimedRun(input, [&](const DetectionInput& cold) {
+        return DetectGlobalBounds(cold, bounds, config);
+      });
       std::printf("fig6,%s,%d,GlobalBounds,%.4f,%llu\n",
                   dataset.name.c_str(), tau, opt.seconds,
                   static_cast<unsigned long long>(opt.nodes_visited));

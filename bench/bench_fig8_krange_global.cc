@@ -24,13 +24,15 @@ void Run() {
       config.k_max = k_max;
       config.size_threshold = 50;
       GlobalBoundSpec bounds = GlobalBoundSpec::PaperDefault(k_max);
-      RunOutcome base = TimedRun(
-          [&] { return DetectGlobalIterTD(input, bounds, config); });
+      RunOutcome base = TimedRun(input, [&](const DetectionInput& cold) {
+        return DetectGlobalIterTD(cold, bounds, config);
+      });
       std::printf("fig8,%s,%d,IterTD,%.4f,%llu\n", dataset.name.c_str(),
                   k_max, base.seconds,
                   static_cast<unsigned long long>(base.nodes_visited));
-      RunOutcome opt = TimedRun(
-          [&] { return DetectGlobalBounds(input, bounds, config); });
+      RunOutcome opt = TimedRun(input, [&](const DetectionInput& cold) {
+        return DetectGlobalBounds(cold, bounds, config);
+      });
       std::printf("fig8,%s,%d,GlobalBounds,%.4f,%llu\n",
                   dataset.name.c_str(), k_max, opt.seconds,
                   static_cast<unsigned long long>(opt.nodes_visited));

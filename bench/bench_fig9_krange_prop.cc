@@ -22,13 +22,15 @@ void Run() {
       config.k_min = 10;
       config.k_max = k_max;
       config.size_threshold = 50;
-      RunOutcome base =
-          TimedRun([&] { return DetectPropIterTD(input, bounds, config); });
+      RunOutcome base = TimedRun(input, [&](const DetectionInput& cold) {
+        return DetectPropIterTD(cold, bounds, config);
+      });
       std::printf("fig9,%s,%d,IterTD,%.4f,%llu\n", dataset.name.c_str(),
                   k_max, base.seconds,
                   static_cast<unsigned long long>(base.nodes_visited));
-      RunOutcome opt =
-          TimedRun([&] { return DetectPropBounds(input, bounds, config); });
+      RunOutcome opt = TimedRun(input, [&](const DetectionInput& cold) {
+        return DetectPropBounds(cold, bounds, config);
+      });
       std::printf("fig9,%s,%d,PropBounds,%.4f,%llu\n", dataset.name.c_str(),
                   k_max, opt.seconds,
                   static_cast<unsigned long long>(opt.nodes_visited));

@@ -27,10 +27,12 @@ void Run() {
   for (Dataset& dataset : AllDatasets()) {
     DetectionInput input = PrepareInput(dataset, kNumAttrs);
 
-    RunOutcome g_base =
-        TimedRun([&] { return DetectGlobalIterTD(input, gbounds, config); });
-    RunOutcome g_opt =
-        TimedRun([&] { return DetectGlobalBounds(input, gbounds, config); });
+    RunOutcome g_base = TimedRun(input, [&](const DetectionInput& cold) {
+      return DetectGlobalIterTD(cold, gbounds, config);
+    });
+    RunOutcome g_opt = TimedRun(input, [&](const DetectionInput& cold) {
+      return DetectGlobalBounds(cold, gbounds, config);
+    });
     const double g_gain =
         100.0 *
         (static_cast<double>(g_base.nodes_visited) -
@@ -41,10 +43,12 @@ void Run() {
                 static_cast<unsigned long long>(g_opt.nodes_visited),
                 g_gain);
 
-    RunOutcome p_base =
-        TimedRun([&] { return DetectPropIterTD(input, pbounds, config); });
-    RunOutcome p_opt =
-        TimedRun([&] { return DetectPropBounds(input, pbounds, config); });
+    RunOutcome p_base = TimedRun(input, [&](const DetectionInput& cold) {
+      return DetectPropIterTD(cold, pbounds, config);
+    });
+    RunOutcome p_opt = TimedRun(input, [&](const DetectionInput& cold) {
+      return DetectPropBounds(cold, pbounds, config);
+    });
     const double p_gain =
         100.0 *
         (static_cast<double>(p_base.nodes_visited) -

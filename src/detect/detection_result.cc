@@ -3,24 +3,21 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <unordered_map>
+
+#include "detect/engine/size_memo.h"
 
 namespace fairtopk {
 
-void DetectionResult::CountGroups(const BitmapIndex& index) {
-  // A group is typically reported at many ks; its size is the same at
-  // every one of them.
-  std::unordered_map<Pattern, size_t, PatternHash> sizes;
+void DetectionResult::CountGroups(const DetectionInput& input) {
+  const BitmapIndex& index = input.index();
   for (int k = k_min(); k <= k_max(); ++k) {
     const std::vector<Pattern>& groups = AtK(k);
     std::vector<GroupCounts>& counts = counts_[static_cast<size_t>(k - k_min_)];
     counts.clear();
     counts.reserve(groups.size());
     for (const Pattern& p : groups) {
-      auto [it, first] = sizes.try_emplace(p, 0);
-      if (first) it->second = index.PatternCount(p);
-      counts.push_back(
-          {it->second, index.TopKCount(p, static_cast<size_t>(k))});
+      counts.push_back({input.sizes().SizeOf(p, index, nullptr),
+                        index.TopKCount(p, static_cast<size_t>(k))});
     }
   }
   num_rows_ = index.num_rows();
@@ -53,6 +50,24 @@ size_t DetectionResult::MaxResultSize() const {
   }
   return max_size;
 }
+
+DetectionInput::DetectionInput(BitmapIndex index,
+                               std::vector<uint32_t> ranking)
+    : index_(std::move(index)),
+      ranking_(std::move(ranking)),
+      sizes_(std::make_unique<engine::SizeMemo>(index_.space())) {}
+
+DetectionInput::DetectionInput(const DetectionInput& other)
+    : DetectionInput(other.index_, other.ranking_) {}
+
+DetectionInput& DetectionInput::operator=(const DetectionInput& other) {
+  if (this != &other) *this = DetectionInput(other);
+  return *this;
+}
+
+DetectionInput::DetectionInput(DetectionInput&&) noexcept = default;
+DetectionInput& DetectionInput::operator=(DetectionInput&&) noexcept = default;
+DetectionInput::~DetectionInput() = default;
 
 Result<DetectionInput> DetectionInput::Prepare(
     const Table& table, const Ranker& ranker,
@@ -109,6 +124,10 @@ Status DetectionInput::UpdateRanking(const Table& table,
     FAIRTOPK_RETURN_IF_ERROR(index_.ApplyRanking(
         table, new_ranking, &local.patched_positions));
     local.kind = Maintenance::kPatched;
+  }
+  // Appended rows change group sizes; a re-rank changes none.
+  if (n != ranking_.size()) {
+    sizes_ = std::make_unique<engine::SizeMemo>(index_.space());
   }
   ranking_ = std::move(new_ranking);
   if (outcome != nullptr) *outcome = local;

@@ -16,6 +16,12 @@
 
 namespace fairtopk {
 
+class DetectionInput;
+
+namespace engine {
+class SizeMemo;
+}  // namespace engine
+
 /// Parameters common to all detection problems.
 struct DetectionConfig {
   int k_min = 10;
@@ -36,11 +42,11 @@ struct DetectionStats {
   uint64_t nodes_visited = 0;
   /// Node evaluations below a non-empty parent in the search engine:
   /// each was answered from the parent's PatternCursor frame (and the
-  /// run's size memo) instead of |p| full intersections.
+  /// input's size memo) instead of |p| full intersections.
   uint64_t cursor_reuse_hits = 0;
-  /// Full-width size counts: evaluations whose s_D(p) the run had not
-  /// counted before. A run counts each pattern's size once and reads
-  /// every repeat from its size memo (engine/size_memo.h); every other
+  /// Full-width size counts in this run: evaluations whose s_D(p) the
+  /// input's size memo (engine/size_memo.h) did not hold yet. The memo
+  /// outlives the run, so a run on a warm input counts 0; every other
   /// evaluation reads only the ceil(k/64) top-k prefix words.
   uint64_t sizes_counted = 0;
   /// Elapsed wall-clock seconds of the algorithm, set once by the
@@ -97,11 +103,12 @@ class DetectionResult {
   }
 
   /// Stores every reported group's size and top-k count, read from
-  /// `index` — the index the run searched, which the caller keeps
+  /// `input` — the input the run searched, which the caller keeps
   /// unchanged for the duration (a session holds its shared lock).
-  /// Each distinct pattern's size is counted once. Every detector entry
-  /// point returns a counted result.
-  void CountGroups(const BitmapIndex& index);
+  /// Sizes come from the input's size memo, where the run left every
+  /// group it reported. Every detector entry point returns a counted
+  /// result.
+  void CountGroups(const DetectionInput& input);
 
   /// True once CountGroups ran after the last MutableAtK.
   bool counted() const { return counted_; }
@@ -176,11 +183,19 @@ class DetectionResult {
 };
 
 /// Validated bundle of everything the algorithms need: the ranked
-/// bitmap index for one (table, ranker, pattern attributes) triple.
-/// Building it once lets benchmark comparisons exclude ranking and
-/// index-construction cost from all algorithms equally.
+/// bitmap index for one (table, ranker, pattern attributes) triple,
+/// and the size memo every search over it shares. Building it once
+/// lets benchmark comparisons exclude ranking and index-construction
+/// cost from all algorithms equally.
 class DetectionInput {
  public:
+  /// A copy starts with an empty size memo; a move carries the memo.
+  DetectionInput(const DetectionInput& other);
+  DetectionInput& operator=(const DetectionInput& other);
+  DetectionInput(DetectionInput&&) noexcept;
+  DetectionInput& operator=(DetectionInput&&) noexcept;
+  ~DetectionInput();
+
   /// Ranks `table` with `ranker`, builds the pattern space over
   /// `pattern_attributes` (all categorical attributes when empty), and
   /// indexes the result.
@@ -205,6 +220,12 @@ class DetectionInput {
   const PatternSpace& space() const { return index_.space(); }
   size_t num_rows() const { return index_.num_rows(); }
   const std::vector<uint32_t>& ranking() const { return ranking_; }
+
+  /// s_D of every pattern the searches over this index generation have
+  /// counted (engine/size_memo.h). Every search reads and extends it,
+  /// from any number of threads; it is empty until the first search.
+  /// UpdateRanking replaces it when the row count changes.
+  engine::SizeMemo& sizes() const { return *sizes_; }
 
   /// Checks k range and threshold against this input.
   Status ValidateConfig(const DetectionConfig& config) const;
@@ -231,17 +252,20 @@ class DetectionInput {
   /// rank positions whose row changed is at most `rebuild_threshold`
   /// (a fraction of the new row count) the index is patched in place;
   /// beyond it, patching would rewrite most positions anyway, so the
-  /// index is rebuilt from scratch. On error the input is unchanged.
+  /// index is rebuilt from scratch. A re-rank keeps the size memo; a
+  /// change of the row count (appended rows) replaces it with an empty
+  /// one, so no search may run during the call. On error the input is
+  /// unchanged.
   Status UpdateRanking(const Table& table, std::vector<uint32_t> new_ranking,
                        double rebuild_threshold,
                        MaintenanceOutcome* outcome = nullptr);
 
  private:
-  DetectionInput(BitmapIndex index, std::vector<uint32_t> ranking)
-      : index_(std::move(index)), ranking_(std::move(ranking)) {}
+  DetectionInput(BitmapIndex index, std::vector<uint32_t> ranking);
 
   BitmapIndex index_;
   std::vector<uint32_t> ranking_;
+  std::unique_ptr<engine::SizeMemo> sizes_;
 };
 
 }  // namespace fairtopk

@@ -70,7 +70,7 @@ class MaterializingSink : public ResultSink {
 
 /// Runs a streaming detector entry point into a MaterializingSink and
 /// returns the collected DetectionResult, each group's counts stored
-/// (DetectionResult::CountGroups) from the index the run searched —
+/// (DetectionResult::CountGroups) from the input the run searched —
 /// the shared body of every Detect* materializing wrapper. The config
 /// is validated here first: the sink's (k_min, k_max) allocation must
 /// not happen on an invalid range (the stream function re-validates,
@@ -83,7 +83,7 @@ Result<DetectionResult> MaterializeStream(const DetectionInput& input,
   MaterializingSink sink(config.k_min, config.k_max);
   FAIRTOPK_RETURN_IF_ERROR(stream(static_cast<ResultSink&>(sink)));
   DetectionResult result = std::move(sink).TakeResult();
-  result.CountGroups(input.index());
+  result.CountGroups(input);
   return result;
 }
 

@@ -8,10 +8,11 @@
 //     a PatternCursor that keeps the parent's intersection, so a child
 //     costs one AND against a single (attribute, value) bitset — not
 //     |p| full intersections (see index/pattern_cursor.h). A child's
-//     size s_D does not depend on k, so every search of a detect run
-//     shares the run's SizeMemo (engine/size_memo.h): a size is counted
-//     over the full width once per run, and every other evaluation
-//     ANDs only the ceil(k/64) words of the top-k prefix.
+//     size s_D depends only on the data, so every search over an input
+//     shares the input's SizeMemo (engine/size_memo.h): a size is
+//     counted over the full width once per index generation, and every
+//     other evaluation ANDs only the ceil(k/64) words of the top-k
+//     prefix.
 //
 //  2. Inlined policies. Bound evaluation and reporting semantics are
 //     template parameters (any callable / visitor struct), so the hot
@@ -61,7 +62,7 @@ void DescendFrom(const BitmapIndex& index, const SearchParams& params,
                  DetectionStats& stats);
 
 /// Evaluates the node (cursor's pattern ∪ {attr = value}), whose id in
-/// the run's memo is `id`: its size comes from the memo, or is counted
+/// the input's memo is `id`: its size comes from the memo, or is counted
 /// over the full width through the cursor and stored; a node smaller
 /// than the size threshold is skipped (anti-monotone prune); otherwise
 /// its top-k prefix is counted and the node handed to the visitor, and
@@ -143,19 +144,19 @@ void SequentialTopDown(const BitmapIndex& index, const SearchParams& params,
 /// set straight to `sink` — nothing is materialized here. `per_k` may
 /// carry state across ks (the incremental algorithms do), accumulates
 /// work counters into the passed DetectionStats, and hands `sizes`,
-/// the run's size memo over `index`, to every search it runs; the memo
-/// lives for the run and is freed when it ends. The driver owns the
-/// wall clock and the final OnStats call, enforcing the ResultSink
-/// contract in one place. A sink error aborts the run
-/// (the remaining ks are never searched). The wall clock covers the
-/// per_k searches only — time spent inside the caller's sink is NOT
-/// detection time, so a slow streaming consumer cannot inflate
-/// `seconds`.
+/// the input's size memo, to every search it runs; the memo outlives
+/// the run, so later runs (and the result's CountGroups) read what
+/// this one counted. The driver owns the wall clock and the final
+/// OnStats call, enforcing the ResultSink contract in one place. A
+/// sink error aborts the run (the remaining ks are never searched).
+/// The wall clock covers the per_k searches only — time spent inside
+/// the caller's sink is NOT detection time, so a slow streaming
+/// consumer cannot inflate `seconds`.
 template <typename PerKFn>
-Status StreamPerK(const BitmapIndex& index, const DetectionConfig& config,
+Status StreamPerK(const DetectionInput& input, const DetectionConfig& config,
                   ResultSink& sink, const PerKFn& per_k) {
   DetectionStats stats;
-  SizeMemo sizes(index.space());
+  SizeMemo& sizes = input.sizes();
   for (int k = config.k_min; k <= config.k_max; ++k) {
     WallTimer timer;
     std::vector<Pattern> batch = per_k(k, stats, sizes);
@@ -166,40 +167,36 @@ Status StreamPerK(const BitmapIndex& index, const DetectionConfig& config,
   return Status::OK();
 }
 
-/// Output of a most-general below-bound search: Res and DRes of
-/// Algorithm 1 (deferred = biased patterns shadowed by a more general
-/// member of the result, which the incremental algorithms reuse).
-struct SearchOutcome {
-  MostGeneralResultSet result;
-  std::vector<Pattern> deferred;
-};
-
 /// Algorithm 1's report step, shared between the top-down searches and
 /// GLOBALBOUNDS' re-examination of the deferred set. One Update scan
 /// classifies everything: inserted (evictions → deferred), shadowed by
-/// a proper ancestor (→ deferred), or duplicate (dropped).
+/// a proper ancestor (→ deferred), or duplicate (dropped). A null
+/// `deferred` keeps Res only: the evicted and shadowed patterns are
+/// dropped, and nothing is copied.
 inline void ReportBiased(const Pattern& p, MostGeneralResultSet& res,
-                         std::vector<Pattern>& deferred) {
+                         std::vector<Pattern>* deferred) {
   UpdateOutcome update = res.Update(p);
+  if (deferred == nullptr) return;
   if (update.inserted) {
     for (Pattern& evicted : update.evicted) {
-      deferred.push_back(std::move(evicted));
+      deferred->push_back(std::move(evicted));
     }
     return;
   }
-  if (!update.duplicate) deferred.push_back(p);
+  if (!update.duplicate) deferred->push_back(p);
 }
 
 namespace internal {
 
 /// Visitor of Algorithm 1: stop descent at biased nodes (top-k count
 /// strictly below the bound) and report them into `res` / `deferred`
-/// with most-general semantics; descend through unbiased nodes.
+/// (when non-null) with most-general semantics; descend through
+/// unbiased nodes.
 template <typename BoundFn>
 struct BelowBoundCollector {
   BoundFn bound;
   MostGeneralResultSet& res;
-  std::vector<Pattern>& deferred;
+  std::vector<Pattern>* deferred;
 
   bool operator()(const Pattern& p, size_t size_d, size_t top_k) {
     if (static_cast<double>(top_k) < bound(size_d)) {
@@ -213,22 +210,24 @@ struct BelowBoundCollector {
 }  // namespace internal
 
 /// Algorithm 1: full top-down search from the root at a single k,
-/// reporting the most-general biased patterns — Res, plus DRes in
-/// `deferred`. Patterns are biased when their top-k count falls
-/// strictly below `bound`, any callable double(size_t size_in_d),
-/// inlined per instantiation: a constant L_k for the global problem,
-/// alpha * size * k / |D| for the proportional one. Shared by the
-/// ITERTD baselines, the full searches of GLOBALBOUNDS, and bound
-/// suggestion. `sizes` is the memo of the run the search belongs to.
+/// returning the most-general biased patterns (Res) and, when
+/// `deferred` is non-null, appending DRes to it: the biased patterns a
+/// more general member shadows, which GLOBALBOUNDS reuses. Patterns are
+/// biased when their top-k count falls strictly below `bound`, any
+/// callable double(size_t size_in_d), inlined per instantiation: a
+/// constant L_k for the global problem, alpha * size * k / |D| for the
+/// proportional one. Shared by the ITERTD baselines, the full searches
+/// of GLOBALBOUNDS, and bound suggestion. `sizes` is the memo of the
+/// input `index` belongs to.
 template <typename BoundFn>
-SearchOutcome MostGeneralBelow(const BitmapIndex& index,
-                               const SearchParams& params, SizeMemo& sizes,
-                               const BoundFn& bound, DetectionStats* stats) {
-  SearchOutcome outcome;
-  internal::BelowBoundCollector<BoundFn> collector{bound, outcome.result,
-                                                   outcome.deferred};
+MostGeneralResultSet MostGeneralBelow(
+    const BitmapIndex& index, const SearchParams& params, SizeMemo& sizes,
+    const BoundFn& bound, DetectionStats* stats,
+    std::vector<Pattern>* deferred = nullptr) {
+  MostGeneralResultSet result;
+  internal::BelowBoundCollector<BoundFn> collector{bound, result, deferred};
   SequentialTopDown(index, params, sizes, collector, stats);
-  return outcome;
+  return result;
 }
 
 /// Generic pre-order descent below non-empty `from` with an arbitrary
@@ -259,7 +258,7 @@ void MostGeneralBelowFrom(const BitmapIndex& index, const SearchParams& params,
                           const BoundFn& bound, MostGeneralResultSet& res,
                           std::vector<Pattern>& deferred,
                           DetectionStats* stats) {
-  internal::BelowBoundCollector<BoundFn> collector{bound, res, deferred};
+  internal::BelowBoundCollector<BoundFn> collector{bound, res, &deferred};
   VisitBelowFrom(index, params, from, sizes, collector, stats);
 }
 

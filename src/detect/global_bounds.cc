@@ -25,7 +25,7 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
   MostGeneralResultSet res;
   std::vector<Pattern> deferred;
 
-  return engine::StreamPerK(index, config, sink,
+  return engine::StreamPerK(input, config, sink,
                             [&](int k, DetectionStats& stats,
                                 engine::SizeMemo& sizes)
                                 -> std::vector<Pattern> {
@@ -37,10 +37,9 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
     if (k == config.k_min || lower != bounds.lower.At(k - 1)) {
       // Initial iteration, or the bound stepped up: restart with a
       // fresh search (Algorithm 2, line 5).
-      engine::SearchOutcome outcome =
-          engine::MostGeneralBelow(index, params, sizes, flat_bound, sp);
-      res = std::move(outcome.result);
-      deferred = std::move(outcome.deferred);
+      deferred.clear();
+      res = engine::MostGeneralBelow(index, params, sizes, flat_bound, sp,
+                                     &deferred);
       return res.Sorted();
     }
 
@@ -84,7 +83,7 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
                                      res, deferred, sp);
         continue;
       }
-      engine::ReportBiased(d, res, deferred);
+      engine::ReportBiased(d, res, &deferred);
     }
 
     return res.Sorted();

@@ -12,15 +12,15 @@ Status DetectGlobalIterTDStream(const DetectionInput& input,
                                 ResultSink& sink) {
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
   return engine::StreamPerK(
-      input.index(), config, sink,
+      input, config, sink,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const double lower = bounds.lower.At(k);
         const engine::SearchParams params{config.size_threshold,
                                           static_cast<size_t>(k)};
-        engine::SearchOutcome outcome = engine::MostGeneralBelow(
-            input.index(), params, sizes,
-            [lower](size_t) { return lower; }, &stats);
-        return outcome.result.Sorted();
+        return engine::MostGeneralBelow(input.index(), params, sizes,
+                                        [lower](size_t) { return lower; },
+                                        &stats)
+            .Sorted();
       });
 }
 
@@ -42,7 +42,7 @@ Status DetectPropIterTDStream(const DetectionInput& input,
   }
   const size_t n = input.num_rows();
   return engine::StreamPerK(
-      input.index(), config, sink,
+      input, config, sink,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         // Evaluate the bound through PropBoundSpec::LowerAt so every
         // algorithm (and test oracle) shares one floating-point
@@ -50,13 +50,13 @@ Status DetectPropIterTDStream(const DetectionInput& input,
         // otherwise be classified inconsistently.
         const engine::SearchParams params{config.size_threshold,
                                           static_cast<size_t>(k)};
-        engine::SearchOutcome outcome = engine::MostGeneralBelow(
-            input.index(), params, sizes,
-            [&bounds, k, n](size_t size_d) {
-              return bounds.LowerAt(static_cast<int>(size_d), k, n);
-            },
-            &stats);
-        return outcome.result.Sorted();
+        return engine::MostGeneralBelow(
+                   input.index(), params, sizes,
+                   [&bounds, k, n](size_t size_d) {
+                     return bounds.LowerAt(static_cast<int>(size_d), k, n);
+                   },
+                   &stats)
+            .Sorted();
       });
 }
 

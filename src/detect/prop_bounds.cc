@@ -116,13 +116,19 @@ class PropSearch {
   int KTilde(size_t top_k, size_t size_d, int k) const {
     const double denom = alpha_ * static_cast<double>(size_d);
     if (denom <= 0.0) return 0;
-    int kt = static_cast<int>(
-                 std::floor(static_cast<double>(top_k) * n_ / denom)) +
-             1;
+    // The estimate is capped at k_max + 1 in floating point: a tiny
+    // alpha puts it beyond INT_MAX. Biased() is monotone in k', so the
+    // cap changes no answer, and both loops below stay within
+    // [k + 1, k_max + 1].
+    const double estimate =
+        std::floor(static_cast<double>(top_k) * n_ / denom) + 1.0;
+    int kt = estimate > static_cast<double>(config_.k_max) + 1.0
+                 ? config_.k_max + 1
+                 : static_cast<int>(estimate);
     if (kt <= k) kt = k + 1;
     // Guard against floating-point rounding on the floor above.
     while (kt > k + 1 && Biased(top_k, size_d, kt - 1)) --kt;
-    while (!Biased(top_k, size_d, kt)) ++kt;
+    while (kt <= config_.k_max && !Biased(top_k, size_d, kt)) ++kt;
     return kt > config_.k_max ? 0 : kt;
   }
 
@@ -147,7 +153,7 @@ class PropSearch {
     }
   }
 
-  /// Evaluates `p` — node `id` of the run's memo — at iteration `k`
+  /// Evaluates `p` — node `id` of the input's memo — at iteration `k`
   /// and descends: fully when the subtree below `p` has never been
   /// explored (or `full` is set by an un-biased ancestor), selectively
   /// (new-tuple-satisfying children only) otherwise.
@@ -245,7 +251,7 @@ class PropSearch {
   const BitmapIndex& index_;
   const PatternSpace& space_;
   const DetectionConfig config_;
-  // The run's sizes; every s_D this search reads comes from here.
+  // The input's sizes; every s_D this search reads comes from here.
   engine::SizeMemo& sizes_;
   DetectionStats* stats_;
   const PropBoundSpec bounds_;
@@ -270,11 +276,11 @@ Status DetectPropBoundsStream(const DetectionInput& input,
     return Status::InvalidArgument("alpha must be positive");
   }
   // The search state is built on the first iteration so it can bind to
-  // the driver's DetectionStats and size memo (one each for the whole
-  // run).
+  // the driver's DetectionStats (one for the whole run) and the input's
+  // size memo.
   std::optional<PropSearch> search;
   return engine::StreamPerK(
-      input.index(), config, sink,
+      input, config, sink,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         if (!search.has_value()) {
           search.emplace(input.index(), bounds, config, sizes, &stats);

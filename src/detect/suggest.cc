@@ -29,12 +29,12 @@ GlobalBoundSpec StaircaseFor(double level, int k_min, int k_max) {
 /// Number of most-general groups reported at k_max for a bound (any
 /// callable double(size_t size_in_d)).
 template <typename BoundFn>
-size_t GroupsAt(const DetectionInput& input, engine::SizeMemo& sizes, int tau,
-                int k, const BoundFn& bound) {
+size_t GroupsAt(const DetectionInput& input, int tau, int k,
+                const BoundFn& bound) {
   const engine::SearchParams params{tau, static_cast<size_t>(k)};
-  return engine::MostGeneralBelow(input.index(), params, sizes, bound,
+  return engine::MostGeneralBelow(input.index(), params, input.sizes(), bound,
                                   nullptr)
-      .result.size();
+      .size();
 }
 
 /// Candidate selection shared by both measures. The reported-group
@@ -93,17 +93,13 @@ Result<SuggestedParameters> SuggestParameters(const DetectionInput& input,
       static_cast<int>(options.size_fraction *
                        static_cast<double>(input.num_rows())));
 
-  // Every candidate level searches the same tree at k_max: one size
-  // memo serves them all.
-  engine::SizeMemo sizes(input.space());
-
   // Global bounds: levels are fractions of k, L_k = round(level * k).
   LevelChoice global = ChooseLevel(
       options.search_steps, options.max_groups, [&](double level) {
         GlobalBoundSpec candidate =
             StaircaseFor(level, config.k_min, config.k_max);
         const double bound = candidate.lower.At(config.k_max);
-        return GroupsAt(input, sizes, out.size_threshold, config.k_max,
+        return GroupsAt(input, out.size_threshold, config.k_max,
                         [bound](size_t) { return bound; });
       });
   out.global_level = global.level;
@@ -118,7 +114,7 @@ Result<SuggestedParameters> SuggestParameters(const DetectionInput& input,
         PropBoundSpec spec;
         spec.alpha = alpha;
         const int k = config.k_max;
-        return GroupsAt(input, sizes, out.size_threshold, k,
+        return GroupsAt(input, out.size_threshold, k,
                         [&spec, k, n](size_t size_d) {
                           return spec.LowerAt(static_cast<int>(size_d), k, n);
                         });

@@ -34,7 +34,7 @@ Status DetectGlobalUpperBoundsStream(const DetectionInput& input,
                                      ResultSink& sink) {
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
   return engine::StreamPerK(
-      input.index(), config, sink,
+      input, config, sink,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const engine::SearchParams params{config.size_threshold,
                                           static_cast<size_t>(k)};
@@ -64,7 +64,7 @@ Status DetectPropUpperBoundsStream(const DetectionInput& input,
   }
   const double n = static_cast<double>(input.num_rows());
   return engine::StreamPerK(
-      input.index(), config, sink,
+      input, config, sink,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const engine::SearchParams params{config.size_threshold,
                                           static_cast<size_t>(k)};

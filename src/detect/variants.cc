@@ -51,18 +51,18 @@ struct AboveProp {
 /// reports violators under the chosen semantics.
 template <typename ViolatesFn>
 void EnumerateAtK(const DetectionInput& input, const DetectionConfig& config,
-                  int k, engine::SizeMemo& sizes, const ViolatesFn& violates,
+                  int k, const ViolatesFn& violates,
                   ReportingSemantics semantics, std::vector<Pattern>& out,
                   DetectionStats* stats) {
   const engine::SearchParams params{config.size_threshold,
                                     static_cast<size_t>(k)};
   if (semantics == ReportingSemantics::kMostGeneral) {
     out = engine::ExhaustiveViolations<MostGeneralResultSet>(
-              input.index(), params, sizes, violates, stats)
+              input.index(), params, input.sizes(), violates, stats)
               .Sorted();
   } else {
     out = engine::ExhaustiveViolations<MostSpecificResultSet>(
-              input.index(), params, sizes, violates, stats)
+              input.index(), params, input.sizes(), violates, stats)
               .Sorted();
   }
 }
@@ -76,15 +76,12 @@ Result<DetectionResult> RunVariant(const DetectionInput& input,
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
   WallTimer timer;
   DetectionResult result(config.k_min, config.k_max);
-  // The run's size memo: every k's enumeration reads the sizes the
-  // earlier ones counted.
-  engine::SizeMemo sizes(input.space());
   for (int k = config.k_min; k <= config.k_max; ++k) {
-    EnumerateAtK(input, config, k, sizes, make_violates(k), semantics,
+    EnumerateAtK(input, config, k, make_violates(k), semantics,
                  result.MutableAtK(k), &result.stats());
   }
   result.stats().seconds = timer.ElapsedSeconds();
-  result.CountGroups(input.index());
+  result.CountGroups(input);
   return result;
 }
 

@@ -46,6 +46,7 @@ Result<std::vector<DivergentGroup>> FindDivergentGroups(
           : static_cast<int>(min_count);
   const engine::SearchParams params{threshold,
                                     static_cast<size_t>(options.k)};
+  // One search over a bare index: a memo of its own serves it.
   engine::SizeMemo sizes(index.space());
   engine::SequentialTopDown(index, params, sizes, score, nullptr);
 

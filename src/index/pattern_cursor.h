@@ -7,11 +7,12 @@
 // BitmapIndex::PatternCount/TopKCount must for an arbitrary pattern).
 //
 // Two-part frames: s_Rk(p) reads only the first ceil(k/64) words of a
-// row set, and a detect run counts each pattern's size s_D(p) once
-// (engine/size_memo.h answers the repeats). So Push ANDs only the
-// prefix words of the new frame, ChildTopK reads only prefix words,
-// and the remaining words of the stack's frames are filled only when a
-// child's size has to be counted (ChildCounts).
+// row set, and each pattern's size s_D(p) is counted once per input
+// (the input's engine/size_memo.h answers the repeats, across runs).
+// So Push ANDs only the prefix words of the new frame, ChildTopK reads
+// only prefix words, and the remaining words of the stack's frames are
+// filled only when a child's size has to be counted (ChildCounts) — on
+// a warm input, never.
 //
 // Stack invariant: after Push(a1,v1)..Push(ad,vd), frame i-1 holds the
 // intersection of the first i pushed predicate bitsets over its prefix

@@ -26,7 +26,8 @@ struct ReportContext {
 ///   "dataset": ..., "measure": ..., "algorithm": ...,
 ///   "k_min": int, "k_max": int,
 ///   "stats": {"nodes_visited": int, "cursor_reuse_hits": int,
-///             "sizes_counted": int,   // full-width size counts
+///             "sizes_counted": int,   // full-width size counts in
+///                                     // this run (0 on a warm input)
 ///             "seconds": double,      // elapsed wall-clock
 ///             "cpu_seconds": double}, // of which in full searches
 ///   "results": [

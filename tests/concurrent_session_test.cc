@@ -9,12 +9,15 @@
 //    running detect/suggest/verify/invalidate; afterwards the session
 //    must be bit-identical to a serial replay of the same per-thread
 //    op logs on a fresh session (ranking, scores, and every detector's
-//    results + work counters).
+//    results + work counters);
+//  * detects racing on a cold shared size memo — every result equals a
+//    fresh session's.
 //
 // The suites carry the `concurrency` CTest label, so ci.sh's TSan
 // stage picks them up automatically.
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
@@ -352,6 +355,65 @@ TEST(ConcurrentSessionTest, StressStormMatchesSerialReplayOfOpLog) {
     ASSERT_TRUE(stormed.ok());
     ASSERT_TRUE(replayed.ok());
     ExpectSameResult(*stormed->result, *replayed->result, query.detector);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// A cold shared size memo: with the cache off, threads run distinct
+// detects — all six detectors at several taus — that start together
+// and race to fill the session input's one memo. Each result, counts
+// included, must equal the same detect on a freshly built session.
+
+TEST(ConcurrentSessionTest, DetectsRacingOnAColdMemoMatchFreshSessions) {
+  SessionOptions options;
+  options.cache_capacity = 0;
+  auto session =
+      AuditSession::Create(StressTable(200, 41), "score", false, options);
+  ASSERT_TRUE(session.ok());
+
+  std::vector<api::AuditRequest> queries;
+  for (const char* detector :
+       {"GlobalIterTD", "GlobalBounds", "PropIterTD", "PropBounds",
+        "GlobalUpperBounds", "PropUpperBounds"}) {
+    for (int tau : {3, 8, 14}) queries.push_back(Query(detector, 40, tau));
+  }
+  std::vector<std::shared_ptr<const DetectionResult>> results(queries.size());
+
+  constexpr size_t kThreads = 4;
+  std::atomic<size_t> ready{0};
+  std::atomic<bool> failed{false};
+  {
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        for (size_t q = t; q < queries.size(); q += kThreads) {
+          auto response = session->Detect(queries[q]);
+          if (!response.ok() || response->cached) {
+            failed.store(true);
+            continue;
+          }
+          results[q] = response->result;
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  ASSERT_FALSE(failed.load());
+
+  for (size_t q = 0; q < queries.size(); ++q) {
+    auto fresh = AuditSession::Create(StressTable(200, 41), "score");
+    ASSERT_TRUE(fresh.ok());
+    auto reference = fresh->Detect(queries[q]);
+    ASSERT_TRUE(reference.ok());
+    const std::string label = queries[q].detector + " tau=" +
+                              std::to_string(queries[q].config.size_threshold);
+    ExpectSameResult(*results[q], *reference->result, label);
+    for (int k = results[q]->k_min(); k <= results[q]->k_max(); ++k) {
+      EXPECT_EQ(results[q]->CountsAtK(k), reference->result->CountsAtK(k))
+          << label << " k=" << k;
+    }
   }
 }
 

@@ -136,5 +136,31 @@ TEST(PropBoundsTest, VisitsFewerNodesThanBaselineOnLargerData) {
             baseline->stats().nodes_visited);
 }
 
+// A tiny alpha puts every unbiased group's k-tilde estimate beyond
+// INT_MAX. PropBounds must still return (the suite runs under a ctest
+// TIMEOUT) and agree with the baseline.
+TEST(PropBoundsTest, TinyAlphaTerminatesAndMatchesBaseline) {
+  Table table = testing::RandomTable(400, 5, {2, 3}, 77);
+  auto input = DetectionInput::PrepareWithRanking(
+      table, testing::RandomRanking(400, 77));
+  ASSERT_TRUE(input.ok());
+  DetectionConfig config;
+  config.k_min = 10;
+  config.k_max = 40;
+  config.size_threshold = 8;
+  for (double alpha : {1e-12, 1e-300}) {
+    PropBoundSpec bounds;
+    bounds.alpha = alpha;
+    auto optimized = DetectPropBounds(*input, bounds, config);
+    auto baseline = DetectPropIterTD(*input, bounds, config);
+    ASSERT_TRUE(optimized.ok());
+    ASSERT_TRUE(baseline.ok());
+    for (int k = config.k_min; k <= config.k_max; ++k) {
+      EXPECT_EQ(optimized->AtK(k), baseline->AtK(k))
+          << "alpha=" << alpha << " k=" << k;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fairtopk

@@ -3,17 +3,22 @@
 // steps (patching or rebuilding its index per the threshold) must be
 // indistinguishable from a session freshly built from the final table
 // and scores — same ranking permutation, and bit-identical
-// DetectionResults with equal work counters for every detector.
+// DetectionResults with equal work counters for every detector. A
+// second suite checks the session input's size memo through such
+// steps.
 #include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "api/audit.h"
 #include "common/rng.h"
+#include "detect/engine/size_memo.h"
 #include "relation/table.h"
 #include "service/audit_session.h"
 #include "service/jsonl_service.h"
+#include "test_util.h"
 
 namespace fairtopk {
 namespace {
@@ -233,6 +238,104 @@ TEST_P(SessionEquivalenceTest, MaintenanceStatsInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(RandomizedMaintenance, SessionEquivalenceTest,
                          ::testing::ValuesIn(Cases()));
+
+// The session input's size memo under maintenance: random updates and
+// appends interleaved with random detects. After every step, each size
+// the memo holds equals PatternCount on the current index (an update
+// keeps the memo, an append replaces it with an empty one), and each
+// detect equals the same detect on a freshly built input, counts
+// included.
+TEST(SizeMemoMaintenanceTest, MemoMatchesTheIndexAfterEveryStep) {
+  const std::vector<std::string> detectors = {
+      "GlobalIterTD", "GlobalBounds",      "PropIterTD",
+      "PropBounds",   "GlobalUpperBounds", "PropUpperBounds"};
+  for (uint64_t seed : {61u, 62u, 63u}) {
+    SessionOptions options;
+    options.cache_capacity = 0;
+    options.rebuild_threshold = seed == 62 ? 0.0 : 0.5;
+    auto session =
+        AuditSession::Create(PropertyTable(140, seed), "score", false, options);
+    ASSERT_TRUE(session.ok());
+    const PatternSpace& space = session->space();
+    const std::vector<Pattern> patterns = testing::AllPatterns(space);
+    Rng rng(seed);
+    for (int step = 0; step < 12; ++step) {
+      const size_t held = session->input().sizes().nodes();
+      const bool append = rng.Bernoulli(0.35);
+      if (append) {
+        std::vector<std::vector<Cell>> rows;
+        for (size_t i = 0, m = 1 + rng.UniformUint64(4); i < m; ++i) {
+          rows.push_back(
+              {Cell::Code(static_cast<int16_t>(rng.UniformUint64(2))),
+               Cell::Code(static_cast<int16_t>(rng.UniformUint64(3))),
+               Cell::Code(static_cast<int16_t>(rng.UniformUint64(2))),
+               Cell::Value(50.0 + rng.Gaussian() * 8.0)});
+        }
+        ASSERT_TRUE(session->AppendRows(rows).ok());
+        EXPECT_EQ(session->input().sizes().nodes(), 0u) << "step " << step;
+      } else {
+        std::vector<ScoreUpdate> updates;
+        for (size_t i = 0, m = 1 + rng.UniformUint64(12); i < m; ++i) {
+          updates.push_back(
+              {static_cast<uint32_t>(rng.UniformUint64(session->num_rows())),
+               50.0 + rng.Gaussian() * 8.0});
+        }
+        ASSERT_TRUE(session->ApplyScoreUpdates(updates).ok());
+        EXPECT_EQ(session->input().sizes().nodes(), held) << "step " << step;
+      }
+
+      auto fresh = DetectionInput::PrepareWithRanking(session->table(),
+                                                      session->ranking());
+      ASSERT_TRUE(fresh.ok());
+      for (int d = 0; d < 2; ++d) {
+        api::AuditRequest query;
+        query.detector = detectors[rng.UniformUint64(detectors.size())];
+        query.config.k_min = 1 + static_cast<int>(rng.UniformUint64(10));
+        query.config.k_max =
+            query.config.k_min + static_cast<int>(rng.UniformUint64(50));
+        query.config.size_threshold =
+            3 + static_cast<int>(rng.UniformUint64(12));
+        if (api::DetectorRegistry::Global().Find(query.detector)->bounds_kind ==
+            api::BoundsKind::kGlobal) {
+          GlobalBoundSpec bounds;
+          bounds.lower = StepFunction::Constant(2.0 + rng.UniformUint64(4));
+          bounds.upper = StepFunction::Constant(6.0 + rng.UniformUint64(4));
+          query.bounds = bounds;
+        } else {
+          PropBoundSpec bounds;
+          bounds.alpha = 0.6 + 0.1 * static_cast<double>(rng.UniformUint64(4));
+          bounds.beta = 1.4;
+          query.bounds = bounds;
+        }
+        auto served = session->Detect(query);
+        ASSERT_TRUE(served.ok()) << served.status().ToString();
+        auto reference = api::RunAudit(*fresh, query);
+        ASSERT_TRUE(reference.ok());
+        const DetectionResult& a = *served->result;
+        const DetectionResult& b = *reference;
+        for (int k = a.k_min(); k <= a.k_max(); ++k) {
+          ASSERT_EQ(a.AtK(k), b.AtK(k))
+              << "seed=" << seed << " step=" << step << " "
+              << query.detector << " k=" << k;
+          ASSERT_EQ(a.CountsAtK(k), b.CountsAtK(k))
+              << "seed=" << seed << " step=" << step << " "
+              << query.detector << " k=" << k;
+        }
+        EXPECT_EQ(a.stats().nodes_visited, b.stats().nodes_visited);
+      }
+
+      engine::SizeMemo& memo = session->input().sizes();
+      EXPECT_GT(memo.nodes(), 0u);
+      for (const Pattern& p : patterns) {
+        const size_t stored = memo.size(memo.Locate(p));
+        if (stored == engine::SizeMemo::kUnknown) continue;
+        ASSERT_EQ(stored, session->input().index().PatternCount(p))
+            << "seed=" << seed << " step=" << step << " "
+            << p.ToString(space);
+      }
+    }
+  }
+}
 
 // Wire contract pin: an `update` batch with duplicate row ids is
 // last-write-wins — byte-for-byte equivalent to a batch holding only

@@ -167,7 +167,7 @@ TEST(StoredCountsTest, CountGroupsCountsAHandBuiltResult) {
   result.MutableAtK(150) = {gx, q};
   result.MutableAtK(170) = {q};
   EXPECT_FALSE(result.counted());
-  result.CountGroups(input.index());
+  result.CountGroups(input);
   ExpectIndexCounts(result, input.index(), "hand-built");
   // An edit drops the counts until they are taken again.
   result.MutableAtK(3) = {q};

@@ -1,6 +1,6 @@
 // Tests Algorithm 1 (single-k top-down search, engine::MostGeneralBelow)
 // against the worked examples of the paper and against the brute-force
-// oracle, plus the run-wide size memo it shares across ks.
+// oracle, plus the input's size memo every search shares.
 #include <algorithm>
 
 #include <gtest/gtest.h>
@@ -16,15 +16,23 @@ namespace {
 
 using testing::PatternOf;
 
+/// Res and DRes of one Algorithm 1 search.
+struct SearchOutcome {
+  MostGeneralResultSet result;
+  std::vector<Pattern> deferred;
+};
+
 /// Algorithm 1 at a single `k`, on a fresh size memo.
 template <typename BoundFn>
-engine::SearchOutcome TopDownSearch(const BitmapIndex& index,
-                                    int size_threshold, int k,
-                                    const BoundFn& bound,
-                                    DetectionStats* stats) {
+SearchOutcome TopDownSearch(const BitmapIndex& index, int size_threshold,
+                            int k, const BoundFn& bound,
+                            DetectionStats* stats) {
   engine::SizeMemo sizes(index.space());
-  return engine::MostGeneralBelow(
-      index, {size_threshold, static_cast<size_t>(k)}, sizes, bound, stats);
+  SearchOutcome outcome;
+  outcome.result = engine::MostGeneralBelow(
+      index, {size_threshold, static_cast<size_t>(k)}, sizes, bound, stats,
+      &outcome.deferred);
+  return outcome;
 }
 
 // Pattern-space attribute order of the running example:
@@ -57,7 +65,7 @@ TEST(TopDownFixtureTest, Example23Counts) {
 TEST(TopDownSearchTest, Example46InitialSearch) {
   DetectionInput input = RunningInput();
   DetectionStats stats;
-  engine::SearchOutcome outcome = TopDownSearch(
+  SearchOutcome outcome = TopDownSearch(
       input.index(), /*size_threshold=*/4, /*k=*/4,
       [](size_t) { return 2.0; }, &stats);
 
@@ -84,7 +92,7 @@ TEST(TopDownSearchTest, Example49InitialSearchProp) {
   const double alpha = 0.9;
   const double n = 16.0;
   const int k = 4;
-  engine::SearchOutcome outcome = TopDownSearch(
+  SearchOutcome outcome = TopDownSearch(
       input.index(), /*size_threshold=*/5, k,
       [&](size_t size_d) {
         return alpha * static_cast<double>(size_d) * k / n;
@@ -109,7 +117,7 @@ TEST(TopDownSearchTest, MatchesBruteForceOnRandomData) {
       for (int tau : {5, 15}) {
         const double lower = 0.3 * k;
         auto bound = [lower](size_t) { return lower; };
-        engine::SearchOutcome outcome =
+        SearchOutcome outcome =
             TopDownSearch(input->index(), tau, k, bound, nullptr);
         auto oracle = testing::BruteForceMostGeneralBiased(input->index(),
                                                            tau, k, bound);
@@ -122,7 +130,7 @@ TEST(TopDownSearchTest, MatchesBruteForceOnRandomData) {
 
 TEST(TopDownSearchTest, ResultAndDeferredAreDisjointAndCoverBiased) {
   DetectionInput input = RunningInput();
-  engine::SearchOutcome outcome = TopDownSearch(
+  SearchOutcome outcome = TopDownSearch(
       input.index(), 4, 4, [](size_t) { return 2.0; }, nullptr);
   for (const Pattern& d : outcome.deferred) {
     EXPECT_FALSE(outcome.result.Contains(d));
@@ -135,7 +143,7 @@ TEST(TopDownSearchTest, ResultAndDeferredAreDisjointAndCoverBiased) {
 
 TEST(TopDownSearchTest, HighThresholdPrunesEverything) {
   DetectionInput input = RunningInput();
-  engine::SearchOutcome outcome = TopDownSearch(
+  SearchOutcome outcome = TopDownSearch(
       input.index(), /*size_threshold=*/17, 4, [](size_t) { return 2.0; },
       nullptr);
   EXPECT_TRUE(outcome.result.empty());
@@ -144,7 +152,7 @@ TEST(TopDownSearchTest, HighThresholdPrunesEverything) {
 
 TEST(TopDownSearchTest, ZeroBoundReportsNothing) {
   DetectionInput input = RunningInput();
-  engine::SearchOutcome outcome = TopDownSearch(
+  SearchOutcome outcome = TopDownSearch(
       input.index(), 4, 4, [](size_t) { return 0.0; }, nullptr);
   // Counts are never strictly below zero.
   EXPECT_TRUE(outcome.result.empty());
@@ -173,10 +181,11 @@ TEST(SizeMemoTest, SizeOfMatchesPatternCountAndCountsOnce) {
   }
 }
 
-// One size memo per detect run: with a lower bound of 0 nothing is
-// biased, so every k walks the same tree, and only the first k counts
-// sizes over the full width.
-TEST(SizeMemoTest, IterTDCountsEachSizeOncePerRun) {
+// Sizes belong to the input, not the run: with a lower bound of 0
+// nothing is biased, so every k walks the same tree. The first run
+// counts each size once; a second run on the same input counts none,
+// and a copy of the input starts with an empty memo and counts again.
+TEST(SizeMemoTest, SizesAreCountedOncePerInput) {
   Table table = testing::RandomTable(200, 4, {2, 3}, 5);
   auto input = DetectionInput::PrepareWithRanking(
       table, testing::RandomRanking(200, 5));
@@ -191,7 +200,59 @@ TEST(SizeMemoTest, IterTDCountsEachSizeOncePerRun) {
   EXPECT_GT(one->stats().nodes_visited, 0u);
   EXPECT_EQ(one->stats().sizes_counted, one->stats().nodes_visited);
   EXPECT_EQ(ten->stats().nodes_visited, 10 * one->stats().nodes_visited);
-  EXPECT_EQ(ten->stats().sizes_counted, one->stats().sizes_counted);
+  EXPECT_EQ(ten->stats().sizes_counted, 0u);
+
+  const DetectionInput copy = *input;
+  auto again = DetectGlobalIterTD(copy, bounds, DetectionConfig{20, 29, 5});
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->stats().nodes_visited, ten->stats().nodes_visited);
+  EXPECT_EQ(again->stats().sizes_counted, one->stats().sizes_counted);
+}
+
+// A memo over budget stores what fits and counts the rest on every
+// evaluation: sizes stay exact, and each unstored miss is tallied.
+TEST(SizeMemoTest, OverBudgetSizesStayExactAndMissesAreCounted) {
+  Table table = testing::RandomTable(90, 4, {2, 3}, 43);
+  auto input = DetectionInput::PrepareWithRanking(
+      table, testing::RandomRanking(90, 43));
+  ASSERT_TRUE(input.ok());
+  const BitmapIndex& index = input->index();
+  // The root and its 10 children fit; few of their blocks do.
+  engine::SizeMemo small(input->space(), /*node_budget=*/16);
+  engine::SizeMemo full(input->space());
+  const auto bound = [](size_t) { return 6.0; };
+  const engine::SearchParams params{4, 30};
+
+  const uint64_t before = engine::SizeMemo::UnstoredMisses();
+  DetectionStats small_stats;
+  DetectionStats full_stats;
+  MostGeneralResultSet a =
+      engine::MostGeneralBelow(index, params, small, bound, &small_stats);
+  MostGeneralResultSet b =
+      engine::MostGeneralBelow(index, params, full, bound, &full_stats);
+  EXPECT_EQ(a.Sorted(), b.Sorted());
+  EXPECT_EQ(small_stats.nodes_visited, full_stats.nodes_visited);
+  EXPECT_EQ(small_stats.sizes_counted, full_stats.sizes_counted);
+  EXPECT_LE(small.nodes(), 16u);
+  EXPECT_GT(engine::SizeMemo::UnstoredMisses(), before);
+
+  // Searched again, the memos differ only in what they kept: every
+  // miss of the small one is an unstored node, the full one has none.
+  const uint64_t middle = engine::SizeMemo::UnstoredMisses();
+  DetectionStats small_again;
+  DetectionStats full_again;
+  a = engine::MostGeneralBelow(index, params, small, bound, &small_again);
+  engine::MostGeneralBelow(index, params, full, bound, &full_again);
+  EXPECT_EQ(a.Sorted(), b.Sorted());
+  EXPECT_GT(small_again.sizes_counted, 0u);
+  EXPECT_EQ(engine::SizeMemo::UnstoredMisses() - middle,
+            small_again.sizes_counted);
+  EXPECT_EQ(full_again.sizes_counted, 0u);
+
+  for (const Pattern& p : testing::AllPatterns(input->space())) {
+    EXPECT_EQ(small.SizeOf(p, index, nullptr), index.PatternCount(p))
+        << p.ToString(input->space());
+  }
 }
 
 }  // namespace
