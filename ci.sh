@@ -7,8 +7,9 @@
 #   tier1     configure + build + full ctest (the tier-1 verify), then
 #             the full suite again with FAIRTOPK_KERNEL=scalar and the
 #             kernel differential test once per SIMD variant
-#   asan      ASan/UBSan over the unit and property suites, plus the
-#             kernel differential test once per SIMD variant
+#   asan      ASan/UBSan over the unit, property and tool suites
+#             (cli_test and the tool smoke tests), plus the kernel
+#             differential test once per SIMD variant
 #   tsan      ThreadSanitizer over every `concurrency`-labeled test
 #             (ctest -L concurrency — suites opt in via the label in
 #             tests/CMakeLists.txt, not by editing a regex here)
@@ -85,14 +86,16 @@ stage_tier1() {
 stage_asan() {
   echo "== stage asan: ASan/UBSan =="
   rm -rf build-ci-asan
-  # Benches/examples/tools are skipped; with them off, cli_test and the
-  # smoke tests are unregistered, so a plain ctest runs every library
-  # test (unit + property + integration_test) under the sanitizers.
+  # Benches and examples are skipped (bench_nodes_visited and
+  # smoke_quickstart go unregistered). The tools are built, so a plain
+  # ctest runs every library test (unit + property + integration_test)
+  # and every test that drives fairtopk_audit or fairtopk_serve —
+  # cli_test and the smoke tests, including smoke_serve_persist's
+  # restart from a snapshot — under the sanitizers.
   # shellcheck disable=SC2086
   cmake -B build-ci-asan -S . ${GENERATOR} ${LAUNCHER} \
     -DFAIRTOPK_SANITIZE=ON \
-    -DFAIRTOPK_BUILD_BENCHES=OFF -DFAIRTOPK_BUILD_EXAMPLES=OFF \
-    -DFAIRTOPK_BUILD_TOOLS=OFF
+    -DFAIRTOPK_BUILD_BENCHES=OFF -DFAIRTOPK_BUILD_EXAMPLES=OFF
   cmake --build build-ci-asan -j "${JOBS}"
   (cd build-ci-asan && ctest --output-on-failure -j "${JOBS}")
   # Each SIMD kernel's loads/stores under ASan/UBSan, via the

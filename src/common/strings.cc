@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 
 namespace fairtopk {
 
@@ -66,6 +68,9 @@ std::optional<double> ParseDouble(std::string_view input) {
   char* end = nullptr;
   double value = std::strtod(copy.c_str(), &end);
   if (end != copy.c_str() + copy.size()) return std::nullopt;
+  // "nan", "inf" and out-of-range literals are not numbers here, as in
+  // the JSON parser: no order ranks them and no bucket holds them.
+  if (!std::isfinite(value)) return std::nullopt;
   return value;
 }
 

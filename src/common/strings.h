@@ -23,7 +23,8 @@ std::string Join(const std::vector<std::string>& parts,
 /// Parses a base-10 signed integer; rejects trailing garbage.
 std::optional<long long> ParseInt(std::string_view input);
 
-/// Parses a floating-point number; rejects trailing garbage.
+/// Parses a finite floating-point number; rejects trailing garbage,
+/// "nan", "inf" and literals out of double's range.
 std::optional<double> ParseDouble(std::string_view input);
 
 /// True iff `s` starts with `prefix`.

@@ -51,14 +51,12 @@ size_t DetectionResult::MaxResultSize() const {
   return max_size;
 }
 
-DetectionInput::DetectionInput(BitmapIndex index,
-                               std::vector<uint32_t> ranking)
+DetectionInput::DetectionInput(BitmapIndex index)
     : index_(std::move(index)),
-      ranking_(std::move(ranking)),
       sizes_(std::make_unique<engine::SizeMemo>(index_.space())) {}
 
 DetectionInput::DetectionInput(const DetectionInput& other)
-    : DetectionInput(other.index_, other.ranking_) {}
+    : DetectionInput(other.index_) {}
 
 DetectionInput& DetectionInput::operator=(const DetectionInput& other) {
   if (this != &other) *this = DetectionInput(other);
@@ -80,27 +78,28 @@ Result<DetectionInput> DetectionInput::Prepare(
 Result<DetectionInput> DetectionInput::PrepareWithRanking(
     const Table& table, std::vector<uint32_t> ranking,
     const std::vector<std::string>& pattern_attributes) {
-  FAIRTOPK_RETURN_IF_ERROR(ValidateRanking(ranking, table.num_rows()));
   Result<PatternSpace> space =
       pattern_attributes.empty()
           ? PatternSpace::CreateAllCategorical(table.schema())
           : PatternSpace::Create(table.schema(), pattern_attributes);
   if (!space.ok()) return space.status();
-  FAIRTOPK_ASSIGN_OR_RETURN(BitmapIndex index,
-                            BitmapIndex::Build(table, *space, ranking));
-  return DetectionInput(std::move(index), std::move(ranking));
+  FAIRTOPK_ASSIGN_OR_RETURN(
+      BitmapIndex index, BitmapIndex::Build(table, *space, std::move(ranking)));
+  return DetectionInput(std::move(index));
 }
 
 Status DetectionInput::UpdateRanking(const Table& table,
                                      std::vector<uint32_t> new_ranking,
                                      double rebuild_threshold,
                                      MaintenanceOutcome* outcome) {
+  const std::vector<uint32_t>& old = index_.ranking();
+  const size_t old_n = old.size();
   const size_t n = new_ranking.size();
   MaintenanceOutcome local;
   size_t lo = 0;
-  const size_t shared = std::min(ranking_.size(), n);
-  while (lo < shared && ranking_[lo] == new_ranking[lo]) ++lo;
-  if (lo == n && n == ranking_.size()) {
+  const size_t shared = std::min(old_n, n);
+  while (lo < shared && old[lo] == new_ranking[lo]) ++lo;
+  if (lo == n && n == old_n) {
     if (outcome != nullptr) *outcome = local;
     return Status::OK();
   }
@@ -111,13 +110,13 @@ Status DetectionInput::UpdateRanking(const Table& table,
   // row-id compare each.
   size_t changed = n - shared;
   for (size_t pos = lo; pos < shared; ++pos) {
-    changed += ranking_[pos] != new_ranking[pos] ? 1 : 0;
+    changed += old[pos] != new_ranking[pos] ? 1 : 0;
   }
   if (static_cast<double>(changed) >
       rebuild_threshold * static_cast<double>(n)) {
     FAIRTOPK_ASSIGN_OR_RETURN(
         BitmapIndex rebuilt,
-        BitmapIndex::Build(table, index_.space(), new_ranking));
+        BitmapIndex::Build(table, index_.space(), std::move(new_ranking)));
     index_ = std::move(rebuilt);
     local.kind = Maintenance::kRebuilt;
   } else {
@@ -126,10 +125,9 @@ Status DetectionInput::UpdateRanking(const Table& table,
     local.kind = Maintenance::kPatched;
   }
   // Appended rows change group sizes; a re-rank changes none.
-  if (n != ranking_.size()) {
+  if (n != old_n) {
     sizes_ = std::make_unique<engine::SizeMemo>(index_.space());
   }
-  ranking_ = std::move(new_ranking);
   if (outcome != nullptr) *outcome = local;
   return Status::OK();
 }

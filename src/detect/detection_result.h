@@ -203,23 +203,17 @@ class DetectionInput {
       const Table& table, const Ranker& ranker,
       const std::vector<std::string>& pattern_attributes = {});
 
-  /// As above with an explicit precomputed ranking permutation.
+  /// As above with an explicit precomputed ranking permutation, which
+  /// the index build validates.
   static Result<DetectionInput> PrepareWithRanking(
       const Table& table, std::vector<uint32_t> ranking,
       const std::vector<std::string>& pattern_attributes = {});
 
-  /// Adopts an already-validated index (e.g. reassembled from a
-  /// snapshot via BitmapIndex::FromParts) instead of building one. The
-  /// input's ranking is taken from the index itself.
-  static DetectionInput FromIndex(BitmapIndex index) {
-    std::vector<uint32_t> ranking = index.ranking();
-    return DetectionInput(std::move(index), std::move(ranking));
-  }
-
   const BitmapIndex& index() const { return index_; }
   const PatternSpace& space() const { return index_.space(); }
   size_t num_rows() const { return index_.num_rows(); }
-  const std::vector<uint32_t>& ranking() const { return ranking_; }
+  /// Row ids in rank order: the index's ranking.
+  const std::vector<uint32_t>& ranking() const { return index_.ranking(); }
 
   /// s_D of every pattern the searches over this index generation have
   /// counted (engine/size_memo.h). Every search reads and extends it,
@@ -261,10 +255,9 @@ class DetectionInput {
                        MaintenanceOutcome* outcome = nullptr);
 
  private:
-  DetectionInput(BitmapIndex index, std::vector<uint32_t> ranking);
+  explicit DetectionInput(BitmapIndex index);
 
   BitmapIndex index_;
-  std::vector<uint32_t> ranking_;
   std::unique_ptr<engine::SizeMemo> sizes_;
 };
 

@@ -34,21 +34,7 @@ class BitmapIndex {
   /// attributes of `table`'s schema.
   static Result<BitmapIndex> Build(const Table& table,
                                    const PatternSpace& space,
-                                   const std::vector<uint32_t>& ranking);
-
-  /// Reassembles an index from previously serialized parts — the
-  /// inverse of reading ranking()/ValueBitset()/RankedCode() out of a
-  /// built index. Validates everything Build() would have derived:
-  /// `ranking` is a non-empty permutation, the containers agree with
-  /// `space`'s attribute count and domain sizes, every bitset spans
-  /// exactly ranking.size() positions, and the bitsets are consistent
-  /// with `rank_codes` (each rank position set in exactly the bitset of
-  /// its code). Used by the snapshot reader; hostile inputs come back
-  /// as InvalidArgument, never as out-of-bounds access later.
-  static Result<BitmapIndex> FromParts(
-      PatternSpace space, std::vector<uint32_t> ranking,
-      std::vector<std::vector<Bitset>> value_bits,
-      std::vector<std::vector<int16_t>> rank_codes);
+                                   std::vector<uint32_t> ranking);
 
   /// Row ids in rank order (position 0 = rank 1).
   const std::vector<uint32_t>& ranking() const { return ranking_; }

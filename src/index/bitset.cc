@@ -27,16 +27,6 @@ size_t PrefixSpan(size_t k_full, uint64_t k_mask) {
 Bitset::Bitset(size_t num_bits)
     : num_bits_(num_bits), words_(WordsFor(num_bits), 0) {}
 
-Bitset Bitset::FromWords(size_t num_bits, std::vector<uint64_t> words) {
-  assert(words.size() == WordsFor(num_bits));
-  assert(num_bits % kWordBits == 0 || words.empty() ||
-         (words.back() & ~PrefixMask(num_bits % kWordBits)) == 0);
-  Bitset out;
-  out.num_bits_ = num_bits;
-  out.words_ = std::move(words);
-  return out;
-}
-
 void Bitset::Set(size_t pos) {
   assert(pos < num_bits_);
   words_[pos / kWordBits] |= uint64_t{1} << (pos % kWordBits);

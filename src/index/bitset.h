@@ -71,12 +71,6 @@ class Bitset {
   /// Raw 64-bit words (unused high bits are zero).
   const std::vector<uint64_t>& words() const { return words_; }
 
-  /// Reconstructs a bitset from its raw word array, the inverse of
-  /// words() — used by the snapshot reader. `words` must hold exactly
-  /// ceil(num_bits / 64) entries and any bits past num_bits must be
-  /// zero (callers validate; violations are asserted in debug builds).
-  static Bitset FromWords(size_t num_bits, std::vector<uint64_t> words);
-
  private:
   size_t num_bits_ = 0;
   std::vector<uint64_t> words_;

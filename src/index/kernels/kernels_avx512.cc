@@ -13,6 +13,21 @@
 namespace fairtopk::kernels::internal {
 namespace {
 
+/// Sum of the eight 64-bit lanes of `v`. Spelled out instead of
+/// _mm512_reduce_add_epi64: GCC 12 expands that (and the unmasked
+/// _mm512_extracti64x4_epi64) with an uninitialized pass-through
+/// operand, which -Wall reports; the masked extract names its operand.
+inline uint64_t SumLanes(__m512i v) {
+  const __m256i zero = _mm256_setzero_si256();
+  const __m256i half =
+      _mm256_add_epi64(_mm512_mask_extracti64x4_epi64(zero, 0xFF, v, 1),
+                       _mm512_mask_extracti64x4_epi64(zero, 0xFF, v, 0));
+  const __m128i quarter = _mm_add_epi64(_mm256_extracti128_si256(half, 1),
+                                        _mm256_castsi256_si128(half));
+  return static_cast<uint64_t>(_mm_cvtsi128_si64(quarter)) +
+         static_cast<uint64_t>(_mm_extract_epi64(quarter, 1));
+}
+
 /// One pass over words [begin, end): w = a[i] (& b[i] when kAnd),
 /// popcounts summed.
 template <bool kAnd>
@@ -36,8 +51,7 @@ inline size_t Sweep(const uint64_t* a, const uint64_t* b, size_t begin,
     if constexpr (kAnd) v = _mm512_and_si512(v, _mm512_loadu_si512(b + i));
     acc0 = _mm512_add_epi64(acc0, _mm512_popcnt_epi64(v));
   }
-  size_t sum = static_cast<size_t>(
-      _mm512_reduce_add_epi64(_mm512_add_epi64(acc0, acc1)));
+  size_t sum = static_cast<size_t>(SumLanes(_mm512_add_epi64(acc0, acc1)));
   for (; i < end; ++i) {
     uint64_t w = a[i];
     if constexpr (kAnd) w &= b[i];

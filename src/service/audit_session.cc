@@ -1,6 +1,7 @@
 #include "service/audit_session.h"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <utility>
 
@@ -111,6 +112,22 @@ void AcquireTimed(Lock& lock, metrics::Histogram& wait_histogram,
   if (trace != nullptr) trace->OnSpan(span_name, micros);
 }
 
+Status CheckOptions(const SessionOptions& options) {
+  if (options.rebuild_threshold < 0.0 || options.rebuild_threshold > 1.0) {
+    return Status::InvalidArgument("rebuild_threshold must be in [0, 1]");
+  }
+  return Status::OK();
+}
+
+/// Refuses a NaN or infinite score: no order ranks it, and sorting by
+/// NaN keys is undefined behaviour.
+Status CheckScore(size_t row, double score) {
+  if (std::isfinite(score)) return Status::OK();
+  return Status::InvalidArgument("score of row " + std::to_string(row) +
+                                 " is not a finite number (" +
+                                 std::to_string(score) + ")");
+}
+
 bool ScoreRanksBefore(const std::vector<double>& scores, bool ascending,
                       uint32_t a, uint32_t b) {
   const double sa = scores[a];
@@ -191,6 +208,29 @@ bool AuditSession::RanksBefore(uint32_t a, uint32_t b) const {
   return ScoreRanksBefore(scores_, ascending_, a, b);
 }
 
+Result<AuditSession> AuditSession::Make(
+    Table table, std::vector<double> scores, bool ascending,
+    int score_column, std::optional<std::vector<uint32_t>> ranking,
+    SessionOptions options) {
+  FAIRTOPK_RETURN_IF_ERROR(CheckOptions(options));
+  if (scores.size() != table.num_rows()) {
+    return Status::InvalidArgument(
+        "score vector has " + std::to_string(scores.size()) +
+        " entries for a table of " + std::to_string(table.num_rows()) +
+        " rows");
+  }
+  for (size_t row = 0; row < scores.size(); ++row) {
+    FAIRTOPK_RETURN_IF_ERROR(CheckScore(row, scores[row]));
+  }
+  if (!ranking.has_value()) ranking = SortByScore(scores, ascending);
+  FAIRTOPK_ASSIGN_OR_RETURN(
+      DetectionInput input,
+      DetectionInput::PrepareWithRanking(table, std::move(*ranking),
+                                         options.pattern_attributes));
+  return AuditSession(std::move(table), std::move(scores), ascending,
+                      score_column, std::move(options), std::move(input));
+}
+
 Result<AuditSession> AuditSession::Create(Table table,
                                           const std::string& score_column,
                                           bool ascending,
@@ -205,65 +245,47 @@ Result<AuditSession> AuditSession::Create(Table table,
   for (size_t r = 0; r < table.num_rows(); ++r) {
     scores[r] = table.ValueAt(r, *column);
   }
-  if (options.rebuild_threshold < 0.0 || options.rebuild_threshold > 1.0) {
-    return Status::InvalidArgument("rebuild_threshold must be in [0, 1]");
-  }
-  auto input = DetectionInput::PrepareWithRanking(
-      table, SortByScore(scores, ascending), options.pattern_attributes);
-  if (!input.ok()) return input.status();
-  return AuditSession(std::move(table), std::move(scores), ascending,
-                      static_cast<int>(*column), std::move(options),
-                      std::move(input).value());
+  return Make(std::move(table), std::move(scores), ascending,
+              static_cast<int>(*column), std::nullopt, std::move(options));
 }
 
 Result<AuditSession> AuditSession::CreateWithScores(Table table,
                                                     std::vector<double> scores,
                                                     SessionOptions options) {
-  if (scores.size() != table.num_rows()) {
-    return Status::InvalidArgument(
-        "score vector has " + std::to_string(scores.size()) +
-        " entries for a table of " + std::to_string(table.num_rows()) +
-        " rows");
-  }
-  if (options.rebuild_threshold < 0.0 || options.rebuild_threshold > 1.0) {
-    return Status::InvalidArgument("rebuild_threshold must be in [0, 1]");
-  }
-  auto input = DetectionInput::PrepareWithRanking(
-      table, SortByScore(scores, /*ascending=*/false),
-      options.pattern_attributes);
-  if (!input.ok()) return input.status();
-  return AuditSession(std::move(table), std::move(scores),
-                      /*ascending=*/false, /*score_column=*/-1,
-                      std::move(options), std::move(input).value());
+  return Make(std::move(table), std::move(scores), /*ascending=*/false,
+              /*score_column=*/-1, std::nullopt, std::move(options));
 }
 
 Result<AuditSession> AuditSession::OpenFromSnapshot(const std::string& path,
                                                     SessionOptions options) {
-  if (options.rebuild_threshold < 0.0 || options.rebuild_threshold > 1.0) {
-    return Status::InvalidArgument("rebuild_threshold must be in [0, 1]");
-  }
+  // Checked before the file is read, so that every later failure is
+  // the file's and comes back as a storage error.
+  FAIRTOPK_RETURN_IF_ERROR(CheckOptions(options));
   WallTimer timer;
   FAIRTOPK_ASSIGN_OR_RETURN(storage::OpenedSnapshot snap,
                             storage::ReadSnapshot(path));
   // The serving invariant every incremental re-rank leans on: the
   // ranking is sorted under (scores, ascending) with ties by row id.
-  // The snapshot reader checks structure, not order, so pin it here.
-  const std::vector<uint32_t>& ranking = snap.index->ranking();
-  for (size_t pos = 1; pos < ranking.size(); ++pos) {
-    if (!ScoreRanksBefore(snap.scores, snap.ascending, ranking[pos - 1],
-                          ranking[pos])) {
+  // The snapshot reader checks that it is a permutation, not its
+  // order, so pin the order here.
+  for (size_t pos = 1; pos < snap.ranking.size(); ++pos) {
+    if (!ScoreRanksBefore(snap.scores, snap.ascending, snap.ranking[pos - 1],
+                          snap.ranking[pos])) {
       return Status::Corruption(
           "snapshot ranking is not sorted by its scores");
     }
   }
   options.pattern_attributes = snap.pattern_attributes;
-  DetectionInput input = DetectionInput::FromIndex(std::move(*snap.index));
-  AuditSession session(std::move(*snap.table), std::move(snap.scores),
-                       snap.ascending, snap.score_column, std::move(options),
-                       std::move(input));
-  session.snapshot_path_ = path;
-  session.storage_generation_ = snap.info.generation;
-  session.snapshot_bytes_ = snap.info.file_bytes;
+  Result<AuditSession> session =
+      Make(std::move(*snap.table), std::move(snap.scores), snap.ascending,
+           snap.score_column, std::move(snap.ranking), std::move(options));
+  if (!session.ok()) {
+    return Status::Corruption("snapshot rejected: " +
+                              session.status().message());
+  }
+  session->snapshot_path_ = path;
+  session->storage_generation_ = snap.info.generation;
+  session->snapshot_bytes_ = snap.info.file_bytes;
   if (metrics::Enabled()) {
     StorageMetrics& m = StorageMetrics::Get();
     m.snapshot_bytes.Set(static_cast<int64_t>(snap.info.file_bytes));
@@ -590,6 +612,7 @@ Status AuditSession::ApplyScoreUpdates(const std::vector<ScoreUpdate>& updates,
                                 std::to_string(u.row) + " of " +
                                 std::to_string(n));
     }
+    FAIRTOPK_RETURN_IF_ERROR(CheckScore(u.row, u.score));
   }
   Bump(&SessionServiceStats::score_updates);
   FAIRTOPK_RETURN_IF_ERROR(
@@ -747,6 +770,10 @@ Status AuditSession::AppendInternal(const std::vector<std::vector<Cell>>& rows,
   // Validate every row before mutating anything, so a bad batch leaves
   // the session untouched (Table::AppendRow performs the same checks,
   // but only row by row).
+  const size_t old_n = table_.num_rows();
+  for (size_t i = 0; i < scores.size(); ++i) {
+    FAIRTOPK_RETURN_IF_ERROR(CheckScore(old_n + i, scores[i]));
+  }
   const Schema& schema = table_.schema();
   for (const std::vector<Cell>& row : rows) {
     if (row.size() != schema.size()) {
@@ -769,7 +796,6 @@ Status AuditSession::AppendInternal(const std::vector<std::vector<Cell>>& rows,
     }
   }
 
-  const size_t old_n = table_.num_rows();
   for (const std::vector<Cell>& row : rows) {
     FAIRTOPK_RETURN_IF_ERROR(table_.AppendRow(row));
   }

@@ -166,7 +166,9 @@ class AuditSession {
   /// the numeric column `score_column`; ties break by row id. The
   /// column's values become the session's score vector — later
   /// ApplyScoreUpdates() calls supersede them (the table column itself
-  /// is immutable and retains the original values).
+  /// is immutable and retains the original values). Every score must
+  /// be finite: a NaN or infinite one is an InvalidArgument naming its
+  /// row, here and in every call that takes scores.
   static Result<AuditSession> Create(Table table,
                                      const std::string& score_column,
                                      bool ascending = false,
@@ -179,12 +181,13 @@ class AuditSession {
                                                std::vector<double> scores,
                                                SessionOptions options = {});
 
-  /// Restores a session from a snapshot written by SaveSnapshot() —
-  /// the quadruple is deserialized and validated, not recomputed, so
-  /// opening skips CSV parsing, ranking, and the index build entirely.
-  /// `options.pattern_attributes` is ignored: the snapshot's pattern
-  /// space is authoritative. Snapshot errors are typed (kTruncated /
-  /// kChecksumMismatch / kVersionMismatch / kCorruption).
+  /// Restores a session from a snapshot written by SaveSnapshot(). The
+  /// table, scores and ranking are read back, and the index is built
+  /// from them as Create() builds it, so opening skips CSV parsing,
+  /// bucketizing and the sort. `options.pattern_attributes` is
+  /// ignored: the snapshot's pattern space is authoritative. Errors in
+  /// the file are typed (kTruncated / kChecksumMismatch /
+  /// kVersionMismatch / kCorruption).
   static Result<AuditSession> OpenFromSnapshot(const std::string& path,
                                                SessionOptions options = {});
 
@@ -337,6 +340,15 @@ class AuditSession {
   AuditSession(Table table, std::vector<double> scores, bool ascending,
                int score_column, SessionOptions options,
                DetectionInput input);
+
+  /// The one construction path behind Create, CreateWithScores and
+  /// OpenFromSnapshot: checks the options and the scores, ranks by
+  /// score unless `ranking` is given (a snapshot's stored order), and
+  /// builds the index.
+  static Result<AuditSession> Make(
+      Table table, std::vector<double> scores, bool ascending,
+      int score_column, std::optional<std::vector<uint32_t>> ranking,
+      SessionOptions options);
 
   /// True iff row `a` ranks before row `b` under (score, ascending_)
   /// with ties broken by row id.

@@ -59,13 +59,15 @@ Status CheckLogHeader(const uint8_t* data, size_t size, uint64_t generation,
     return Status::Corruption("not a fairtopk op log (bad magic)");
   }
   Decoder dec(data, kOpLogHeaderBytes);
-  (void)dec.Skip(sizeof kOpLogMagic);
-  uint32_t version, reserved, stored_crc;
-  uint64_t log_generation;
-  (void)dec.U32(&version);
-  (void)dec.U64(&log_generation);
-  (void)dec.U32(&reserved);
-  (void)dec.U32(&stored_crc);
+  uint32_t version = 0;
+  uint32_t reserved = 0;
+  uint32_t stored_crc = 0;
+  uint64_t log_generation = 0;
+  FAIRTOPK_RETURN_IF_ERROR(dec.Skip(sizeof kOpLogMagic));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U32(&version));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U64(&log_generation));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U32(&reserved));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U32(&stored_crc));
   if (Crc32(data, kOpLogHeaderBytes - sizeof(uint32_t)) != stored_crc) {
     return Status::ChecksumMismatch("op log header checksum mismatch");
   }
@@ -79,35 +81,6 @@ Status CheckLogHeader(const uint8_t* data, size_t size, uint64_t generation,
   }
   *generation_matches = log_generation == generation;
   return Status::OK();
-}
-
-Result<std::string> SlurpFile(const std::string& path, bool* exists) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) {
-      *exists = false;
-      return std::string();
-    }
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  *exists = true;
-  std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      int err = errno;
-      ::close(fd);
-      return Status::IoError("read of " + path + " failed: " +
-                             std::strerror(err));
-    }
-    if (n == 0) break;
-    out.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return out;
 }
 
 }  // namespace
@@ -272,7 +245,7 @@ Result<OpLog> OpLog::Open(const std::string& path, uint64_t generation,
                           FsyncPolicy fsync, Recovered* recovered) {
   *recovered = Recovered{};
   bool exists = false;
-  FAIRTOPK_ASSIGN_OR_RETURN(std::string bytes, SlurpFile(path, &exists));
+  FAIRTOPK_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(path, &exists));
   if (!exists) {
     return Create(path, generation, fsync);
   }

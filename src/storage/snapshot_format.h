@@ -1,8 +1,9 @@
 // On-disk format shared by the snapshot writer/reader and the op log:
 // magic numbers, version policy, the fixed header/TOC layouts, CRC32,
-// and a little-endian binary codec whose reader is bounds-checked on
+// a little-endian binary codec whose reader is bounds-checked on
 // every access (hostile bytes must surface as typed Status errors,
-// never as crashes or out-of-bounds reads).
+// never as crashes or out-of-bounds reads), and the whole-file read
+// both readers start from.
 //
 // Snapshot layout (all integers little-endian):
 //
@@ -12,7 +13,6 @@
 //   [ section kColumns ] (padded to 64)
 //   [ section kScores  ] (padded to 64)
 //   [ section kRanking ] (padded to 64)
-//   [ section kIndex   ] (64-byte aligned: memory-mappable read-only)
 //   [ TOC: one 32-byte entry per section ]
 //
 //   header: magic[8] "FTKSNAP1", version u32, section_count u32,
@@ -23,11 +23,21 @@
 //              crc32 u32, reserved u32 (CRC over the unpadded section
 //              payload).
 //
+// A snapshot stores each fact once. The rank-ordered bitmap index is
+// derived from the categorical columns and the ranking, so it is not
+// stored: opening a snapshot builds it with BitmapIndex::Build, as a
+// CSV start does. The ranking is stored although the scores determine
+// it, because re-sorting the scores costs more at open than reading
+// the section does (at 10^6 rows the sort alone takes more than half
+// as long as a whole open).
+//
 // Version policy: the major format version is the single u32 in the
 // header. Readers accept exactly kSnapshotVersion and fail with
 // kVersionMismatch otherwise; additive evolution happens by appending
 // new section ids (unknown ids are an error for now — sections are a
-// closed set until a forward-compat story is needed).
+// closed set until a forward-compat story is needed). Version 1 also
+// stored the index; version 2 dropped that section, and a version-1
+// file is refused.
 //
 // Doubles are encoded as raw IEEE-754 bit patterns (bit_cast through
 // u64), never via text formatting, so scores survive a round trip
@@ -35,6 +45,10 @@
 #ifndef FAIRTOPK_STORAGE_SNAPSHOT_FORMAT_H_
 #define FAIRTOPK_STORAGE_SNAPSHOT_FORMAT_H_
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -50,11 +64,10 @@ inline constexpr char kSnapshotMagic[8] = {'F', 'T', 'K', 'S',
                                            'N', 'A', 'P', '1'};
 inline constexpr char kOpLogMagic[8] = {'F', 'T', 'K', 'O',
                                         'P', 'L', 'G', '1'};
-inline constexpr uint32_t kSnapshotVersion = 1;
+inline constexpr uint32_t kSnapshotVersion = 2;
 inline constexpr uint32_t kOpLogVersion = 1;
 
-/// Sections are aligned so the index section (bitset words) starts on
-/// a cache-line boundary of the file.
+/// Every section starts on a cache-line boundary of the file.
 inline constexpr size_t kSectionAlignment = 64;
 inline constexpr size_t kHeaderBytes = 64;
 inline constexpr size_t kTocEntryBytes = 32;
@@ -68,8 +81,8 @@ enum class SectionId : uint32_t {
   kColumns = 3,  // raw column payloads (i16 codes / f64 values)
   kScores = 4,   // authoritative per-row scores (post-maintenance)
   kRanking = 5,  // row ids in rank order
-  kIndex = 6,    // BitmapIndex: rank codes + per-value bitset words
 };
+inline constexpr uint32_t kSnapshotSectionCount = 5;
 
 /// CRC-32 (ISO 3309 / zlib polynomial), table-driven.
 inline uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed = 0) {
@@ -222,6 +235,39 @@ class Decoder {
 inline size_t PaddingFor(size_t offset) {
   size_t rem = offset % kSectionAlignment;
   return rem == 0 ? 0 : kSectionAlignment - rem;
+}
+
+/// Reads the whole file at `path` through read(). When `exists` is
+/// given, a missing file is not an error: *exists becomes false and
+/// the result is empty.
+inline Result<std::string> ReadWholeFile(const std::string& path,
+                                         bool* exists = nullptr) {
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (exists != nullptr && errno == ENOENT) {
+      *exists = false;
+      return std::string();
+    }
+    return Status::IoError("cannot open " + path + ": " +
+                           std::strerror(errno));
+  }
+  if (exists != nullptr) *exists = true;
+  std::string out;
+  char buf[1 << 16];
+  for (;;) {
+    ssize_t n = ::read(fd, buf, sizeof buf);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      int err = errno;
+      ::close(fd);
+      return Status::IoError("read of " + path + " failed: " +
+                             std::strerror(err));
+    }
+    if (n == 0) break;
+    out.append(buf, static_cast<size_t>(n));
+  }
+  ::close(fd);
+  return out;
 }
 
 /// One TOC entry as parsed from / serialized to disk.

@@ -36,17 +36,22 @@ Status ParseHeader(const uint8_t* data, size_t size, HeaderFacts* out) {
     return Status::Corruption("not a fairtopk snapshot (bad magic)");
   }
   Decoder dec(data, kHeaderBytes);
-  (void)dec.Skip(sizeof kSnapshotMagic);
-  uint32_t version, section_count, stored_crc;
-  uint64_t toc_offset, toc_bytes, file_bytes, generation;
-  (void)dec.U32(&version);
-  (void)dec.U32(&section_count);
-  (void)dec.U64(&toc_offset);
-  (void)dec.U64(&toc_bytes);
-  (void)dec.U64(&file_bytes);
-  (void)dec.U64(&generation);
-  (void)dec.Skip(12);
-  (void)dec.U32(&stored_crc);
+  uint32_t version = 0;
+  uint32_t section_count = 0;
+  uint32_t stored_crc = 0;
+  uint64_t toc_offset = 0;
+  uint64_t toc_bytes = 0;
+  uint64_t file_bytes = 0;
+  uint64_t generation = 0;
+  FAIRTOPK_RETURN_IF_ERROR(dec.Skip(sizeof kSnapshotMagic));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U32(&version));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U32(&section_count));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U64(&toc_offset));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U64(&toc_bytes));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U64(&file_bytes));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U64(&generation));
+  FAIRTOPK_RETURN_IF_ERROR(dec.Skip(12));
+  FAIRTOPK_RETURN_IF_ERROR(dec.U32(&stored_crc));
   const uint32_t actual_crc = Crc32(data, kHeaderBytes - sizeof(uint32_t));
   if (actual_crc != stored_crc) {
     return Status::ChecksumMismatch("snapshot header checksum mismatch");
@@ -82,10 +87,11 @@ Status ParseHeader(const uint8_t* data, size_t size, HeaderFacts* out) {
 
 Status ParseToc(const uint8_t* data, const HeaderFacts& h,
                 std::vector<SectionEntry>* out) {
-  if (h.section_count != 6) {
+  if (h.section_count != kSnapshotSectionCount) {
     return Status::Corruption("snapshot holds " +
                               std::to_string(h.section_count) +
-                              " sections, expected 6");
+                              " sections, expected " +
+                              std::to_string(kSnapshotSectionCount));
   }
   Decoder dec(data + h.toc_offset, h.toc_bytes);
   uint32_t seen_mask = 0;
@@ -101,7 +107,7 @@ Status ParseToc(const uint8_t* data, const HeaderFacts& h,
     if (reserved_a != 0 || reserved_b != 0) {
       return Status::Corruption("snapshot TOC reserved field is non-zero");
     }
-    if (id < 1 || id > 6) {
+    if (id < 1 || id > kSnapshotSectionCount) {
       return Status::Corruption("snapshot TOC names unknown section id " +
                                 std::to_string(id));
     }
@@ -284,86 +290,18 @@ Status ParseRanking(Decoder dec, uint64_t num_rows,
   out->resize(static_cast<size_t>(count));
   FAIRTOPK_RETURN_IF_ERROR(
       dec.Bytes(out->data(), out->size() * sizeof(uint32_t)));
-  return ExpectDrained(dec, "ranking");
-}
-
-Status ParseIndex(Decoder dec, const PatternSpace& space, uint64_t num_rows,
-                  std::vector<std::vector<Bitset>>* value_bits,
-                  std::vector<std::vector<int16_t>>* rank_codes) {
-  uint32_t num_attrs;
-  FAIRTOPK_RETURN_IF_ERROR(dec.Count(&num_attrs, kMaxAttributes));
-  if (num_attrs != space.num_attributes()) {
-    return Status::Corruption("snapshot index disagrees with the pattern "
-                              "space on the attribute count");
-  }
-  uint64_t n;
-  FAIRTOPK_RETURN_IF_ERROR(dec.U64(&n));
-  if (n != num_rows) {
-    return Status::Corruption("snapshot index covers " + std::to_string(n) +
-                              " rows, expected " + std::to_string(num_rows));
-  }
-  const uint64_t words_per_bitset = (n + 63) / 64;
-  value_bits->resize(num_attrs);
-  rank_codes->resize(num_attrs);
-  for (uint32_t a = 0; a < num_attrs; ++a) {
-    uint32_t domain;
-    FAIRTOPK_RETURN_IF_ERROR(dec.Count(&domain, kMaxLabels));
-    if (domain != static_cast<uint32_t>(space.domain_size(a))) {
+  FAIRTOPK_RETURN_IF_ERROR(ExpectDrained(dec, "ranking"));
+  // Callers index the scores and the table through the ranking, so a
+  // ranking that is not a permutation of [0, num_rows) stops here.
+  std::vector<bool> seen(out->size(), false);
+  for (uint32_t row : *out) {
+    if (row >= out->size() || seen[row]) {
       return Status::Corruption(
-          "snapshot index disagrees with the pattern space on the domain "
-          "of attribute " + std::to_string(a));
+          "snapshot ranking is not a permutation of its rows");
     }
-    (*rank_codes)[a].resize(static_cast<size_t>(n));
-    FAIRTOPK_RETURN_IF_ERROR(dec.Bytes((*rank_codes)[a].data(),
-                                       static_cast<size_t>(n) *
-                                           sizeof(int16_t)));
-    (*value_bits)[a].reserve(domain);
-    for (uint32_t code = 0; code < domain; ++code) {
-      uint64_t num_words;
-      FAIRTOPK_RETURN_IF_ERROR(dec.U64(&num_words));
-      if (num_words != words_per_bitset) {
-        return Status::Corruption("snapshot bitset holds " +
-                                  std::to_string(num_words) +
-                                  " words, expected " +
-                                  std::to_string(words_per_bitset));
-      }
-      std::vector<uint64_t> words(static_cast<size_t>(num_words));
-      FAIRTOPK_RETURN_IF_ERROR(
-          dec.Bytes(words.data(), words.size() * sizeof(uint64_t)));
-      if (n % 64 != 0 && !words.empty() &&
-          (words.back() & ~((uint64_t{1} << (n % 64)) - 1)) != 0) {
-        return Status::Corruption(
-            "snapshot bitset has set bits past the row count");
-      }
-      (*value_bits)[a].push_back(
-          Bitset::FromWords(static_cast<size_t>(n), std::move(words)));
-    }
+    seen[row] = true;
   }
-  return ExpectDrained(dec, "index");
-}
-
-Result<std::string> SlurpFile(const std::string& path) {
-  int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    return Status::IoError("cannot open " + path + ": " +
-                           std::strerror(errno));
-  }
-  std::string out;
-  char buf[1 << 16];
-  for (;;) {
-    ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      int err = errno;
-      ::close(fd);
-      return Status::IoError("read of " + path + " failed: " +
-                             std::strerror(err));
-    }
-    if (n == 0) break;
-    out.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return out;
+  return Status::OK();
 }
 
 Result<OpenedSnapshot> ParseSnapshot(const uint8_t* data, size_t size) {
@@ -411,43 +349,19 @@ Result<OpenedSnapshot> ParseSnapshot(const uint8_t* data, size_t size) {
   FAIRTOPK_RETURN_IF_ERROR(
       ParseScores(std::move(scores), num_rows, &out.scores));
 
-  std::vector<uint32_t> ranking;
-  FAIRTOPK_ASSIGN_OR_RETURN(Decoder ranking_dec,
+  FAIRTOPK_ASSIGN_OR_RETURN(Decoder ranking,
                             OpenSection(data, toc, SectionId::kRanking));
   FAIRTOPK_RETURN_IF_ERROR(
-      ParseRanking(std::move(ranking_dec), num_rows, &ranking));
-
-  Result<PatternSpace> space =
-      PatternSpace::Create(schema, out.pattern_attributes);
-  if (!space.ok()) {
-    return Status::Corruption("snapshot pattern attributes rejected: " +
-                              space.status().message());
-  }
-
-  std::vector<std::vector<Bitset>> value_bits;
-  std::vector<std::vector<int16_t>> rank_codes;
-  FAIRTOPK_ASSIGN_OR_RETURN(Decoder index_dec,
-                            OpenSection(data, toc, SectionId::kIndex));
-  FAIRTOPK_RETURN_IF_ERROR(ParseIndex(std::move(index_dec), space.value(),
-                                      num_rows, &value_bits, &rank_codes));
-
-  Result<BitmapIndex> index =
-      BitmapIndex::FromParts(std::move(space).value(), std::move(ranking),
-                             std::move(value_bits), std::move(rank_codes));
-  if (!index.ok()) {
-    return Status::Corruption("snapshot index rejected: " +
-                              index.status().message());
-  }
+      ParseRanking(std::move(ranking), num_rows, &out.ranking));
 
   out.table.emplace(std::move(table).value());
-  out.index.emplace(std::move(index).value());
   return out;
 }
 
 }  // namespace
 
 Result<OpenedSnapshot> ReadSnapshot(const std::string& path) {
-  FAIRTOPK_ASSIGN_OR_RETURN(std::string bytes, SlurpFile(path));
+  FAIRTOPK_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(path));
   return ParseSnapshot(reinterpret_cast<const uint8_t*>(bytes.data()),
                        bytes.size());
 }

@@ -1,13 +1,14 @@
 // Deserializes and validates a snapshot written by snapshot_writer.h:
-// the file is read whole through read() and parsed from the buffer,
-// its bitset words copied into the index's Bitsets.
+// the file is read whole through read() and parsed from the buffer
+// into the facts it stores. Structures derived from them, such as the
+// bitmap index, are built by the caller (AuditSession::OpenFromSnapshot).
 //
 // The error surface is typed and total: hostile bytes produce
 // kTruncated / kChecksumMismatch / kVersionMismatch / kCorruption,
 // never a crash or out-of-bounds access. Every section is CRC-checked
 // before it is parsed, every count is bounded before it drives an
-// allocation, and the reassembled structures re-run the same
-// invariant checks their builders enforce.
+// allocation, table rows go through the table's own validating append,
+// and the ranking must be a permutation of the rows.
 #ifndef FAIRTOPK_STORAGE_SNAPSHOT_READER_H_
 #define FAIRTOPK_STORAGE_SNAPSHOT_READER_H_
 
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "index/bitmap_index.h"
 #include "relation/table.h"
 
 namespace fairtopk {
@@ -31,10 +31,10 @@ struct SnapshotInfo {
   uint64_t file_bytes = 0;
 };
 
-/// A fully validated snapshot: the session quadruple plus the metadata
-/// needed to resume maintenance. `table` and `index` are optionals
-/// only because those types have no public default constructor; a
-/// successful open always populates both.
+/// A validated snapshot: the session's table, scores and ranking plus
+/// the metadata needed to resume maintenance. `table` is an optional
+/// only because Table has no public default constructor; a successful
+/// open always populates it.
 struct OpenedSnapshot {
   SnapshotInfo info;
   bool ascending = false;
@@ -42,7 +42,8 @@ struct OpenedSnapshot {
   std::vector<std::string> pattern_attributes;
   std::optional<Table> table;
   std::vector<double> scores;
-  std::optional<BitmapIndex> index;  // carries the ranking
+  /// Row ids in rank order: a permutation of [0, table->num_rows()).
+  std::vector<uint32_t> ranking;
 };
 
 /// Opens, checksums, parses, and structurally validates `path`.

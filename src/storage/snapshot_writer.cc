@@ -74,31 +74,6 @@ std::string EncodeRanking(const std::vector<uint32_t>& ranking) {
   return out;
 }
 
-std::string EncodeIndex(const BitmapIndex& index) {
-  std::string out;
-  Encoder enc(&out);
-  const PatternSpace& space = index.space();
-  const size_t n = index.num_rows();
-  enc.U32(static_cast<uint32_t>(space.num_attributes()));
-  enc.U64(n);
-  std::vector<int16_t> codes(n);
-  for (size_t a = 0; a < space.num_attributes(); ++a) {
-    const int domain = space.domain_size(a);
-    enc.U32(static_cast<uint32_t>(domain));
-    for (size_t pos = 0; pos < n; ++pos) {
-      codes[pos] = index.RankedCode(pos, a);
-    }
-    enc.Raw(codes.data(), codes.size() * sizeof(int16_t));
-    for (int code = 0; code < domain; ++code) {
-      const std::vector<uint64_t>& words =
-          index.ValueBitset(a, static_cast<int16_t>(code)).words();
-      enc.U64(words.size());
-      enc.Raw(words.data(), words.size() * sizeof(uint64_t));
-    }
-  }
-  return out;
-}
-
 Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -168,7 +143,6 @@ Result<uint64_t> WriteSnapshot(const std::string& path,
       {SectionId::kColumns, EncodeColumns(*c.table)},
       {SectionId::kScores, EncodeScores(*c.scores)},
       {SectionId::kRanking, EncodeRanking(c.index->ranking())},
-      {SectionId::kIndex, EncodeIndex(*c.index)},
   };
 
   std::string file(kHeaderBytes, '\0');

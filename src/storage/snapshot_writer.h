@@ -1,5 +1,5 @@
-// Serializes one session quadruple (Table, scores, ranking, BitmapIndex)
-// into the versioned snapshot format of snapshot_format.h. The write is
+// Serializes one session's table, scores and ranking into the
+// versioned snapshot format of snapshot_format.h. The write is
 // atomic: bytes land in `path + ".tmp"`, are fsync'ed, and the tmp file
 // is renamed over `path` (the directory is fsync'ed after the rename),
 // so a crash at any point leaves either the old snapshot or the new
@@ -19,9 +19,9 @@ namespace fairtopk {
 namespace storage {
 
 /// Borrowed views of everything a snapshot captures. The ranking and
-/// the pattern-attribute names travel inside `index` (its ranking() and
-/// space()); `scores` is the authoritative post-maintenance per-row
-/// score vector.
+/// the pattern-attribute names are read from `index` (its ranking() and
+/// space()); its bitsets are not stored. `scores` is the authoritative
+/// post-maintenance per-row score vector.
 struct SnapshotContents {
   uint64_t generation = 0;
   bool ascending = false;

@@ -4,6 +4,10 @@
 // the patch-vs-rebuild threshold).
 #include "service/audit_session.h"
 
+#include <limits>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -300,6 +304,57 @@ TEST(AuditSessionTest, UpdateRejectsOutOfRangeRow) {
   EXPECT_FALSE(session.ApplyScoreUpdates({{50, 1.0}}).ok());
   // Failed validation leaves the session untouched.
   EXPECT_EQ(session.service_stats().score_updates, 0u);
+}
+
+// NaN and infinite scores rank nowhere, so every entry point that takes
+// scores refuses them, names the row, and leaves the session as it was.
+TEST(AuditSessionTest, NonFiniteScoresAreRefusedAtEveryEntryPoint) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(std::to_string(bad));
+    const auto expect_refused = [](const Status& status,
+                                   const std::string& row) {
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << status.ToString();
+      EXPECT_NE(status.message().find("score of row " + row + " is not"),
+                std::string::npos)
+          << status.ToString();
+    };
+
+    // Create over a table whose score column holds the value.
+    Table table = SessionTable(30, 14);
+    ASSERT_TRUE(
+        table.AppendRow({Cell::Code(0), Cell::Code(0), Cell::Value(bad)})
+            .ok());
+    expect_refused(AuditSession::Create(table, "score").status(), "30");
+
+    std::vector<double> scores(30, 1.0);
+    scores[7] = bad;
+    expect_refused(
+        AuditSession::CreateWithScores(SessionTable(30, 14), scores)
+            .status(),
+        "7");
+
+    AuditSession session = MakeSession(30, 14);
+    const std::vector<uint32_t> ranking = session.ranking();
+    const std::vector<double> before = session.scores();
+    expect_refused(session.ApplyScoreUpdates({{3, 2.0}, {5, bad}}), "5");
+    expect_refused(session.AppendRows({{Cell::Code(0), Cell::Code(1),
+                                        Cell::Value(1.0)},
+                                       {Cell::Code(1), Cell::Code(1),
+                                        Cell::Value(bad)}}),
+                   "31");
+    expect_refused(
+        session.AppendRowsWithScores(
+            {{Cell::Code(0), Cell::Code(1), Cell::Value(1.0)}}, {bad}),
+        "30");
+    EXPECT_EQ(session.ranking(), ranking);
+    EXPECT_EQ(session.scores(), before);
+    EXPECT_EQ(session.num_rows(), 30u);
+    EXPECT_EQ(session.service_stats().score_updates, 0u);
+    EXPECT_EQ(session.service_stats().appends, 0u);
+  }
 }
 
 TEST(AuditSessionTest, AppendExtendsDatasetAndRanking) {

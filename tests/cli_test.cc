@@ -124,6 +124,9 @@ TEST(CliTest, MalformedNumberFlagIsUsageError) {
       << ReadAll(err);
   EXPECT_NE(ReadAll(err).find("'0.8x'"), std::string::npos) << ReadAll(err);
   EXPECT_EQ(RunCli(base + "--lower abc", out), 2);
+  // Only finite values are numbers.
+  EXPECT_EQ(RunCli(base + "--alpha nan", out), 2);
+  EXPECT_EQ(RunCli(base + "--upper inf", out), 2);
 }
 
 // Every search runs on one thread: fairtopk_audit has no --threads,
@@ -163,6 +166,57 @@ TEST(CliTest, JsonModeEmitsParsableSkeleton) {
   EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"measure\":\"global\""), std::string::npos);
   EXPECT_NE(json.find("\"results\":["), std::string::npos);
+}
+
+/// The report from "measure" on ("dataset" names the input file) with
+/// its timings zeroed: what two runs of one audit must print alike.
+std::string ReportFacts(const std::string& json) {
+  const size_t measure = json.find("\"measure\":");
+  std::string out = json.substr(measure == std::string::npos ? 0 : measure);
+  for (const std::string tag : {"\"seconds\":", "\"cpu_seconds\":"}) {
+    const size_t at = out.find(tag);
+    if (at == std::string::npos) continue;
+    const size_t begin = at + tag.size();
+    out.replace(begin, out.find_first_of(",}", begin) - begin, "0");
+  }
+  return out;
+}
+
+// --save-snapshot writes the session the CSV run audited; --snapshot
+// reopens it and prints the same report.
+TEST(CliTest, SavedSnapshotReopensToTheSameReport) {
+  const std::string csv = WriteDemoCsv();
+  const std::string snapshot = TempPath("cli_demo.ftk");
+  const std::string from_csv = TempPath("cli_from_csv.out");
+  const std::string from_snapshot = TempPath("cli_from_snapshot.out");
+  const std::string err = TempPath("cli_snapshot.err");
+  std::remove(snapshot.c_str());
+  const std::string query =
+      " --measure prop --kmin 10 --kmax 30 --tau 20 --json";
+  ASSERT_EQ(RunCli("--csv " + Quote(csv) + " --rank-by score" + query +
+                       " --save-snapshot " + Quote(snapshot),
+                   from_csv, err),
+            0)
+      << ReadAll(err);
+  EXPECT_NE(ReadAll(err).find("snapshot written to"), std::string::npos)
+      << ReadAll(err);
+  ASSERT_EQ(RunCli("--snapshot " + Quote(snapshot) + query, from_snapshot,
+                   err),
+            0)
+      << ReadAll(err);
+  const std::string want = ReportFacts(ReadAll(from_csv));
+  EXPECT_NE(want.find("\"gender\":\"F\""), std::string::npos) << want;
+  EXPECT_EQ(ReportFacts(ReadAll(from_snapshot)), want);
+  // --explain works on a snapshot too: it explains the session's
+  // ranking.
+  EXPECT_EQ(RunCli("--snapshot " + Quote(snapshot) +
+                       " --kmin 10 --kmax 30 --tau 20 --explain",
+                   from_snapshot, err),
+            0)
+      << ReadAll(err);
+  EXPECT_NE(ReadAll(from_snapshot).find("Explanation for"),
+            std::string::npos)
+      << ReadAll(from_snapshot);
 }
 
 TEST(CliTest, VerifyModeUsesExitCodeThree) {

@@ -175,7 +175,9 @@ TEST(ConcurrentSessionTest, IdenticalConcurrentDetectsComputeOnce) {
   for (const auto& response : responses) {
     ASSERT_TRUE(response.ok()) << response.status().ToString();
     if (!response->cached) ++computed;
-    if (response->cached) EXPECT_TRUE(response->coalesced);
+    if (response->cached) {
+      EXPECT_TRUE(response->coalesced);
+    }
     // Coalesced waiters share the owner's materialized result object.
     if (first == nullptr) {
       first = response->result.get();

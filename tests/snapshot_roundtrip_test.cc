@@ -1,11 +1,13 @@
 // Round-trip tests for the snapshot format (src/storage/): a session
 // saved and re-opened must be indistinguishable from the original:
-// bit-identical rankings,
-// scores, and detection results (patterns AND work counters) for every
-// registered detector, across maintenance (updates + appends) before
-// the save.
+// bit-identical rankings, scores and index (rebuilt at open from the
+// stored columns and ranking), and detection results (patterns AND
+// work counters) for every registered detector, across maintenance
+// (updates + appends) before the save.
 #include <cstdint>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -106,7 +108,7 @@ void ExpectStateIdentical(AuditSession& a, AuditSession& b) {
   ASSERT_EQ(a.num_rows(), b.num_rows());
   EXPECT_EQ(a.ranking(), b.ranking());
   ASSERT_EQ(a.scores().size(), b.scores().size());
-  // Bitwise, not ==: NaN payloads and signed zeros must survive too.
+  // Bitwise, not ==: signed zeros must survive too.
   EXPECT_EQ(std::memcmp(a.scores().data(), b.scores().data(),
                         a.scores().size() * sizeof(double)),
             0);
@@ -114,6 +116,21 @@ void ExpectStateIdentical(AuditSession& a, AuditSession& b) {
   for (size_t attr = 0; attr < a.space().num_attributes(); ++attr) {
     EXPECT_EQ(a.space().name(attr), b.space().name(attr));
     EXPECT_EQ(a.space().domain_size(attr), b.space().domain_size(attr));
+  }
+  // The index: every rank code and every word of every value bitset.
+  const BitmapIndex& ia = a.input().index();
+  const BitmapIndex& ib = b.input().index();
+  ASSERT_EQ(ia.num_rows(), ib.num_rows());
+  for (size_t attr = 0; attr < a.space().num_attributes(); ++attr) {
+    for (size_t pos = 0; pos < ia.num_rows(); ++pos) {
+      ASSERT_EQ(ia.RankedCode(pos, attr), ib.RankedCode(pos, attr))
+          << "attribute " << attr << ", rank position " << pos;
+    }
+    for (int16_t code = 0; code < a.space().domain_size(attr); ++code) {
+      EXPECT_EQ(ia.ValueBitset(attr, code).words(),
+                ib.ValueBitset(attr, code).words())
+          << "attribute " << attr << ", code " << code;
+    }
   }
 }
 
@@ -135,31 +152,44 @@ TEST(SnapshotRoundtripTest, FreshSessionRoundtrips) {
 TEST(SnapshotRoundtripTest, SurvivesMaintenanceBeforeSave) {
   const std::string path =
       ::testing::TempDir() + "/snapshot_roundtrip_mutated.ftk";
-  AuditSession original = MustCreate(300, 11);
+  // Threshold 1 patches the index in place, 0 rebuilds it: either way
+  // the index rebuilt at open must equal it word for word.
+  for (const double threshold : {1.0, 0.0}) {
+    SCOPED_TRACE("rebuild_threshold " + std::to_string(threshold));
+    const DetectionInput::Maintenance want =
+        threshold == 1.0 ? DetectionInput::Maintenance::kPatched
+                         : DetectionInput::Maintenance::kRebuilt;
+    SessionOptions options;
+    options.rebuild_threshold = threshold;
+    AuditSession original = MustCreate(300, 11, options);
 
-  // Disturb the state through both maintenance paths so the saved
-  // quadruple is NOT what Create() would build from the table alone:
-  // updated scores diverge from the score column, appends grow the
-  // index past its build size.
-  Rng rng(99);
-  std::vector<ScoreUpdate> updates;
-  for (uint32_t row = 0; row < 60; ++row) {
-    updates.push_back({row * 5, rng.Gaussian() * 40.0});
-  }
-  ASSERT_TRUE(original.ApplyScoreUpdates(updates).ok());
-  std::vector<std::vector<Cell>> rows;
-  for (int i = 0; i < 25; ++i) {
-    rows.push_back({Cell::Code(static_cast<int16_t>(i % 3)),
-                    Cell::Code(static_cast<int16_t>(i % 4)),
-                    Cell::Value(rng.Gaussian() * 25.0)});
-  }
-  ASSERT_TRUE(original.AppendRows(rows).ok());
+    // Disturb the state through both maintenance paths so the saved
+    // state is NOT what Create() would build from the table alone:
+    // updated scores diverge from the score column, appends grow the
+    // index past its build size.
+    Rng rng(99);
+    std::vector<ScoreUpdate> updates;
+    for (uint32_t row = 0; row < 60; ++row) {
+      updates.push_back({row * 5, rng.Gaussian() * 40.0});
+    }
+    MaintenanceReport report;
+    ASSERT_TRUE(original.ApplyScoreUpdates(updates, &report).ok());
+    EXPECT_EQ(report.kind, want);
+    std::vector<std::vector<Cell>> rows;
+    for (int i = 0; i < 25; ++i) {
+      rows.push_back({Cell::Code(static_cast<int16_t>(i % 3)),
+                      Cell::Code(static_cast<int16_t>(i % 4)),
+                      Cell::Value(rng.Gaussian() * 25.0)});
+    }
+    ASSERT_TRUE(original.AppendRows(rows, &report).ok());
+    EXPECT_EQ(report.kind, want);
 
-  ASSERT_TRUE(original.SaveSnapshot(path).ok());
-  auto restored = AuditSession::OpenFromSnapshot(path);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ExpectStateIdentical(original, *restored);
-  ExpectDetectorsIdentical(original, *restored);
+    ASSERT_TRUE(original.SaveSnapshot(path).ok());
+    auto restored = AuditSession::OpenFromSnapshot(path);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    ExpectStateIdentical(original, *restored);
+    ExpectDetectorsIdentical(original, *restored);
+  }
 }
 
 TEST(SnapshotRoundtripTest, ExplicitScoresSessionRoundtrips) {
@@ -198,6 +228,43 @@ TEST(SnapshotRoundtripTest, GenerationAdvancesAcrossSaves) {
   ASSERT_TRUE(restored->SaveSnapshot().ok());
   EXPECT_EQ(restored->storage_info().generation, 3u);
   EXPECT_EQ(restored->storage_info().snapshot_path, path);
+}
+
+// Version 1 stored the index beside the columns. The format admits
+// exactly one version, so a well-formed version-1 header is refused by
+// every reader with kVersionMismatch.
+TEST(SnapshotRoundtripTest, VersionOneIsRefused) {
+  const std::string path =
+      ::testing::TempDir() + "/snapshot_roundtrip_v1.ftk";
+  AuditSession session = MustCreate(60, 17);
+  ASSERT_TRUE(session.SaveSnapshot(path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  ASSERT_GE(bytes.size(), storage::kHeaderBytes);
+  // Header: magic[8], version u32 at offset 8, ..., CRC u32 over bytes
+  // [0, 60) at offset 60.
+  const uint32_t version = 1;
+  std::memcpy(bytes.data() + 8, &version, sizeof version);
+  const uint32_t crc = storage::Crc32(
+      reinterpret_cast<const uint8_t*>(bytes.data()),
+      storage::kHeaderBytes - sizeof(uint32_t));
+  std::memcpy(bytes.data() + storage::kHeaderBytes - sizeof crc, &crc,
+              sizeof crc);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(out.good());
+  }
+  EXPECT_EQ(storage::ReadSnapshot(path).status().code(),
+            StatusCode::kVersionMismatch);
+  EXPECT_EQ(storage::ProbeSnapshot(path).status().code(),
+            StatusCode::kVersionMismatch);
+  EXPECT_EQ(AuditSession::OpenFromSnapshot(path).status().code(),
+            StatusCode::kVersionMismatch);
 }
 
 TEST(SnapshotRoundtripTest, ProbeReportsHeaderFields) {

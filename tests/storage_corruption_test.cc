@@ -106,29 +106,49 @@ std::string WriteFixtureSnapshot(const std::string& path) {
   return SlurpFile(path);
 }
 
-/// The parts of an open that any undetected flip must leave untouched.
+/// The parts of an open that any undetected flip must leave untouched:
+/// the ranking, the scores and every column value, which together
+/// determine the index a session builds from them.
 struct SnapshotDigest {
   std::vector<uint32_t> ranking;
   std::vector<double> scores;
+  std::vector<std::vector<int16_t>> codes;    ///< per categorical column
+  std::vector<std::vector<double>> values;    ///< per numeric column
   size_t num_rows = 0;
   bool ascending = false;
 };
 
 SnapshotDigest DigestOf(const storage::OpenedSnapshot& snap) {
   SnapshotDigest d;
-  d.ranking = snap.index->ranking();
+  d.ranking = snap.ranking;
   d.scores = snap.scores;
+  for (size_t c = 0; c < snap.table->num_attributes(); ++c) {
+    const Column& column = snap.table->column(c);
+    if (column.type() == AttributeType::kCategorical) {
+      d.codes.push_back(column.codes());
+    } else {
+      d.values.push_back(column.values());
+    }
+  }
   d.num_rows = snap.table->num_rows();
   d.ascending = snap.ascending;
   return d;
 }
 
+/// Bitwise equality, so a flipped NaN payload or zero sign shows.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
 void ExpectDigestEqual(const SnapshotDigest& a, const SnapshotDigest& b) {
   EXPECT_EQ(a.ranking, b.ranking);
-  ASSERT_EQ(a.scores.size(), b.scores.size());
-  EXPECT_EQ(std::memcmp(a.scores.data(), b.scores.data(),
-                        a.scores.size() * sizeof(double)),
-            0);
+  EXPECT_TRUE(SameBits(a.scores, b.scores));
+  EXPECT_EQ(a.codes, b.codes);
+  ASSERT_EQ(a.values.size(), b.values.size());
+  for (size_t c = 0; c < a.values.size(); ++c) {
+    EXPECT_TRUE(SameBits(a.values[c], b.values[c])) << "numeric column " << c;
+  }
   EXPECT_EQ(a.num_rows, b.num_rows);
   EXPECT_EQ(a.ascending, b.ascending);
 }
@@ -195,6 +215,53 @@ TEST(StorageCorruptionTest, SnapshotGarbageAndEmptyFiles) {
     ASSERT_FALSE(opened.ok());
     EXPECT_TRUE(IsTypedStorageError(opened.status()))
         << "size " << size << ": " << opened.status().ToString();
+  }
+}
+
+// A ranking section with a valid checksum that names a row twice, or a
+// row past the table, is refused by the reader itself: an open reads
+// scores and rows through the ranking before the index build would
+// validate it.
+TEST(StorageCorruptionTest, RankingThatIsNotAPermutationIsRefused) {
+  const std::string fixture =
+      ::testing::TempDir() + "/ranking_snapshot_fixture.ftk";
+  const std::string mutated =
+      ::testing::TempDir() + "/ranking_snapshot_mutated.ftk";
+  const std::string pristine = WriteFixtureSnapshot(fixture);
+  // Header: toc_offset u64 at byte 16; the TOC has one 32-byte entry
+  // per section: id u32, reserved u32, offset u64, bytes u64, crc u32.
+  uint64_t toc_offset = 0;
+  std::memcpy(&toc_offset, pristine.data() + 16, sizeof toc_offset);
+  size_t entry = toc_offset;
+  uint32_t id = 0;
+  for (;; entry += storage::kTocEntryBytes) {
+    ASSERT_LT(entry, pristine.size());
+    std::memcpy(&id, pristine.data() + entry, sizeof id);
+    if (id == static_cast<uint32_t>(storage::SectionId::kRanking)) break;
+  }
+  uint64_t offset = 0;
+  uint64_t bytes = 0;
+  std::memcpy(&offset, pristine.data() + entry + 8, sizeof offset);
+  std::memcpy(&bytes, pristine.data() + entry + 16, sizeof bytes);
+  // The payload is a u64 row count, then one u32 row id per position.
+  for (const uint32_t bad_row : {uint32_t{0}, uint32_t{120 + 5}}) {
+    SCOPED_TRACE("row id " + std::to_string(bad_row));
+    std::string image = pristine;
+    uint32_t first = 0;
+    std::memcpy(&first, image.data() + offset + 8, sizeof first);
+    const uint32_t row = bad_row == 0 ? first : bad_row;
+    std::memcpy(image.data() + offset + 8 + sizeof(uint32_t), &row,
+                sizeof row);
+    const uint32_t crc = storage::Crc32(
+        reinterpret_cast<const uint8_t*>(image.data() + offset), bytes);
+    std::memcpy(image.data() + entry + 24, &crc, sizeof crc);
+    DumpFile(mutated, image);
+    auto opened = storage::ReadSnapshot(mutated);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+        << opened.status().ToString();
+    EXPECT_EQ(AuditSession::OpenFromSnapshot(mutated).status().code(),
+              StatusCode::kCorruption);
   }
 }
 

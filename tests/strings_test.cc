@@ -61,6 +61,16 @@ TEST(ParseDoubleTest, RejectsGarbage) {
   EXPECT_FALSE(ParseDouble("--2").has_value());
 }
 
+// Only finite values are numbers: a CSV cell or a flag holding one of
+// these reads like "N/A".
+TEST(ParseDoubleTest, RejectsNonFinite) {
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                           "1e999", "-1e999"}) {
+    EXPECT_FALSE(ParseDouble(text).has_value()) << text;
+  }
+  EXPECT_DOUBLE_EQ(ParseDouble("1e308").value(), 1e308);
+}
+
 TEST(StartsWithTest, Basic) {
   EXPECT_TRUE(StartsWith("pattern", "pat"));
   EXPECT_TRUE(StartsWith("pattern", ""));

@@ -4,6 +4,7 @@
 // these errors surface verbatim to CLI users and JSONL clients.
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -66,6 +67,32 @@ TEST(TableLoaderTest, NonNumericRankByCitesValueAndLine) {
   EXPECT_NE(status.message().find("value 'unknown' at line 4"),
             std::string::npos)
       << status.message();
+}
+
+TEST(TableLoaderTest, NanScoreIsRefusedWithItsLine) {
+  const std::string path = WriteTempCsv(
+      "loader_nan_score.csv", "gender,score\nF,1.5\nM,nan\nF,2.0\n");
+  Status status = LoadAuditTable(path, "score", 4, {}).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("value 'nan' at line 3 is not a number"),
+            std::string::npos)
+      << status.message();
+}
+
+TEST(TableLoaderTest, NonFiniteCellsMakeAColumnCategorical) {
+  // As with "N/A", an "inf" or "nan" cell keeps "age" from being
+  // bucketized as a number: its labels are the raw cells.
+  const std::string path = WriteTempCsv(
+      "loader_nan_age.csv",
+      "age,score\n30,1.5\nnan,2.5\n41,0.5\ninf,3.0\n");
+  auto table = LoadAuditTable(path, "score", /*bins=*/2, {});
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  auto age = table->schema().IndexOf("age");
+  ASSERT_TRUE(age.has_value());
+  const AttributeSchema& attr = table->schema().attribute(*age);
+  EXPECT_EQ(attr.type, AttributeType::kCategorical);
+  EXPECT_EQ(attr.labels,
+            (std::vector<std::string>{"30", "nan", "41", "inf"}));
 }
 
 TEST(TableLoaderTest, RaggedCsvErrorKeepsLineNumber) {

@@ -2,53 +2,22 @@
 //
 // Usage:
 //   fairtopk_audit --csv data.csv --rank-by score [options]
+//   fairtopk_audit --snapshot data.ftk [options]
 //
 // Pipeline: load the CSV (numeric columns inferred), bucketize numeric
-// attributes so they can participate in group definitions, rank by the
-// requested score column (descending by default), detect groups with
-// biased representation under the chosen detector (resolved from the
+// attributes so they can participate in group definitions, open an
+// AuditSession ranked by the requested score column (descending by
+// default) or restore one from a snapshot, detect groups with biased
+// representation under the chosen detector (resolved from the
 // api::DetectorRegistry by --measure x --algo), and print a text
 // report (or JSON with --json). Optionally explains the most biased
 // group via the Shapley pipeline.
 //
-// Options:
-//   --csv PATH             input CSV file (required)
-//   --rank-by COLUMN       numeric column to rank by, descending
-//                          (required)
-//   --ascending            rank ascending instead
-//   --measure global|prop  fairness measure (default: prop)
-//   --algo itertd|bounds|upper
-//                          detection algorithm within the measure
-//                          (default: bounds — the paper's optimized
-//                          incremental detector; itertd is the
-//                          baseline, upper reports over-represented
-//                          groups)
-//   --alpha X              proportional multiplier (default 0.8)
-//   --beta X               proportional upper multiplier (default
-//                          +inf; used by --algo upper / verification)
-//   --lower X              global lower bound, fraction of k
-//                          (default 0.5: L_k = 0.5k staircase)
-//   --upper X              constant global upper bound (default +inf;
-//                          used by --algo upper / verification)
-//   --kmin K --kmax K      rank range (default 10..49, clamped to |D|)
-//   --tau N                group size threshold (default 5% of rows)
-//   --bins N               buckets per numeric attribute (default 4)
-//   --drop col1,col2       columns to ignore (ids, names, ...)
-//   --suggest              calibrate bounds automatically
-//   --explain              Shapley-explain the most biased group
-//   --json                 emit the detection report as JSON
-//   --verify "A=v;B=w"     instead of detecting, verify the given
-//                          group against the bounds and report the
-//                          violating k values
-//   --rerank PATH          after detection, repair the ranking so the
-//                          detected groups meet the bounds and write
-//                          the re-ranked table to PATH as CSV
-//   --help                 print the flag table and exit
+// `fairtopk_audit --help` prints the flag table (PrintUsage below).
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -61,12 +30,10 @@
 #include "detect/verify.h"
 #include "explain/group_explainer.h"
 #include "mitigate/rerank.h"
-#include "ranking/attribute_ranker.h"
 #include "relation/csv.h"
 #include "report/json_report.h"
+#include "service/audit_session.h"
 #include "service/table_loader.h"
-#include "storage/snapshot_reader.h"
-#include "storage/snapshot_writer.h"
 
 namespace fairtopk {
 namespace {
@@ -95,11 +62,10 @@ struct Args {
   std::string verify_group;
   std::string rerank_path;
   std::string snapshot;       ///< open this snapshot instead of a CSV
-  std::string save_snapshot;  ///< write the prepared input here
+  std::string save_snapshot;  ///< write the opened session here
 };
 
-/// The full flag table (kept in sync with the file comment); printed
-/// by --help and after argument errors.
+/// The flag table, printed by --help and after argument errors.
 void PrintUsage(std::FILE* out) {
   std::fprintf(
       out,
@@ -144,9 +110,9 @@ void PrintUsage(std::FILE* out) {
       "                         to PATH as CSV\n"
       "  --snapshot PATH        open a saved snapshot instead of\n"
       "                         loading a CSV (skips parse, bucketize\n"
-      "                         and index build; --csv/--rank-by are\n"
-      "                         not needed)\n"
-      "  --save-snapshot PATH   after preparing the input, write it to\n"
+      "                         and sort; --csv/--rank-by are not\n"
+      "                         needed)\n"
+      "  --save-snapshot PATH   after opening the session, write it to\n"
       "                         PATH as a snapshot for later --snapshot\n"
       "                         opens and fairtopk_serve --data-dir\n"
       "  --help                 print this message and exit\n");
@@ -333,83 +299,38 @@ Result<Pattern> ParseGroupSpec(const std::string& spec,
 }
 
 int RunAudit(const Args& args) {
-  std::optional<Table> table;
-  std::optional<DetectionInput> input;
-  std::string rank_by = args.rank_by;
-  bool ascending = args.ascending;
-  if (!args.snapshot.empty()) {
-    // Snapshot open: the table, ranking and index come back exactly as
-    // saved — no parse, no bucketize, no index build.
-    Result<storage::OpenedSnapshot> snap =
-        storage::ReadSnapshot(args.snapshot);
-    if (!snap.ok()) {
-      std::fprintf(stderr, "%s\n", snap.status().ToString().c_str());
-      return 1;
+  // One session holds the table, scores, ranking and index, whether
+  // they come from the CSV or from a snapshot.
+  Result<AuditSession> opened = [&]() -> Result<AuditSession> {
+    if (!args.snapshot.empty()) {
+      return AuditSession::OpenFromSnapshot(args.snapshot);
     }
-    ascending = snap->ascending;
-    if (snap->score_column >= 0) {
-      rank_by = snap->table->schema()
-                    .attribute(static_cast<size_t>(snap->score_column))
-                    .name;
-    } else {
-      rank_by.clear();  // explicit-scores snapshot: no ranking column
-    }
-    table.emplace(std::move(*snap->table));
-    input.emplace(DetectionInput::FromIndex(std::move(*snap->index)));
-  } else {
     // Rank on the raw numeric column, then bucketize every OTHER
     // numeric column so it can join group definitions.
-    Result<Table> loaded =
-        LoadAuditTable(args.csv, args.rank_by, args.bins, args.drop);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    table.emplace(std::move(loaded).value());
-    AttributeRanker ranker({{args.rank_by, args.ascending}});
-    Result<DetectionInput> prepared = DetectionInput::Prepare(*table, ranker);
-    if (!prepared.ok()) {
-      std::fprintf(stderr, "%s\n", prepared.status().ToString().c_str());
-      return 1;
-    }
-    input.emplace(std::move(prepared).value());
+    FAIRTOPK_ASSIGN_OR_RETURN(
+        Table table,
+        LoadAuditTable(args.csv, args.rank_by, args.bins, args.drop));
+    return AuditSession::Create(std::move(table), args.rank_by,
+                                args.ascending);
+  }();
+  if (!opened.ok()) {
+    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
+    return 1;
   }
+  AuditSession& session = *opened;
+  const Table& table = session.table();
+  const PatternSpace& space = session.space();
 
   if (!args.save_snapshot.empty()) {
-    int32_t score_column = -1;
-    for (size_t c = 0; c < table->schema().size(); ++c) {
-      if (table->schema().attribute(c).name == rank_by) {
-        score_column = static_cast<int32_t>(c);
-        break;
-      }
-    }
-    if (score_column < 0) {
-      std::fprintf(stderr,
-                   "cannot save a snapshot: no ranking column to derive "
-                   "scores from\n");
-      return 1;
-    }
-    std::vector<double> scores(table->num_rows());
-    for (size_t r = 0; r < scores.size(); ++r) {
-      scores[r] = table->ValueAt(static_cast<uint32_t>(r),
-                                 static_cast<size_t>(score_column));
-    }
-    storage::SnapshotContents contents;
-    contents.generation = 1;
-    contents.ascending = ascending;
-    contents.score_column = score_column;
-    contents.table = &*table;
-    contents.scores = &scores;
-    contents.index = &input->index();
-    Result<uint64_t> written =
-        storage::WriteSnapshot(args.save_snapshot, contents);
-    if (!written.ok()) {
-      std::fprintf(stderr, "%s\n", written.status().ToString().c_str());
+    Status saved = session.SaveSnapshot(args.save_snapshot);
+    if (!saved.ok()) {
+      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
       return 1;
     }
     std::fprintf(stderr, "snapshot written to %s (%llu bytes)\n",
                  args.save_snapshot.c_str(),
-                 static_cast<unsigned long long>(*written));
+                 static_cast<unsigned long long>(
+                     session.storage_info().snapshot_bytes));
   }
 
   // The typed request: detector by registry name, config and bounds
@@ -417,7 +338,7 @@ int RunAudit(const Args& args) {
   api::AuditRequest request;
   request.detector = args.detector->name;
   request.config = MakeToolConfig(args.k_min, args.k_max, args.tau,
-                                  /*threads=*/1, table->num_rows());
+                                  /*threads=*/1, table.num_rows());
   Result<api::BoundsSpec> bounds = api::BoundsFromDefaults(
       args.detector->bounds_kind,
       api::BoundsDefaults{args.lower_fraction, args.alpha}, request.config);
@@ -428,8 +349,7 @@ int RunAudit(const Args& args) {
   request.bounds = std::move(bounds).value();
 
   if (args.suggest) {
-    auto suggestion =
-        SuggestParameters(*input, request.config, SuggestOptions{});
+    auto suggestion = session.Suggest(request.config, SuggestOptions{});
     if (!suggestion.ok()) {
       std::fprintf(stderr, "%s\n", suggestion.status().ToString().c_str());
       return 1;
@@ -460,26 +380,24 @@ int RunAudit(const Args& args) {
 
   if (!args.verify_group.empty()) {
     // Verification mode: check one declared group, skip detection.
-    Result<Pattern> group =
-        ParseGroupSpec(args.verify_group, input->space());
+    Result<Pattern> group = ParseGroupSpec(args.verify_group, space);
     if (!group.ok()) {
       std::fprintf(stderr, "%s\n", group.status().ToString().c_str());
       return 1;
     }
     Result<FairnessReport> report =
         std::holds_alternative<GlobalBoundSpec>(request.bounds)
-            ? VerifyGlobalFairness(*input, *group,
+            ? session.VerifyGlobal(*group,
                                    std::get<GlobalBoundSpec>(request.bounds),
                                    request.config)
-            : VerifyPropFairness(*input, *group,
+            : session.VerifyProp(*group,
                                  std::get<PropBoundSpec>(request.bounds),
                                  request.config);
     if (!report.ok()) {
       std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
       return 1;
     }
-    std::printf("group %s: size=%zu, %s\n",
-                group->ToString(input->space()).c_str(),
+    std::printf("group %s: size=%zu, %s\n", group->ToString(space).c_str(),
                 report->size_in_d,
                 report->fair() ? "FAIR across the whole k range"
                                : "BIASED");
@@ -494,18 +412,19 @@ int RunAudit(const Args& args) {
     return report->fair() ? 0 : 3;
   }
 
-  Result<DetectionResult> detected = api::RunAudit(*input, request);
-  if (!detected.ok()) {
-    std::fprintf(stderr, "%s\n", detected.status().ToString().c_str());
+  Result<api::AuditResponse> response = session.Detect(request);
+  if (!response.ok()) {
+    std::fprintf(stderr, "%s\n", response.status().ToString().c_str());
     return 1;
   }
+  const DetectionResult& detected = *response->result;
 
   // Per-k presentation annotations against the request's bounds kind.
   auto annotate = [&](int k) {
     if (const auto* global = std::get_if<GlobalBoundSpec>(&request.bounds)) {
-      return AnnotateGlobal(*detected, *global, k, GroupOrder::kByBiasDesc);
+      return AnnotateGlobal(detected, *global, k, GroupOrder::kByBiasDesc);
     }
-    return AnnotateProp(*detected, std::get<PropBoundSpec>(request.bounds), k,
+    return AnnotateProp(detected, std::get<PropBoundSpec>(request.bounds), k,
                         GroupOrder::kByBiasDesc);
   };
 
@@ -513,13 +432,13 @@ int RunAudit(const Args& args) {
     ReportContext context{
         args.snapshot.empty() ? args.csv : args.snapshot, args.measure,
         args.detector->name};
-    std::printf("%s\n",
-                DetectionResultToJson(*detected, *input, context).c_str());
+    std::printf("%s\n", DetectionResultToJson(detected, session.input(),
+                                              context)
+                            .c_str());
   } else {
     for (int k = request.config.k_min; k <= request.config.k_max; ++k) {
-      if (detected->AtK(k).empty()) continue;
-      std::printf("%s",
-                  RenderReport(annotate(k), input->space(), k).c_str());
+      if (detected.AtK(k).empty()) continue;
+      std::printf("%s", RenderReport(annotate(k), space, k).c_str());
     }
   }
 
@@ -527,11 +446,10 @@ int RunAudit(const Args& args) {
     // Repair mode: detected groups become representation floors.
     const std::vector<RepresentationConstraint> constraints = std::visit(
         [&](const auto& bounds) {
-          return ConstraintsFromDetection(*detected, bounds);
+          return ConstraintsFromDetection(detected, bounds);
         },
         request.bounds);
-    Result<RepairOutcome> repair =
-        RepairRanking(*input, constraints, request.config);
+    Result<RepairOutcome> repair = session.Repair(constraints, request.config);
     if (!repair.ok()) {
       std::fprintf(stderr, "%s\n", repair.status().ToString().c_str());
       return 1;
@@ -547,19 +465,19 @@ int RunAudit(const Args& args) {
     // (audit the file again with `--rank-by repaired_rank
     // --ascending`).
     Result<Table> reordered = [&]() -> Result<Table> {
-      Schema schema = table->schema();
+      Schema schema = table.schema();
       FAIRTOPK_RETURN_IF_ERROR(schema.AddNumeric("repaired_rank"));
       FAIRTOPK_ASSIGN_OR_RETURN(Table out, Table::Create(schema));
-      std::vector<Cell> row(table->num_attributes() + 1);
+      std::vector<Cell> row(table.num_attributes() + 1);
       double rank = 1.0;
       for (uint32_t r : repair->ranking) {
-        for (size_t c = 0; c < table->num_attributes(); ++c) {
-          row[c] = table->schema().attribute(c).type ==
+        for (size_t c = 0; c < table.num_attributes(); ++c) {
+          row[c] = table.schema().attribute(c).type ==
                            AttributeType::kCategorical
-                       ? Cell::Code(table->CodeAt(r, c))
-                       : Cell::Value(table->ValueAt(r, c));
+                       ? Cell::Code(table.CodeAt(r, c))
+                       : Cell::Value(table.ValueAt(r, c));
         }
-        row[table->num_attributes()] = Cell::Value(rank);
+        row[table.num_attributes()] = Cell::Value(rank);
         rank += 1.0;
         FAIRTOPK_RETURN_IF_ERROR(out.AppendRow(row));
       }
@@ -586,37 +504,23 @@ int RunAudit(const Args& args) {
       std::fprintf(stderr, "nothing to explain at k=%d\n", k);
       return 0;
     }
-    if (rank_by.empty()) {
-      std::fprintf(stderr,
-                   "--explain needs a ranking column (this snapshot "
-                   "carries explicit scores)\n");
-      return 1;
-    }
-    AttributeRanker ranker({{rank_by, ascending}});
-    auto ranking = ranker.Rank(*table);
-    if (!ranking.ok()) {
-      std::fprintf(stderr, "%s\n", ranking.status().ToString().c_str());
-      return 1;
-    }
     auto explainer =
-        GroupExplainer::Create(*table, *ranking, ExplainerOptions{});
+        GroupExplainer::Create(table, session.ranking(), ExplainerOptions{});
     if (!explainer.ok()) {
       std::fprintf(stderr, "%s\n", explainer.status().ToString().c_str());
       return 1;
     }
-    auto explanation =
-        explainer->Explain(groups.front().pattern, input->space(), k);
+    auto explanation = explainer->Explain(groups.front().pattern, space, k);
     if (!explanation.ok()) {
       std::fprintf(stderr, "%s\n",
                    explanation.status().ToString().c_str());
       return 1;
     }
     if (args.json) {
-      std::printf("%s\n",
-                  ExplanationToJson(*explanation, input->space()).c_str());
+      std::printf("%s\n", ExplanationToJson(*explanation, space).c_str());
     } else {
       std::printf("\nExplanation for %s (top attributes by |Shapley|):\n",
-                  groups.front().pattern.ToString(input->space()).c_str());
+                  groups.front().pattern.ToString(space).c_str());
       for (size_t i = 0; i < explanation->effects.size() && i < 6; ++i) {
         std::printf("  %-20s %+.4f\n",
                     explanation->effects[i].attribute.c_str(),
