@@ -148,14 +148,21 @@ stage_perf() {
   # each compute, so on a single-core runner fewer duplicate requests
   # overlap an in-flight run, and the measured ratio hovers near 2x
   # with real run-to-run dips.
-  python3 tools/bench_compare.py "${PERF_BASELINE}" \
+  # Each comparison runs whatever the other found: a failing gate is
+  # recorded and named at the end of the stage, so one red gate cannot
+  # hide the verdict of the next.
+  failed_gates=""
+  if ! python3 tools/bench_compare.py "${PERF_BASELINE}" \
     build-ci/bench_current.json \
     --max-ratio 3.0 \
     --benchmarks "${PERF_BENCHMARKS}" \
     --min-speedup 'BM_ConcurrentDetectThroughput/1/real_time,BM_ConcurrentDetectThroughput/4/real_time,1.5' \
     --min-speedup-when-kernel 'avx2|avx512|neon,BM_AndCountsScalar/1024,BM_AndCounts/1024,2.0' \
     --max-ratio-pair 'BM_SessionReuseDetect/0,BM_MetricsOverhead/0,1.02' \
-    --max-ratio-vs 'BM_SessionReuseDetect/0,BM_MetricsOverhead/0,1.10'
+    --max-ratio-vs 'BM_SessionReuseDetect/0,BM_MetricsOverhead/0,1.10'; then
+    failed_gates="${failed_gates}
+  bench_micro gates (regression, speedup and metrics-overhead caps; each failing one is listed above)"
+  fi
   # Metrics-overhead gates, two forms: the --max-ratio-pair is
   # machine-independent (BM_MetricsOverhead/0 is BM_SessionReuseDetect/0
   # plus the disabled instrumentation sites, measured in the same run,
@@ -173,10 +180,17 @@ stage_perf() {
     --benchmark_filter='BM_ColdStartCsv|BM_SnapshotOpen' \
     --benchmark_out=build-ci/bench_storage.json \
     --benchmark_out_format=json
-  python3 tools/bench_compare.py "${PERF_BASELINE}" \
+  if ! python3 tools/bench_compare.py "${PERF_BASELINE}" \
     build-ci/bench_storage.json \
     --benchmarks 'BM_ColdStartCsv,BM_SnapshotOpen/0' \
-    --max-ratio-pair 'BM_ColdStartCsv,BM_SnapshotOpen/0,0.2'
+    --max-ratio-pair 'BM_ColdStartCsv,BM_SnapshotOpen/0,0.2'; then
+    failed_gates="${failed_gates}
+  restart-path gate (BM_SnapshotOpen/0 <= 0.2x BM_ColdStartCsv)"
+  fi
+  if [ -n "${failed_gates}" ]; then
+    echo "perf smoke FAILED:${failed_gates}" >&2
+    exit 1
+  fi
   echo "perf smoke green (json: build-ci/bench_current.json)"
 }
 

@@ -61,13 +61,19 @@ std::optional<long long> ParseInt(std::string_view input) {
 std::optional<double> ParseDouble(std::string_view input) {
   input = Trim(input);
   if (input.empty()) return std::nullopt;
-  // std::from_chars for double is not available on all libstdc++
-  // versions shipped with C++20 toolchains; strtod on a bounded copy is
-  // portable and still rejects trailing garbage.
-  std::string copy(input);
-  char* end = nullptr;
-  double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) return std::nullopt;
+  // std::from_chars parses the common forms without a copy. It refuses
+  // some text strtod takes (a leading '+', hex, literals out of range);
+  // strtod on a bounded copy decides those, so the accepted set and
+  // every value are strtod's.
+  double value = 0.0;
+  const char* last = input.data() + input.size();
+  auto [ptr, ec] = std::from_chars(input.data(), last, value);
+  if (ec != std::errc() || ptr != last) {
+    std::string copy(input);
+    char* end = nullptr;
+    value = std::strtod(copy.c_str(), &end);
+    if (end != copy.c_str() + copy.size()) return std::nullopt;
+  }
   // "nan", "inf" and out-of-range literals are not numbers here, as in
   // the JSON parser: no order ranks them and no bucket holds them.
   if (!std::isfinite(value)) return std::nullopt;

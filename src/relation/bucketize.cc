@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/strings.h"
 
@@ -63,64 +64,62 @@ std::vector<std::string> BucketLabels(const std::vector<double>& boundaries) {
 
 }  // namespace
 
+Result<Table> BucketizeNumeric(
+    Table table, const std::function<bool(const AttributeSchema&)>& pick,
+    int bins, BucketStrategy strategy, std::string* failed) {
+  const Schema& source = table.schema();
+  std::vector<Column> columns = std::move(table).ReleaseColumns();
+  Schema schema;
+  for (size_t c = 0; c < source.size(); ++c) {
+    const AttributeSchema& attr = source.attribute(c);
+    Status added;
+    if (attr.type == AttributeType::kCategorical) {
+      added = schema.AddCategorical(attr.name, attr.labels);
+    } else if (!pick(attr)) {
+      added = schema.AddNumeric(attr.name);
+    } else {
+      const std::vector<double>& values = columns[c].values();
+      Result<std::vector<double>> boundaries =
+          BucketBoundaries(values, bins, strategy);
+      added = boundaries.ok()
+                  ? schema.AddCategorical(attr.name,
+                                          BucketLabels(*boundaries))
+                  : boundaries.status();
+      if (added.ok()) {
+        std::vector<int16_t> codes(values.size());
+        for (size_t r = 0; r < values.size(); ++r) {
+          codes[r] = static_cast<int16_t>(BucketOf(values[r], *boundaries));
+        }
+        columns[c] = Column::Categorical(std::move(codes));
+      }
+    }
+    if (!added.ok()) {
+      if (failed != nullptr) *failed = attr.name;
+      return added;
+    }
+  }
+  return Table::FromColumns(std::move(schema), std::move(columns));
+}
+
 Result<Table> BucketizeAttribute(const Table& table, const std::string& name,
                                  int bins, BucketStrategy strategy) {
   auto idx = table.schema().IndexOf(name);
   if (!idx.has_value()) {
     return Status::NotFound("attribute '" + name + "' not in schema");
   }
-  const auto& attr = table.schema().attribute(*idx);
-  if (attr.type != AttributeType::kNumeric) {
+  if (table.schema().attribute(*idx).type != AttributeType::kNumeric) {
     return Status::InvalidArgument("attribute '" + name +
                                    "' is not numeric");
   }
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      std::vector<double> boundaries,
-      BucketBoundaries(table.column(*idx).values(), bins, strategy));
-
-  Schema schema;
-  for (size_t c = 0; c < table.schema().size(); ++c) {
-    const auto& a = table.schema().attribute(c);
-    if (c == *idx) {
-      FAIRTOPK_RETURN_IF_ERROR(
-          schema.AddCategorical(a.name, BucketLabels(boundaries)));
-    } else if (a.type == AttributeType::kCategorical) {
-      FAIRTOPK_RETURN_IF_ERROR(schema.AddCategorical(a.name, a.labels));
-    } else {
-      FAIRTOPK_RETURN_IF_ERROR(schema.AddNumeric(a.name));
-    }
-  }
-  FAIRTOPK_ASSIGN_OR_RETURN(Table out, Table::Create(std::move(schema)));
-  std::vector<Cell> row(table.schema().size());
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    for (size_t c = 0; c < table.schema().size(); ++c) {
-      if (c == *idx) {
-        int bucket = BucketOf(table.ValueAt(r, c), boundaries);
-        row[c] = Cell::Code(static_cast<int16_t>(bucket));
-      } else if (table.schema().attribute(c).type ==
-                 AttributeType::kCategorical) {
-        row[c] = Cell::Code(table.CodeAt(r, c));
-      } else {
-        row[c] = Cell::Value(table.ValueAt(r, c));
-      }
-    }
-    FAIRTOPK_RETURN_IF_ERROR(out.AppendRow(row));
-  }
-  return out;
+  return BucketizeNumeric(
+      table, [&name](const AttributeSchema& attr) { return attr.name == name; },
+      bins, strategy);
 }
 
 Result<Table> BucketizeAllNumeric(const Table& table, int bins,
                                   BucketStrategy strategy) {
-  Table current = table;
-  // Names are stable across single-attribute bucketizations, so iterate
-  // over the original schema.
-  for (size_t c = 0; c < table.schema().size(); ++c) {
-    const auto& attr = table.schema().attribute(c);
-    if (attr.type != AttributeType::kNumeric) continue;
-    FAIRTOPK_ASSIGN_OR_RETURN(
-        current, BucketizeAttribute(current, attr.name, bins, strategy));
-  }
-  return current;
+  return BucketizeNumeric(
+      table, [](const AttributeSchema&) { return true; }, bins, strategy);
 }
 
 }  // namespace fairtopk

@@ -4,9 +4,16 @@
 // domain in the group definition, we render them categorical by
 // bucketizing them into ranges". Section VI-A bucketizes continuous
 // attributes such as age "equally into 3-4 bins".
+//
+// Every bucketizing path goes through BucketizeNumeric: it turns the
+// chosen numeric columns into bucket codes, one pass each, and builds
+// the result once with Table::FromColumns. The columns it does not
+// bucketize are moved, never copied, so a caller that hands over its
+// table (the audit loader) pays for no copy at all.
 #ifndef FAIRTOPK_RELATION_BUCKETIZE_H_
 #define FAIRTOPK_RELATION_BUCKETIZE_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -32,6 +39,15 @@ Result<std::vector<double>> BucketBoundaries(const std::vector<double>& values,
 /// Returns the bucket index of `value` given interior `boundaries`
 /// (value < boundaries[0] -> 0, ..., value >= boundaries.back() -> last).
 int BucketOf(double value, const std::vector<double>& boundaries);
+
+/// Returns `table` with every numeric attribute that `pick` selects
+/// replaced, at its position, by a categorical attribute with `bins`
+/// range labels ("[lo, hi)"). The failure of the first attribute that
+/// cannot be bucketized is returned as is, and `failed`, when
+/// non-null, receives its name.
+Result<Table> BucketizeNumeric(
+    Table table, const std::function<bool(const AttributeSchema&)>& pick,
+    int bins, BucketStrategy strategy, std::string* failed = nullptr);
 
 /// Returns a copy of `table` in which numeric attribute `name` is
 /// replaced by a categorical attribute with `bins` range labels

@@ -4,6 +4,7 @@
 #define FAIRTOPK_RELATION_COLUMN_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "relation/schema.h"
@@ -14,17 +15,19 @@ namespace fairtopk {
 /// populated, matching the attribute's declared type.
 class Column {
  public:
-  /// Creates an empty categorical column.
-  static Column Categorical() {
+  /// Creates a categorical column holding `codes` (empty by default).
+  static Column Categorical(std::vector<int16_t> codes = {}) {
     Column c;
     c.type_ = AttributeType::kCategorical;
+    c.codes_ = std::move(codes);
     return c;
   }
 
-  /// Creates an empty numeric column.
-  static Column Numeric() {
+  /// Creates a numeric column holding `values` (empty by default).
+  static Column Numeric(std::vector<double> values = {}) {
     Column c;
     c.type_ = AttributeType::kNumeric;
+    c.values_ = std::move(values);
     return c;
   }
 

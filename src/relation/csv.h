@@ -3,8 +3,19 @@
 // The paper's evaluation datasets (COMPAS, Student Performance, German
 // Credit) ship as CSV files; this loader lets users run the detection
 // pipeline on the real files. Type inference mirrors common practice:
-// a column whose every non-empty field parses as a number is numeric,
-// everything else is categorical with the observed active domain.
+// a column whose every non-empty field parses as a finite number is
+// numeric, everything else is categorical with the observed active
+// domain, its labels in order of first appearance.
+//
+// The reader loads the whole input into one buffer and scans it twice,
+// allocating nothing per record. The first scan splits fields, checks
+// each record's field count and infers the column types; the second
+// codes each categorical field through one hash map per column and
+// parses each numeric field, into columns reserved to the row count,
+// which become the table whole (Table::FromColumns). A column refuses
+// its 32,768th distinct label at once (codes are int16_t), so a
+// unique-id column fails within one pass. Records never span lines: a
+// quoted field ends at its line's end.
 #ifndef FAIRTOPK_RELATION_CSV_H_
 #define FAIRTOPK_RELATION_CSV_H_
 
@@ -29,7 +40,9 @@ struct CsvOptions {
 };
 
 /// Parses one CSV record, honoring double-quote quoting ("" escapes a
-/// quote inside a quoted field). Exposed for testing.
+/// quote inside a quoted field); an unquoted '\r' is dropped. The
+/// reader splits every record by these rules (with the same splitter,
+/// minus the allocations); exposed so tests can pin them.
 std::vector<std::string> ParseCsvRecord(const std::string& line,
                                         char delimiter);
 

@@ -11,7 +11,7 @@ Status Schema::AddCategorical(std::string name,
     return Status::InvalidArgument("categorical attribute '" + name +
                                    "' must have a non-empty domain");
   }
-  if (labels.size() > 32767) {
+  if (labels.size() > kMaxDomainSize) {
     return Status::InvalidArgument("categorical domain of '" + name +
                                    "' exceeds int16 code space");
   }

@@ -38,6 +38,9 @@ struct AttributeSchema {
 /// Ordered collection of attribute schemas for a table.
 class Schema {
  public:
+  /// The most labels a categorical domain may hold: codes are int16_t.
+  static constexpr size_t kMaxDomainSize = 32767;
+
   Schema() = default;
 
   /// Appends a categorical attribute with the given active domain.

@@ -20,6 +20,53 @@ Result<Table> Table::Create(Schema schema) {
   return Table(std::move(schema));
 }
 
+Result<Table> Table::FromColumns(Schema schema, std::vector<Column> columns) {
+  if (schema.size() == 0) {
+    return Status::InvalidArgument("table schema must have attributes");
+  }
+  if (columns.size() != schema.size()) {
+    return Status::InvalidArgument(
+        std::to_string(columns.size()) + " columns, schema has " +
+        std::to_string(schema.size()) + " attributes");
+  }
+  const size_t num_rows = columns[0].size();
+  for (size_t i = 0; i < columns.size(); ++i) {
+    const auto& attr = schema.attribute(i);
+    if (columns[i].type() != attr.type) {
+      return Status::InvalidArgument(
+          "attribute '" + attr.name + "' expects a " +
+          (attr.type == AttributeType::kCategorical ? "categorical"
+                                                    : "numeric") +
+          " column");
+    }
+    if (columns[i].size() != num_rows) {
+      return Status::InvalidArgument(
+          "column of attribute '" + attr.name + "' has " +
+          std::to_string(columns[i].size()) + " rows, expected " +
+          std::to_string(num_rows));
+    }
+    if (attr.type != AttributeType::kCategorical) continue;
+    const std::vector<int16_t>& codes = columns[i].codes();
+    for (size_t r = 0; r < codes.size(); ++r) {
+      if (codes[r] < 0 || static_cast<size_t>(codes[r]) >= attr.domain_size()) {
+        return Status::OutOfRange(
+            "code " + std::to_string(codes[r]) + " in row " +
+            std::to_string(r) + " outside the domain of attribute '" +
+            attr.name + "'");
+      }
+    }
+  }
+  Table table(std::move(schema));
+  table.columns_ = std::move(columns);
+  table.num_rows_ = num_rows;
+  return table;
+}
+
+std::vector<Column> Table::ReleaseColumns() && {
+  num_rows_ = 0;
+  return std::move(columns_);
+}
+
 Status Table::AppendRow(const std::vector<Cell>& row) {
   if (row.size() != schema_.size()) {
     return Status::InvalidArgument(
@@ -61,37 +108,6 @@ std::string Table::DisplayAt(size_t row, size_t attr) const {
     return schema.labels[static_cast<size_t>(CodeAt(row, attr))];
   }
   return FormatDouble(ValueAt(row, attr), 4);
-}
-
-Result<Table> Table::Project(const std::vector<std::string>& names) const {
-  Schema projected;
-  std::vector<size_t> sources;
-  for (const auto& name : names) {
-    auto idx = schema_.IndexOf(name);
-    if (!idx.has_value()) {
-      return Status::NotFound("attribute '" + name + "' not in schema");
-    }
-    const auto& attr = schema_.attribute(*idx);
-    if (attr.type == AttributeType::kCategorical) {
-      FAIRTOPK_RETURN_IF_ERROR(projected.AddCategorical(attr.name,
-                                                        attr.labels));
-    } else {
-      FAIRTOPK_RETURN_IF_ERROR(projected.AddNumeric(attr.name));
-    }
-    sources.push_back(*idx);
-  }
-  FAIRTOPK_ASSIGN_OR_RETURN(Table out, Table::Create(std::move(projected)));
-  std::vector<Cell> row(names.size());
-  for (size_t r = 0; r < num_rows_; ++r) {
-    for (size_t i = 0; i < sources.size(); ++i) {
-      const Column& src = columns_[sources[i]];
-      row[i] = src.type() == AttributeType::kCategorical
-                   ? Cell::Code(src.code(r))
-                   : Cell::Value(src.value(r));
-    }
-    FAIRTOPK_RETURN_IF_ERROR(out.AppendRow(row));
-  }
-  return out;
 }
 
 }  // namespace fairtopk

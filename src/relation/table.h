@@ -41,6 +41,15 @@ class Table {
   /// Creates an empty table for `schema`. Fails if the schema is empty.
   static Result<Table> Create(Schema schema);
 
+  /// Builds a table from whole columns, one per attribute of `schema`
+  /// in order: how a load (CSV, bucketizing, snapshot) makes its table,
+  /// where AppendRow builds one row at a time. The columns are checked
+  /// as AppendRow checks a row: a column count or kind that disagrees
+  /// with the schema and columns of unequal length are
+  /// kInvalidArgument, a code outside [0, domain_size) is kOutOfRange.
+  /// Fails if the schema is empty, as Create does.
+  static Result<Table> FromColumns(Schema schema, std::vector<Column> columns);
+
   /// Appends a full row. Cell kinds and codes must match the schema
   /// (codes within the declared domain).
   Status AppendRow(const std::vector<Cell>& row);
@@ -66,9 +75,10 @@ class Table {
   /// or the numeric value formatted with 4 digits.
   std::string DisplayAt(size_t row, size_t attr) const;
 
-  /// Returns a table containing only the attributes named in `names`,
-  /// in the given order. Fails on unknown names.
-  Result<Table> Project(const std::vector<std::string>& names) const;
+  /// Moves the columns out, for rebuilding a table around them with
+  /// FromColumns; the schema stays readable. The table is left without
+  /// rows or columns and must not be read through its row accessors.
+  std::vector<Column> ReleaseColumns() &&;
 
  private:
   explicit Table(Schema schema);

@@ -36,20 +36,17 @@ Result<Table> LoadAuditTable(const std::string& csv_path,
                                    "' of " + csv_path + " is not numeric" +
                                    detail);
   }
-  Table table = std::move(raw).value();
-  for (size_t c = 0; c < table.schema().size(); ++c) {
-    const AttributeSchema& attr = table.schema().attribute(c);
-    if (attr.type != AttributeType::kNumeric || attr.name == rank_by) {
-      continue;
-    }
-    Result<Table> bucketized = BucketizeAttribute(
-        table, attr.name, bins, BucketStrategy::kEqualWidth);
-    if (!bucketized.ok()) {
-      return Status(bucketized.status().code(),
-                    "bucketization of '" + attr.name + "' failed: " +
-                        bucketized.status().message());
-    }
-    table = std::move(bucketized).value();
+  // Every numeric column but the ranking one joins group definitions
+  // as buckets; the table is handed over, so no column is copied.
+  std::string failed;
+  Result<Table> table = BucketizeNumeric(
+      std::move(raw).value(),
+      [&rank_by](const AttributeSchema& attr) { return attr.name != rank_by; },
+      bins, BucketStrategy::kEqualWidth, &failed);
+  if (!table.ok()) {
+    return Status(table.status().code(), "bucketization of '" + failed +
+                                             "' failed: " +
+                                             table.status().message());
   }
   return table;
 }

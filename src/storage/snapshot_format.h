@@ -84,22 +84,40 @@ enum class SectionId : uint32_t {
 };
 inline constexpr uint32_t kSnapshotSectionCount = 5;
 
-/// CRC-32 (ISO 3309 / zlib polynomial), table-driven.
+/// CRC-32 (ISO 3309 / zlib polynomial), slicing-by-8: eight 256-entry
+/// tables fold eight bytes per step, where one table folds one byte
+/// (about 5x faster, same values).
 inline uint32_t Crc32(const uint8_t* data, size_t n, uint32_t seed = 0) {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
+  // t[0] is the byte-at-a-time table; t[k][b] is t[0][b] advanced by k
+  // more zero bytes.
+  static const auto* const t = [] {
+    static uint32_t tables[8][256];
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
       }
-      t[i] = c;
+      tables[0][i] = c;
     }
-    return t;
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        const uint32_t prev = tables[k - 1][i];
+        tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+      }
+    }
+    return tables;
   }();
   uint32_t crc = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = table[(crc ^ data[i]) & 0xFFu] ^ (crc >> 8);
+  for (; n >= 8; n -= 8, data += 8) {
+    const uint32_t lo = crc ^ (uint32_t{data[0]} | uint32_t{data[1]} << 8 |
+                               uint32_t{data[2]} << 16 |
+                               uint32_t{data[3]} << 24);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][data[4]] ^
+          t[2][data[5]] ^ t[1][data[6]] ^ t[0][data[7]];
+  }
+  for (; n > 0; --n, ++data) {
+    crc = t[0][(crc ^ *data) & 0xFFu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

@@ -208,8 +208,7 @@ Status ParseSchema(Decoder dec, Schema* out) {
   return ExpectDrained(dec, "schema");
 }
 
-Status ParseColumns(Decoder dec, const Schema& schema, uint64_t* num_rows,
-                    Table* out) {
+Result<Table> ParseColumns(Decoder dec, Schema schema, uint64_t* num_rows) {
   FAIRTOPK_RETURN_IF_ERROR(dec.U64(num_rows));
   if (*num_rows == 0 || *num_rows > kMaxRows) {
     return Status::Corruption("snapshot row count " +
@@ -223,8 +222,8 @@ Status ParseColumns(Decoder dec, const Schema& schema, uint64_t* num_rows,
                               "the attribute count");
   }
   const size_t n = static_cast<size_t>(*num_rows);
-  std::vector<std::vector<int16_t>> codes(num_cols);
-  std::vector<std::vector<double>> values(num_cols);
+  std::vector<Column> columns;
+  columns.reserve(num_cols);
   for (uint32_t c = 0; c < num_cols; ++c) {
     uint8_t type;
     FAIRTOPK_RETURN_IF_ERROR(dec.U8(&type));
@@ -234,33 +233,26 @@ Status ParseColumns(Decoder dec, const Schema& schema, uint64_t* num_rows,
                                 " has the wrong type for its attribute");
     }
     if (type == 0) {
-      codes[c].resize(n);
-      FAIRTOPK_RETURN_IF_ERROR(dec.Bytes(codes[c].data(),
-                                         n * sizeof(int16_t)));
+      std::vector<int16_t> codes(n);
+      FAIRTOPK_RETURN_IF_ERROR(dec.Bytes(codes.data(), n * sizeof(int16_t)));
+      columns.push_back(Column::Categorical(std::move(codes)));
     } else {
-      values[c].resize(n);
-      FAIRTOPK_RETURN_IF_ERROR(dec.Bytes(values[c].data(),
-                                         n * sizeof(double)));
+      std::vector<double> values(n);
+      FAIRTOPK_RETURN_IF_ERROR(dec.Bytes(values.data(), n * sizeof(double)));
+      columns.push_back(Column::Numeric(std::move(values)));
     }
   }
   FAIRTOPK_RETURN_IF_ERROR(ExpectDrained(dec, "columns"));
 
-  // Rebuild through the table's own append path so every code is
-  // validated against the schema's domains exactly as at load time.
-  std::vector<Cell> row(num_cols);
-  for (size_t r = 0; r < n; ++r) {
-    for (uint32_t c = 0; c < num_cols; ++c) {
-      row[c] = schema.attribute(c).type == AttributeType::kCategorical
-                   ? Cell::Code(codes[c][r])
-                   : Cell::Value(values[c][r]);
-    }
-    Status appended = out->AppendRow(row);
-    if (!appended.ok()) {
-      return Status::Corruption("snapshot row " + std::to_string(r + 1) +
-                                " rejected: " + appended.message());
-    }
+  // Built from whole columns, with the checks a load makes: every code
+  // must lie in its attribute's domain.
+  Result<Table> table =
+      Table::FromColumns(std::move(schema), std::move(columns));
+  if (!table.ok()) {
+    return Status::Corruption("snapshot columns rejected: " +
+                              table.status().message());
   }
-  return Status::OK();
+  return table;
 }
 
 Status ParseScores(Decoder dec, uint64_t num_rows,
@@ -333,16 +325,12 @@ Result<OpenedSnapshot> ParseSnapshot(const uint8_t* data, size_t size) {
     return Status::Corruption("snapshot score column index is invalid");
   }
 
-  Result<Table> table = Table::Create(schema);
-  if (!table.ok()) {
-    return Status::Corruption("snapshot schema rejected: " +
-                              table.status().message());
-  }
   uint64_t num_rows = 0;
   FAIRTOPK_ASSIGN_OR_RETURN(Decoder columns,
                             OpenSection(data, toc, SectionId::kColumns));
-  FAIRTOPK_RETURN_IF_ERROR(
-      ParseColumns(std::move(columns), schema, &num_rows, &table.value()));
+  FAIRTOPK_ASSIGN_OR_RETURN(
+      Table table, ParseColumns(std::move(columns), std::move(schema),
+                                &num_rows));
 
   FAIRTOPK_ASSIGN_OR_RETURN(Decoder scores,
                             OpenSection(data, toc, SectionId::kScores));
@@ -354,7 +342,7 @@ Result<OpenedSnapshot> ParseSnapshot(const uint8_t* data, size_t size) {
   FAIRTOPK_RETURN_IF_ERROR(
       ParseRanking(std::move(ranking), num_rows, &out.ranking));
 
-  out.table.emplace(std::move(table).value());
+  out.table.emplace(std::move(table));
   return out;
 }
 

@@ -183,6 +183,75 @@ TEST(CsvRoundtripTest, QuotesFieldsContainingDelimiters) {
   EXPECT_EQ(reread->DisplayAt(1, 0), "with\"quote");
 }
 
+// "name,score" with `labels` distinct names, each on two rows, in a
+// scrambled first-appearance order.
+std::string DistinctNamesCsv(size_t labels) {
+  std::string text = "name,score\n";
+  for (size_t i = 0; i < 2 * labels; ++i) {
+    const size_t label = (i * 7919) % labels;
+    text += "n" + std::to_string(label) + "," + std::to_string(i) + "\n";
+  }
+  return text;
+}
+
+TEST(ReadCsvTest, ColumnOf32767LabelsLoads) {
+  std::istringstream in(DistinctNamesCsv(32767));
+  Result<Table> table = ReadCsv(in, CsvOptions{});
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  const std::vector<std::string>& labels =
+      table->schema().attribute(0).labels;
+  ASSERT_EQ(labels.size(), 32767u);
+  // First-appearance order, and every code maps back to its row's label.
+  std::vector<bool> seen(32767, false);
+  size_t next = 0;
+  for (size_t r = 0; r < table->num_rows(); ++r) {
+    const std::string want = "n" + std::to_string((r * 7919) % 32767);
+    ASSERT_EQ(table->DisplayAt(r, 0), want) << "row " << r;
+    const size_t code = static_cast<size_t>(table->CodeAt(r, 0));
+    if (!seen[code]) {
+      ASSERT_EQ(code, next) << "row " << r;
+      seen[code] = true;
+      ++next;
+    }
+  }
+}
+
+TEST(ReadCsvTest, ColumnOf32768LabelsIsRefused) {
+  std::istringstream in(DistinctNamesCsv(32768));
+  Status status = ReadCsv(in, CsvOptions{}).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "categorical domain of 'name' exceeds int16 "
+                              "code space");
+}
+
+TEST(ReadCsvTest, LabelLimitAndDuplicateNamesFailInColumnOrder) {
+  // "late" passes 32,767 labels only at row 62,767, long after "early"
+  // did at row 32,767; the error still names the first column that
+  // cannot load, as a column-by-column schema build would.
+  std::string text = "late,early\n";
+  for (size_t i = 0; i < 70000; ++i) {
+    text += "l" + std::to_string(i < 30000 ? 0 : i) + ",e" +
+            std::to_string(i) + "\n";
+  }
+  std::istringstream late_first(text);
+  EXPECT_EQ(ReadCsv(late_first, CsvOptions{}).status().message(),
+            "categorical domain of 'late' exceeds int16 code space");
+
+  std::string names = "x,x,name\n";
+  std::string name_first = "name,x,x\n";
+  for (size_t i = 0; i < 32768; ++i) {
+    names += "1,2,n" + std::to_string(i) + "\n";
+    name_first += "n" + std::to_string(i) + ",1,2\n";
+  }
+  std::istringstream duplicate(names);
+  Status status = ReadCsv(duplicate, CsvOptions{}).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), "duplicate attribute name: x");
+  std::istringstream overflow(name_first);
+  EXPECT_EQ(ReadCsv(overflow, CsvOptions{}).status().message(),
+            "categorical domain of 'name' exceeds int16 code space");
+}
+
 TEST(ReadCsvFileTest, MissingFileIsIoError) {
   EXPECT_EQ(ReadCsvFile("/nonexistent/file.csv", CsvOptions{})
                 .status()

@@ -218,6 +218,41 @@ TEST(StorageCorruptionTest, SnapshotGarbageAndEmptyFiles) {
   }
 }
 
+/// Where one section of a snapshot image sits: its TOC entry and its
+/// payload.
+struct SectionSpot {
+  size_t entry = 0;  ///< file offset of the section's TOC entry
+  uint64_t offset = 0;
+  uint64_t bytes = 0;
+};
+
+SectionSpot FindSection(const std::string& image, storage::SectionId want) {
+  // Header: toc_offset u64 at byte 16; the TOC has one 32-byte entry
+  // per section: id u32, reserved u32, offset u64, bytes u64, crc u32.
+  uint64_t toc_offset = 0;
+  std::memcpy(&toc_offset, image.data() + 16, sizeof toc_offset);
+  SectionSpot spot;
+  for (spot.entry = toc_offset; spot.entry < image.size();
+       spot.entry += storage::kTocEntryBytes) {
+    uint32_t id = 0;
+    std::memcpy(&id, image.data() + spot.entry, sizeof id);
+    if (id == static_cast<uint32_t>(want)) break;
+  }
+  EXPECT_LT(spot.entry, image.size());
+  std::memcpy(&spot.offset, image.data() + spot.entry + 8, sizeof spot.offset);
+  std::memcpy(&spot.bytes, image.data() + spot.entry + 16, sizeof spot.bytes);
+  return spot;
+}
+
+/// Recomputes the section CRC after an edit, so only the reader's own
+/// checks stand between the edited bytes and an open.
+void ResealSection(std::string* image, const SectionSpot& spot) {
+  const uint32_t crc = storage::Crc32(
+      reinterpret_cast<const uint8_t*>(image->data() + spot.offset),
+      spot.bytes);
+  std::memcpy(image->data() + spot.entry + 24, &crc, sizeof crc);
+}
+
 // A ranking section with a valid checksum that names a row twice, or a
 // row past the table, is refused by the reader itself: an open reads
 // scores and rows through the ranking before the index build would
@@ -228,37 +263,55 @@ TEST(StorageCorruptionTest, RankingThatIsNotAPermutationIsRefused) {
   const std::string mutated =
       ::testing::TempDir() + "/ranking_snapshot_mutated.ftk";
   const std::string pristine = WriteFixtureSnapshot(fixture);
-  // Header: toc_offset u64 at byte 16; the TOC has one 32-byte entry
-  // per section: id u32, reserved u32, offset u64, bytes u64, crc u32.
-  uint64_t toc_offset = 0;
-  std::memcpy(&toc_offset, pristine.data() + 16, sizeof toc_offset);
-  size_t entry = toc_offset;
-  uint32_t id = 0;
-  for (;; entry += storage::kTocEntryBytes) {
-    ASSERT_LT(entry, pristine.size());
-    std::memcpy(&id, pristine.data() + entry, sizeof id);
-    if (id == static_cast<uint32_t>(storage::SectionId::kRanking)) break;
-  }
-  uint64_t offset = 0;
-  uint64_t bytes = 0;
-  std::memcpy(&offset, pristine.data() + entry + 8, sizeof offset);
-  std::memcpy(&bytes, pristine.data() + entry + 16, sizeof bytes);
+  const SectionSpot ranking =
+      FindSection(pristine, storage::SectionId::kRanking);
   // The payload is a u64 row count, then one u32 row id per position.
   for (const uint32_t bad_row : {uint32_t{0}, uint32_t{120 + 5}}) {
     SCOPED_TRACE("row id " + std::to_string(bad_row));
     std::string image = pristine;
     uint32_t first = 0;
-    std::memcpy(&first, image.data() + offset + 8, sizeof first);
+    std::memcpy(&first, image.data() + ranking.offset + 8, sizeof first);
     const uint32_t row = bad_row == 0 ? first : bad_row;
-    std::memcpy(image.data() + offset + 8 + sizeof(uint32_t), &row,
+    std::memcpy(image.data() + ranking.offset + 8 + sizeof(uint32_t), &row,
                 sizeof row);
-    const uint32_t crc = storage::Crc32(
-        reinterpret_cast<const uint8_t*>(image.data() + offset), bytes);
-    std::memcpy(image.data() + entry + 24, &crc, sizeof crc);
+    ResealSection(&image, ranking);
     DumpFile(mutated, image);
     auto opened = storage::ReadSnapshot(mutated);
     ASSERT_FALSE(opened.ok());
     EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+        << opened.status().ToString();
+    EXPECT_EQ(AuditSession::OpenFromSnapshot(mutated).status().code(),
+              StatusCode::kCorruption);
+  }
+}
+
+// A columns section with a valid checksum whose categorical column
+// holds a code outside its attribute's domain is refused when the
+// table is built from the columns, as a load would refuse the code.
+TEST(StorageCorruptionTest, OutOfDomainCodeIsRefused) {
+  const std::string fixture =
+      ::testing::TempDir() + "/domain_snapshot_fixture.ftk";
+  const std::string mutated =
+      ::testing::TempDir() + "/domain_snapshot_mutated.ftk";
+  const std::string pristine = WriteFixtureSnapshot(fixture);
+  const SectionSpot columns =
+      FindSection(pristine, storage::SectionId::kColumns);
+  // The payload is a u64 row count and a u32 column count, then per
+  // column a u8 type and its payload; column 0 is "g", whose domain
+  // is {a, b, c}. Its row 7 gets the code.
+  const size_t code_at = columns.offset + 8 + 4 + 1 + 7 * sizeof(int16_t);
+  for (const int16_t bad : {int16_t{3}, int16_t{-1}, int16_t{32767}}) {
+    SCOPED_TRACE("code " + std::to_string(bad));
+    std::string image = pristine;
+    std::memcpy(image.data() + code_at, &bad, sizeof bad);
+    ResealSection(&image, columns);
+    DumpFile(mutated, image);
+    auto opened = storage::ReadSnapshot(mutated);
+    ASSERT_FALSE(opened.ok());
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption)
+        << opened.status().ToString();
+    EXPECT_NE(opened.status().message().find("outside the domain"),
+              std::string::npos)
         << opened.status().ToString();
     EXPECT_EQ(AuditSession::OpenFromSnapshot(mutated).status().code(),
               StatusCode::kCorruption);

@@ -69,20 +69,68 @@ TEST(TableTest, DisplayAtRendersLabelsAndNumbers) {
   EXPECT_EQ(table.DisplayAt(0, 1), "1.5000");
 }
 
-TEST(TableTest, ProjectSelectsAndReorders) {
-  Table table = MakeTable();
-  ASSERT_TRUE(table.AppendRow({Cell::Code(1), Cell::Value(7.0)}).ok());
-  Result<Table> projected = table.Project({"num", "cat"});
-  ASSERT_TRUE(projected.ok());
-  EXPECT_EQ(projected->num_attributes(), 2u);
-  EXPECT_EQ(projected->schema().attribute(0).name, "num");
-  EXPECT_DOUBLE_EQ(projected->ValueAt(0, 0), 7.0);
-  EXPECT_EQ(projected->CodeAt(0, 1), 1);
+Schema CatNumSchema() {
+  Schema schema;
+  EXPECT_TRUE(schema.AddCategorical("cat", {"a", "b", "c"}).ok());
+  EXPECT_TRUE(schema.AddNumeric("num").ok());
+  return schema;
 }
 
-TEST(TableTest, ProjectRejectsUnknownName) {
-  Table table = MakeTable();
-  EXPECT_EQ(table.Project({"nope"}).status().code(), StatusCode::kNotFound);
+TEST(TableFromColumnsTest, BuildsTheTableAppendRowWouldBuild) {
+  Result<Table> built = Table::FromColumns(
+      CatNumSchema(), {Column::Categorical({1, 2, 0}),
+                       Column::Numeric({2.5, -1.0, 0.0})});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  Table appended = MakeTable();
+  ASSERT_TRUE(appended.AppendRow({Cell::Code(1), Cell::Value(2.5)}).ok());
+  ASSERT_TRUE(appended.AppendRow({Cell::Code(2), Cell::Value(-1.0)}).ok());
+  ASSERT_TRUE(appended.AppendRow({Cell::Code(0), Cell::Value(0.0)}).ok());
+  EXPECT_EQ(built->num_rows(), 3u);
+  EXPECT_EQ(built->column(0).codes(), appended.column(0).codes());
+  EXPECT_EQ(built->column(1).values(), appended.column(1).values());
+  EXPECT_EQ(built->DisplayAt(1, 0), "c");
+}
+
+TEST(TableFromColumnsTest, RefusesAKindThatDisagreesWithTheSchema) {
+  EXPECT_EQ(Table::FromColumns(CatNumSchema(), {Column::Numeric({1.0}),
+                                                Column::Numeric({2.0})})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Table::FromColumns(CatNumSchema(), {Column::Categorical({0}),
+                                                Column::Categorical({0})})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(TableFromColumnsTest, RefusesColumnsOfUnequalLength) {
+  EXPECT_EQ(Table::FromColumns(CatNumSchema(), {Column::Categorical({0, 1}),
+                                                Column::Numeric({2.0})})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(TableFromColumnsTest, RefusesAColumnCountThatDisagreesWithTheSchema) {
+  EXPECT_EQ(Table::FromColumns(CatNumSchema(), {Column::Categorical({0})})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(Table::FromColumns(Schema(), {}).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(TableFromColumnsTest, RefusesCodesOutsideTheDomain) {
+  for (int16_t bad : {int16_t{3}, int16_t{-1}}) {
+    SCOPED_TRACE("code " + std::to_string(bad));
+    EXPECT_EQ(Table::FromColumns(CatNumSchema(),
+                                 {Column::Categorical({0, bad}),
+                                  Column::Numeric({1.0, 2.0})})
+                  .status()
+                  .code(),
+              StatusCode::kOutOfRange);
+  }
 }
 
 }  // namespace

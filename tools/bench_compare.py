@@ -42,6 +42,11 @@ Checks, in order:
     BASELINE_NAME is absent from the baseline file. Machine-sensitive
     like --max-ratio; pick X accordingly.
 
+Times are compared in nanoseconds: each entry's real_time is converted
+by its own time_unit (google-benchmark writes ns, us, ms or s), so a
+millisecond benchmark compares correctly against a nanosecond one, and
+each is printed in the unit it was recorded in.
+
 Exit code 0 when every gate passes, 1 otherwise.
 """
 
@@ -50,15 +55,34 @@ import json
 import sys
 
 
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
+
+
+class Time(float):
+    """A real_time in nanoseconds that prints in its recorded unit."""
+
+    def __new__(cls, ns, unit):
+        time = super().__new__(cls, ns)
+        time.unit = unit
+        return time
+
+    def __str__(self):
+        value = self / NS_PER_UNIT[self.unit]
+        digits = 0 if self.unit == "ns" else 2
+        return f"{value:.{digits}f}{self.unit}"
+
+
 def load_report(path):
-    """Returns ({benchmark name: real_time in ns}, context dict)."""
+    """Returns ({benchmark name: Time}, context dict)."""
     with open(path) as f:
         doc = json.load(f)
     times = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
-        times[bench["name"]] = float(bench["real_time"])
+        unit = bench.get("time_unit", "ns")
+        times[bench["name"]] = Time(
+            float(bench["real_time"]) * NS_PER_UNIT[unit], unit)
     return times, doc.get("context", {})
 
 
@@ -119,12 +143,12 @@ def main():
             failures.append(f"benchmark '{name}' missing from {args.current}")
             continue
         if name not in baseline:
-            print(f"{name:55} {'-':>12} {current[name]:>10.0f}ns "
+            print(f"{name:55} {'-':>12} {str(current[name]):>12} "
                   f"{'new':>7}")
             continue
         ratio = current[name] / baseline[name]
         flag = "" if ratio <= args.max_ratio else "  << REGRESSION"
-        print(f"{name:55} {baseline[name]:>10.0f}ns {current[name]:>10.0f}ns "
+        print(f"{name:55} {str(baseline[name]):>12} {str(current[name]):>12} "
               f"{ratio:>6.2f}x{flag}")
         if ratio > args.max_ratio:
             failures.append(
