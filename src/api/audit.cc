@@ -1,7 +1,5 @@
 #include "api/audit.h"
 
-#include <utility>
-
 #include "api/canonical.h"
 
 namespace fairtopk::api {
@@ -32,21 +30,13 @@ Result<const DetectorDescriptor*> ResolveRequest(
   return descriptor;
 }
 
-Status RunAuditStream(const DetectionInput& input,
-                      const AuditRequest& request, ResultSink& sink,
-                      const DetectorRegistry& registry) {
-  FAIRTOPK_ASSIGN_OR_RETURN(const DetectorDescriptor* descriptor,
-                            ResolveRequest(request, registry));
-  metrics::SpanTimer span(request.trace, "search");
-  return descriptor->run(input, request.bounds, request.config, sink);
-}
-
 Result<DetectionResult> RunAudit(const DetectionInput& input,
                                  const AuditRequest& request,
                                  const DetectorRegistry& registry) {
-  return MaterializeStream(input, request.config, [&](ResultSink& sink) {
-    return RunAuditStream(input, request, sink, registry);
-  });
+  FAIRTOPK_ASSIGN_OR_RETURN(const DetectorDescriptor* descriptor,
+                            ResolveRequest(request, registry));
+  metrics::SpanTimer span(request.trace, "search");
+  return descriptor->run(input, request.bounds, request.config);
 }
 
 }  // namespace fairtopk::api

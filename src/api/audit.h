@@ -4,10 +4,10 @@
 // An AuditRequest names a registered detector and carries exactly the
 // parameterization it consumes (DetectionConfig + the matching
 // BoundsSpec alternative); an AuditResponse pairs the detection result
-// with the descriptor that produced it. RunAuditStream / RunAudit are
-// the one-shot facade over a prepared DetectionInput — the CLI tools
-// and examples go through them, the session layer adds caching and
-// incremental maintenance on top (service/audit_session.h).
+// with the descriptor that produced it. RunAudit is the one-shot
+// facade over a prepared DetectionInput; the session layer adds
+// caching and incremental maintenance on top
+// (service/audit_session.h).
 //
 //   api::AuditRequest request;
 //   request.detector = "GlobalBounds";
@@ -26,7 +26,6 @@
 #include "common/metrics/trace.h"
 #include "common/status.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 
 namespace fairtopk::api {
 
@@ -40,9 +39,10 @@ struct AuditRequest {
   BoundsSpec bounds = PropBoundSpec{};
 
   /// Optional per-request trace hook (not owned; may be null — the
-  /// zero-cost default). When set, RunAuditStream reports a "search"
-  /// span covering the detector run, and the session layer adds
-  /// lock-acquire spans plus the result's DetectionStats counters.
+  /// zero-cost default). When set, RunAudit reports a "search" span
+  /// covering the detector run (its searches and the result's
+  /// CountGroups), and the session layer adds lock-acquire spans plus
+  /// the result's DetectionStats counters.
   /// Excluded from CacheKey: tracing never changes results, so traced
   /// and untraced queries share cache entries.
   metrics::TraceSink* trace = nullptr;
@@ -78,16 +78,9 @@ Result<const DetectorDescriptor*> ResolveRequest(
     const AuditRequest& request,
     const DetectorRegistry& registry = DetectorRegistry::Global());
 
-/// Runs the request's detector over a prepared input, streaming per-k
-/// violation sets into `sink` as they are finalized (nothing is
-/// materialized here).
-Status RunAuditStream(const DetectionInput& input,
-                      const AuditRequest& request, ResultSink& sink,
-                      const DetectorRegistry& registry =
-                          DetectorRegistry::Global());
-
-/// Materializing facade over RunAuditStream; the result stores each
-/// reported group's counts from `input`'s index.
+/// Resolves the request's detector and runs it over a prepared input;
+/// the result stores each reported group's counts from `input`'s
+/// index.
 Result<DetectionResult> RunAudit(const DetectionInput& input,
                                  const AuditRequest& request,
                                  const DetectorRegistry& registry =

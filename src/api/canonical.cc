@@ -91,6 +91,27 @@ Result<double> ReadDoubleField(const JsonValue& request,
   return v->number_value();
 }
 
+Result<bool> ReadBoolField(const JsonValue& request, const std::string& key,
+                           bool fallback) {
+  const JsonValue* v = request.Find(key);
+  if (v == nullptr) return fallback;
+  if (!v->is_bool()) {
+    return Status::InvalidArgument("'" + key + "' must be true or false");
+  }
+  return v->bool_value();
+}
+
+Result<std::string> ReadStringField(const JsonValue& request,
+                                    const std::string& key,
+                                    std::string fallback) {
+  const JsonValue* v = request.Find(key);
+  if (v == nullptr) return fallback;
+  if (!v->is_string()) {
+    return Status::InvalidArgument("'" + key + "' must be a string");
+  }
+  return v->string_value();
+}
+
 Result<StepFunction> StepsFromJson(const JsonValue& steps) {
   std::vector<std::pair<int, double>> pairs;
   if (!steps.is_array()) {

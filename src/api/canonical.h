@@ -75,6 +75,17 @@ Result<int> ReadIntField(const JsonValue& request, const std::string& key,
 Result<double> ReadDoubleField(const JsonValue& request,
                                const std::string& key, double fallback);
 
+/// Reads a bool field with a default; a present field of another type
+/// is an error, as in ReadDoubleField.
+Result<bool> ReadBoolField(const JsonValue& request, const std::string& key,
+                           bool fallback);
+
+/// Reads a string field with a default; a present field of another
+/// type is an error, as in ReadDoubleField.
+Result<std::string> ReadStringField(const JsonValue& request,
+                                    const std::string& key,
+                                    std::string fallback);
+
 /// Decodes [[start_k, value], ...] into a StepFunction.
 Result<StepFunction> StepsFromJson(const JsonValue& steps);
 

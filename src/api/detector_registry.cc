@@ -19,14 +19,15 @@ namespace {
 /// bounds kind, so get_if only fails on a caller bypassing it —
 /// reported, not asserted.
 template <typename Spec, auto DetectFn>
-Status RunAdapter(const DetectionInput& input, const BoundsSpec& bounds,
-                  const DetectionConfig& config, ResultSink& sink) {
+Result<DetectionResult> RunAdapter(const DetectionInput& input,
+                                   const BoundsSpec& bounds,
+                                   const DetectionConfig& config) {
   const Spec* spec = std::get_if<Spec>(&bounds);
   if (spec == nullptr) {
     return Status::InvalidArgument(
         "bounds spec kind does not match the requested detector");
   }
-  return DetectFn(input, *spec, config, sink);
+  return DetectFn(input, *spec, config);
 }
 
 std::string WireKey(std::string_view measure, std::string_view algo) {
@@ -46,32 +47,32 @@ DetectorRegistry& DetectorRegistry::Global() {
          /*optimized=*/false, /*lower_violations=*/true,
          "baseline for Problem 3.1: fresh top-down search per k against "
          "the global lower staircase",
-         &RunAdapter<GlobalBoundSpec, &DetectGlobalIterTDStream>},
+         &RunAdapter<GlobalBoundSpec, &DetectGlobalIterTD>},
         {"PropIterTD", "prop", "itertd", BoundsKind::kProportional,
          /*optimized=*/false, /*lower_violations=*/true,
          "baseline for Problem 3.2: fresh top-down search per k against "
          "the proportional alpha bound",
-         &RunAdapter<PropBoundSpec, &DetectPropIterTDStream>},
+         &RunAdapter<PropBoundSpec, &DetectPropIterTD>},
         {"GlobalBounds", "global", "bounds", BoundsKind::kGlobal,
          /*optimized=*/true, /*lower_violations=*/true,
          "Algorithm 2: incremental detection under non-decreasing global "
          "lower bounds, carrying results from k to k+1",
-         &RunAdapter<GlobalBoundSpec, &DetectGlobalBoundsStream>},
+         &RunAdapter<GlobalBoundSpec, &DetectGlobalBounds>},
         {"PropBounds", "prop", "bounds", BoundsKind::kProportional,
          /*optimized=*/true, /*lower_violations=*/true,
          "Algorithm 3: incremental proportional detection with the "
          "k-tilde transition schedule",
-         &RunAdapter<PropBoundSpec, &DetectPropBoundsStream>},
+         &RunAdapter<PropBoundSpec, &DetectPropBounds>},
         {"GlobalUpperBounds", "global", "upper", BoundsKind::kGlobal,
          /*optimized=*/true, /*lower_violations=*/false,
          "most specific substantial groups exceeding the global upper "
          "staircase",
-         &RunAdapter<GlobalBoundSpec, &DetectGlobalUpperBoundsStream>},
+         &RunAdapter<GlobalBoundSpec, &DetectGlobalUpperBounds>},
         {"PropUpperBounds", "prop", "upper", BoundsKind::kProportional,
          /*optimized=*/true, /*lower_violations=*/false,
          "most specific substantial groups exceeding the proportional "
          "beta bound",
-         &RunAdapter<PropBoundSpec, &DetectPropUpperBoundsStream>},
+         &RunAdapter<PropBoundSpec, &DetectPropUpperBounds>},
     };
     for (const DetectorDescriptor& d : builtins) {
       // Built-in registration cannot fail (names and wire pairs are

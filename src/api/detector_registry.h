@@ -6,10 +6,10 @@
 // string tables in the session layer, the JSONL protocol, and both
 // CLI tools. The registry replaces all of that: a detector registers
 // ONE descriptor — stable name, problem family, bounds kind,
-// baseline/optimized flag, and a streaming run function over the
-// shared engine — and every front-end (AuditSession, JSONL service,
-// CLI tools, capabilities listing) resolves it from here. Adding a
-// detector is one Register() call; no switch anywhere grows a case.
+// baseline/optimized flag, and a run function over the shared engine
+// — and every front-end (AuditSession, JSONL service, CLI tools,
+// capabilities listing) resolves it from here. Adding a detector is
+// one Register() call; no switch anywhere grows a case.
 #ifndef FAIRTOPK_API_DETECTOR_REGISTRY_H_
 #define FAIRTOPK_API_DETECTOR_REGISTRY_H_
 
@@ -21,7 +21,6 @@
 #include "api/bounds_spec.h"
 #include "common/status.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 
 namespace fairtopk::api {
 
@@ -52,12 +51,14 @@ struct DetectorDescriptor {
   /// One-line description, surfaced by the `capabilities` op.
   std::string summary;
 
-  /// Streaming run over a prepared input. Precondition (enforced by
-  /// the AuditRequest facade): `bounds` holds the `bounds_kind`
+  /// Runs the detector over a prepared input and returns its per-k
+  /// result with each group's counts stored
+  /// (DetectionResult::CountGroups). Precondition (enforced by the
+  /// AuditRequest facade): `bounds` holds the `bounds_kind`
   /// alternative.
-  using RunFn = Status (*)(const DetectionInput& input,
-                           const BoundsSpec& bounds,
-                           const DetectionConfig& config, ResultSink& sink);
+  using RunFn = Result<DetectionResult> (*)(const DetectionInput& input,
+                                            const BoundsSpec& bounds,
+                                            const DetectionConfig& config);
   RunFn run = nullptr;
 };
 

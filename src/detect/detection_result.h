@@ -49,9 +49,10 @@ struct DetectionStats {
   /// outlives the run, so a run on a warm input counts 0; every other
   /// evaluation reads only the ceil(k/64) top-k prefix words.
   uint64_t sizes_counted = 0;
-  /// Elapsed wall-clock seconds of the algorithm, set once by the
-  /// owning entry point. Not accumulated by Merge(): the entry point's
-  /// clock already covers every search it runs.
+  /// Elapsed wall-clock seconds of the algorithm's per-k work, summed
+  /// by engine::RunPerK (the result's CountGroups is not included).
+  /// Not accumulated by Merge(): the driver's clock already covers
+  /// every search it runs.
   double seconds = 0.0;
   /// Seconds spent inside full top-down searches
   /// (engine::SequentialTopDown), a part of `seconds`: nearly all of it

@@ -24,11 +24,9 @@
 // more than they save; the serving layer runs requests in parallel
 // instead.
 //
-// Result delivery is streaming: detectors emit each k's finalized
-// violation set through a ResultSink (engine/result_sink.h) via the
-// StreamPerK driver below, so callers can consume results
-// incrementally; the Result<DetectionResult> entry points are a
-// MaterializingSink on top.
+// Every detector runs its ks through the one per-k driver, RunPerK
+// below, which collects each k's finalized violation set into the
+// DetectionResult the detector returns.
 #ifndef FAIRTOPK_DETECT_ENGINE_SEARCH_DRIVER_H_
 #define FAIRTOPK_DETECT_ENGINE_SEARCH_DRIVER_H_
 
@@ -38,7 +36,6 @@
 
 #include "common/timer.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 #include "detect/engine/size_memo.h"
 #include "index/bitmap_index.h"
 #include "index/pattern_cursor.h"
@@ -138,33 +135,29 @@ void SequentialTopDown(const BitmapIndex& index, const SearchParams& params,
   }
 }
 
-/// The per-k streaming driver every detection algorithm runs through:
-/// invokes `per_k(k, stats, sizes)` for each k in [config.k_min,
-/// config.k_max] in ascending order and hands its finalized violation
-/// set straight to `sink` — nothing is materialized here. `per_k` may
-/// carry state across ks (the incremental algorithms do), accumulates
-/// work counters into the passed DetectionStats, and hands `sizes`,
-/// the input's size memo, to every search it runs; the memo outlives
-/// the run, so later runs (and the result's CountGroups) read what
-/// this one counted. The driver owns the wall clock and the final
-/// OnStats call, enforcing the ResultSink contract in one place. A
-/// sink error aborts the run (the remaining ks are never searched).
-/// The wall clock covers the per_k searches only — time spent inside
-/// the caller's sink is NOT detection time, so a slow streaming
-/// consumer cannot inflate `seconds`.
+/// The per-k driver every detection algorithm runs through: invokes
+/// `per_k(k, stats, sizes)` for each k in [config.k_min, config.k_max]
+/// in ascending order and moves its finalized violation set into the
+/// result. `per_k` may carry state across ks (the incremental
+/// algorithms do), accumulates work counters into the passed
+/// DetectionStats, and hands `sizes`, the input's size memo, to every
+/// search it runs; the memo outlives the run, so later runs (and the
+/// result's CountGroups) read what this one counted. `seconds` covers
+/// the per_k calls only, not the final CountGroups. `config` must have
+/// passed input.ValidateConfig.
 template <typename PerKFn>
-Status StreamPerK(const DetectionInput& input, const DetectionConfig& config,
-                  ResultSink& sink, const PerKFn& per_k) {
-  DetectionStats stats;
+DetectionResult RunPerK(const DetectionInput& input,
+                        const DetectionConfig& config, const PerKFn& per_k) {
+  DetectionResult result(config.k_min, config.k_max);
   SizeMemo& sizes = input.sizes();
   for (int k = config.k_min; k <= config.k_max; ++k) {
     WallTimer timer;
-    std::vector<Pattern> batch = per_k(k, stats, sizes);
-    stats.seconds += timer.ElapsedSeconds();
-    FAIRTOPK_RETURN_IF_ERROR(sink.OnResult(k, std::move(batch)));
+    std::vector<Pattern> batch = per_k(k, result.stats(), sizes);
+    result.stats().seconds += timer.ElapsedSeconds();
+    result.MutableAtK(k) = std::move(batch);
   }
-  sink.OnStats(stats);
-  return Status::OK();
+  result.CountGroups(input);
+  return result;
 }
 
 /// Algorithm 1's report step, shared between the top-down searches and

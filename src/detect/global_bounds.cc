@@ -8,10 +8,9 @@
 
 namespace fairtopk {
 
-Status DetectGlobalBoundsStream(const DetectionInput& input,
-                                const GlobalBoundSpec& bounds,
-                                const DetectionConfig& config,
-                                ResultSink& sink) {
+Result<DetectionResult> DetectGlobalBounds(const DetectionInput& input,
+                                           const GlobalBoundSpec& bounds,
+                                           const DetectionConfig& config) {
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
   if (!bounds.lower.IsNonDecreasing()) {
     return Status::InvalidArgument(
@@ -25,10 +24,10 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
   MostGeneralResultSet res;
   std::vector<Pattern> deferred;
 
-  return engine::StreamPerK(input, config, sink,
-                            [&](int k, DetectionStats& stats,
-                                engine::SizeMemo& sizes)
-                                -> std::vector<Pattern> {
+  return engine::RunPerK(input, config,
+                         [&](int k, DetectionStats& stats,
+                             engine::SizeMemo& sizes)
+                             -> std::vector<Pattern> {
     DetectionStats* sp = &stats;
     const double lower = bounds.lower.At(k);
     const auto flat_bound = [lower](size_t) { return lower; };
@@ -87,14 +86,6 @@ Status DetectGlobalBoundsStream(const DetectionInput& input,
     }
 
     return res.Sorted();
-  });
-}
-
-Result<DetectionResult> DetectGlobalBounds(const DetectionInput& input,
-                                           const GlobalBoundSpec& bounds,
-                                           const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectGlobalBoundsStream(input, bounds, config, sink);
   });
 }
 

@@ -9,20 +9,12 @@
 
 #include "detect/bounds.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 
 namespace fairtopk {
 
 /// Optimized detection of groups violating global lower bounds
-/// (Problem 3.1, lower bounds), streamed per k. Produces the same
-/// per-k results as DetectGlobalIterTD while visiting fewer pattern
-/// nodes.
-Status DetectGlobalBoundsStream(const DetectionInput& input,
-                                const GlobalBoundSpec& bounds,
-                                const DetectionConfig& config,
-                                ResultSink& sink);
-
-/// Materializing wrapper over DetectGlobalBoundsStream.
+/// (Problem 3.1, lower bounds). Produces the same per-k results as
+/// DetectGlobalIterTD while visiting fewer pattern nodes.
 Result<DetectionResult> DetectGlobalBounds(const DetectionInput& input,
                                            const GlobalBoundSpec& bounds,
                                            const DetectionConfig& config);

@@ -6,13 +6,12 @@
 
 namespace fairtopk {
 
-Status DetectGlobalIterTDStream(const DetectionInput& input,
-                                const GlobalBoundSpec& bounds,
-                                const DetectionConfig& config,
-                                ResultSink& sink) {
+Result<DetectionResult> DetectGlobalIterTD(const DetectionInput& input,
+                                           const GlobalBoundSpec& bounds,
+                                           const DetectionConfig& config) {
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
-  return engine::StreamPerK(
-      input, config, sink,
+  return engine::RunPerK(
+      input, config,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const double lower = bounds.lower.At(k);
         const engine::SearchParams params{config.size_threshold,
@@ -24,25 +23,16 @@ Status DetectGlobalIterTDStream(const DetectionInput& input,
       });
 }
 
-Result<DetectionResult> DetectGlobalIterTD(const DetectionInput& input,
-                                           const GlobalBoundSpec& bounds,
-                                           const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectGlobalIterTDStream(input, bounds, config, sink);
-  });
-}
-
-Status DetectPropIterTDStream(const DetectionInput& input,
-                              const PropBoundSpec& bounds,
-                              const DetectionConfig& config,
-                              ResultSink& sink) {
+Result<DetectionResult> DetectPropIterTD(const DetectionInput& input,
+                                         const PropBoundSpec& bounds,
+                                         const DetectionConfig& config) {
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
   if (bounds.alpha <= 0.0) {
     return Status::InvalidArgument("alpha must be positive");
   }
   const size_t n = input.num_rows();
-  return engine::StreamPerK(
-      input, config, sink,
+  return engine::RunPerK(
+      input, config,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         // Evaluate the bound through PropBoundSpec::LowerAt so every
         // algorithm (and test oracle) shares one floating-point
@@ -58,14 +48,6 @@ Status DetectPropIterTDStream(const DetectionInput& input,
                    &stats)
             .Sorted();
       });
-}
-
-Result<DetectionResult> DetectPropIterTD(const DetectionInput& input,
-                                         const PropBoundSpec& bounds,
-                                         const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectPropIterTDStream(input, bounds, config, sink);
-  });
 }
 
 }  // namespace fairtopk

@@ -2,40 +2,22 @@
 // search (Algorithm 1) independently for every k in [k_min, k_max].
 // Serves as the executable specification against which the optimized
 // algorithms are property-tested.
-//
-// Each detector ships two entry points: the streaming core (per-k
-// violation sets delivered through a ResultSink the moment they are
-// final) and a materializing wrapper returning the full
-// DetectionResult. Both produce bit-identical per-k sets.
 #ifndef FAIRTOPK_DETECT_ITERTD_H_
 #define FAIRTOPK_DETECT_ITERTD_H_
 
 #include "detect/bounds.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 
 namespace fairtopk {
 
 /// Baseline detection of groups violating global lower bounds
-/// (Problem 3.1, lower bounds), streamed per k.
-Status DetectGlobalIterTDStream(const DetectionInput& input,
-                                const GlobalBoundSpec& bounds,
-                                const DetectionConfig& config,
-                                ResultSink& sink);
-
-/// Materializing wrapper over DetectGlobalIterTDStream.
+/// (Problem 3.1, lower bounds).
 Result<DetectionResult> DetectGlobalIterTD(const DetectionInput& input,
                                            const GlobalBoundSpec& bounds,
                                            const DetectionConfig& config);
 
 /// Baseline detection of groups with biased proportional representation
-/// (Problem 3.2, lower bounds), streamed per k.
-Status DetectPropIterTDStream(const DetectionInput& input,
-                              const PropBoundSpec& bounds,
-                              const DetectionConfig& config,
-                              ResultSink& sink);
-
-/// Materializing wrapper over DetectPropIterTDStream.
+/// (Problem 3.2, lower bounds).
 Result<DetectionResult> DetectPropIterTD(const DetectionInput& input,
                                          const PropBoundSpec& bounds,
                                          const DetectionConfig& config);

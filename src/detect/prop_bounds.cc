@@ -267,10 +267,9 @@ class PropSearch {
 
 }  // namespace
 
-Status DetectPropBoundsStream(const DetectionInput& input,
-                              const PropBoundSpec& bounds,
-                              const DetectionConfig& config,
-                              ResultSink& sink) {
+Result<DetectionResult> DetectPropBounds(const DetectionInput& input,
+                                         const PropBoundSpec& bounds,
+                                         const DetectionConfig& config) {
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
   if (bounds.alpha <= 0.0) {
     return Status::InvalidArgument("alpha must be positive");
@@ -279,8 +278,8 @@ Status DetectPropBoundsStream(const DetectionInput& input,
   // the driver's DetectionStats (one for the whole run) and the input's
   // size memo.
   std::optional<PropSearch> search;
-  return engine::StreamPerK(
-      input, config, sink,
+  return engine::RunPerK(
+      input, config,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         if (!search.has_value()) {
           search.emplace(input.index(), bounds, config, sizes, &stats);
@@ -290,14 +289,6 @@ Status DetectPropBoundsStream(const DetectionInput& input,
         }
         return search->Snapshot();
       });
-}
-
-Result<DetectionResult> DetectPropBounds(const DetectionInput& input,
-                                         const PropBoundSpec& bounds,
-                                         const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectPropBoundsStream(input, bounds, config, sink);
-  });
 }
 
 }  // namespace fairtopk

@@ -20,20 +20,12 @@
 
 #include "detect/bounds.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 
 namespace fairtopk {
 
 /// Optimized detection of groups with biased proportional
-/// representation (Problem 3.2, lower bounds), streamed per k.
-/// Produces the same per-k results as DetectPropIterTD while visiting
-/// fewer pattern nodes.
-Status DetectPropBoundsStream(const DetectionInput& input,
-                              const PropBoundSpec& bounds,
-                              const DetectionConfig& config,
-                              ResultSink& sink);
-
-/// Materializing wrapper over DetectPropBoundsStream.
+/// representation (Problem 3.2, lower bounds). Produces the same per-k
+/// results as DetectPropIterTD while visiting fewer pattern nodes.
 Result<DetectionResult> DetectPropBounds(const DetectionInput& input,
                                          const PropBoundSpec& bounds,
                                          const DetectionConfig& config);

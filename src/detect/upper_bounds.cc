@@ -28,13 +28,12 @@ struct AboveLinear {
 
 }  // namespace
 
-Status DetectGlobalUpperBoundsStream(const DetectionInput& input,
-                                     const GlobalBoundSpec& bounds,
-                                     const DetectionConfig& config,
-                                     ResultSink& sink) {
+Result<DetectionResult> DetectGlobalUpperBounds(
+    const DetectionInput& input, const GlobalBoundSpec& bounds,
+    const DetectionConfig& config) {
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
-  return engine::StreamPerK(
-      input, config, sink,
+  return engine::RunPerK(
+      input, config,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const engine::SearchParams params{config.size_threshold,
                                           static_cast<size_t>(k)};
@@ -46,25 +45,16 @@ Status DetectGlobalUpperBoundsStream(const DetectionInput& input,
       });
 }
 
-Result<DetectionResult> DetectGlobalUpperBounds(
-    const DetectionInput& input, const GlobalBoundSpec& bounds,
-    const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectGlobalUpperBoundsStream(input, bounds, config, sink);
-  });
-}
-
-Status DetectPropUpperBoundsStream(const DetectionInput& input,
-                                   const PropBoundSpec& bounds,
-                                   const DetectionConfig& config,
-                                   ResultSink& sink) {
+Result<DetectionResult> DetectPropUpperBounds(const DetectionInput& input,
+                                              const PropBoundSpec& bounds,
+                                              const DetectionConfig& config) {
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
   if (bounds.beta <= bounds.alpha) {
     return Status::InvalidArgument("beta must exceed alpha");
   }
   const double n = static_cast<double>(input.num_rows());
-  return engine::StreamPerK(
-      input, config, sink,
+  return engine::RunPerK(
+      input, config,
       [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
         const engine::SearchParams params{config.size_threshold,
                                           static_cast<size_t>(k)};
@@ -74,14 +64,6 @@ Status DetectPropUpperBoundsStream(const DetectionInput& input,
                 input.index(), params, sizes, AboveLinear{factor}, &stats);
         return res.Sorted();
       });
-}
-
-Result<DetectionResult> DetectPropUpperBounds(const DetectionInput& input,
-                                              const PropBoundSpec& bounds,
-                                              const DetectionConfig& config) {
-  return MaterializeStream(input, config, [&](ResultSink& sink) {
-    return DetectPropUpperBoundsStream(input, bounds, config, sink);
-  });
 }
 
 }  // namespace fairtopk

@@ -11,31 +11,17 @@
 
 #include "detect/bounds.h"
 #include "detect/detection_result.h"
-#include "detect/engine/result_sink.h"
 
 namespace fairtopk {
 
 /// Detects, for each k, the most specific substantial patterns whose
-/// top-k count strictly exceeds the global upper bound U_k, streamed
-/// per k.
-Status DetectGlobalUpperBoundsStream(const DetectionInput& input,
-                                     const GlobalBoundSpec& bounds,
-                                     const DetectionConfig& config,
-                                     ResultSink& sink);
-
-/// Materializing wrapper over DetectGlobalUpperBoundsStream.
+/// top-k count strictly exceeds the global upper bound U_k.
 Result<DetectionResult> DetectGlobalUpperBounds(const DetectionInput& input,
                                                 const GlobalBoundSpec& bounds,
                                                 const DetectionConfig& config);
 
 /// Proportional variant: reports the most specific substantial patterns
-/// with s_Rk(p) > beta * s_D(p) * k / |D|, streamed per k.
-Status DetectPropUpperBoundsStream(const DetectionInput& input,
-                                   const PropBoundSpec& bounds,
-                                   const DetectionConfig& config,
-                                   ResultSink& sink);
-
-/// Materializing wrapper over DetectPropUpperBoundsStream.
+/// with s_Rk(p) > beta * s_D(p) * k / |D|.
 Result<DetectionResult> DetectPropUpperBounds(const DetectionInput& input,
                                               const PropBoundSpec& bounds,
                                               const DetectionConfig& config);

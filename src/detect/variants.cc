@@ -1,6 +1,5 @@
 #include "detect/variants.h"
 
-#include "common/timer.h"
 #include "detect/engine/search_driver.h"
 #include "pattern/result_set.h"
 
@@ -47,26 +46,8 @@ struct AboveProp {
   }
 };
 
-/// Enumerates every substantial pattern at `k` through the engine and
-/// reports violators under the chosen semantics.
-template <typename ViolatesFn>
-void EnumerateAtK(const DetectionInput& input, const DetectionConfig& config,
-                  int k, const ViolatesFn& violates,
-                  ReportingSemantics semantics, std::vector<Pattern>& out,
-                  DetectionStats* stats) {
-  const engine::SearchParams params{config.size_threshold,
-                                    static_cast<size_t>(k)};
-  if (semantics == ReportingSemantics::kMostGeneral) {
-    out = engine::ExhaustiveViolations<MostGeneralResultSet>(
-              input.index(), params, input.sizes(), violates, stats)
-              .Sorted();
-  } else {
-    out = engine::ExhaustiveViolations<MostSpecificResultSet>(
-              input.index(), params, input.sizes(), violates, stats)
-              .Sorted();
-  }
-}
-
+/// Enumerates every substantial pattern at each k through the engine
+/// and reports violators under the chosen semantics;
 /// `make_violates(k)` builds the per-k violation policy.
 template <typename MakeViolates>
 Result<DetectionResult> RunVariant(const DetectionInput& input,
@@ -74,15 +55,20 @@ Result<DetectionResult> RunVariant(const DetectionInput& input,
                                    const MakeViolates& make_violates,
                                    ReportingSemantics semantics) {
   FAIRTOPK_RETURN_IF_ERROR(input.ValidateConfig(config));
-  WallTimer timer;
-  DetectionResult result(config.k_min, config.k_max);
-  for (int k = config.k_min; k <= config.k_max; ++k) {
-    EnumerateAtK(input, config, k, make_violates(k), semantics,
-                 result.MutableAtK(k), &result.stats());
-  }
-  result.stats().seconds = timer.ElapsedSeconds();
-  result.CountGroups(input);
-  return result;
+  return engine::RunPerK(
+      input, config,
+      [&](int k, DetectionStats& stats, engine::SizeMemo& sizes) {
+        const engine::SearchParams params{config.size_threshold,
+                                          static_cast<size_t>(k)};
+        if (semantics == ReportingSemantics::kMostGeneral) {
+          return engine::ExhaustiveViolations<MostGeneralResultSet>(
+                     input.index(), params, sizes, make_violates(k), &stats)
+              .Sorted();
+        }
+        return engine::ExhaustiveViolations<MostSpecificResultSet>(
+                   input.index(), params, sizes, make_violates(k), &stats)
+            .Sorted();
+      });
 }
 
 }  // namespace

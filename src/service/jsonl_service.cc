@@ -281,9 +281,11 @@ Result<api::AuditRequest> JsonlService::DecodeRequest(
                               "' is registered (see op=capabilities)");
     }
   } else {
-    FAIRTOPK_ASSIGN_OR_RETURN(
-        descriptor, registry.Resolve(request.StringOr("measure", "prop"),
-                                     request.StringOr("algo", "bounds")));
+    FAIRTOPK_ASSIGN_OR_RETURN(const std::string measure,
+                              api::ReadStringField(request, "measure", "prop"));
+    FAIRTOPK_ASSIGN_OR_RETURN(const std::string algo,
+                              api::ReadStringField(request, "algo", "bounds"));
+    FAIRTOPK_ASSIGN_OR_RETURN(descriptor, registry.Resolve(measure, algo));
   }
   api::AuditRequest query;
   query.detector = descriptor->name;
@@ -685,11 +687,17 @@ Result<std::string> JsonlService::HandleOpen(const JsonValue& request) {
   FAIRTOPK_ASSIGN_OR_RETURN(std::string name,
                             RequiredString(request, "name", "open"));
   SessionSpec spec;
-  spec.snapshot = request.StringOr("snapshot", "");
-  spec.data_dir = request.StringOr("data_dir", "");
-  spec.fsync_always = request.BoolOr("fsync_always", spec.fsync_always);
-  spec.csv = request.StringOr("csv", "");
-  spec.rank_by = request.StringOr("rank_by", "");
+  FAIRTOPK_ASSIGN_OR_RETURN(spec.snapshot,
+                            api::ReadStringField(request, "snapshot", ""));
+  FAIRTOPK_ASSIGN_OR_RETURN(spec.data_dir,
+                            api::ReadStringField(request, "data_dir", ""));
+  FAIRTOPK_ASSIGN_OR_RETURN(
+      spec.fsync_always,
+      api::ReadBoolField(request, "fsync_always", spec.fsync_always));
+  FAIRTOPK_ASSIGN_OR_RETURN(spec.csv,
+                            api::ReadStringField(request, "csv", ""));
+  FAIRTOPK_ASSIGN_OR_RETURN(spec.rank_by,
+                            api::ReadStringField(request, "rank_by", ""));
   // A pure snapshot restore needs neither csv nor rank_by; a data_dir
   // needs them only on the cold-start path (the catalog reports that
   // precisely); a plain open needs both.
@@ -699,7 +707,8 @@ Result<std::string> JsonlService::HandleOpen(const JsonValue& request) {
     FAIRTOPK_ASSIGN_OR_RETURN(spec.rank_by,
                               RequiredString(request, "rank_by", "open"));
   }
-  spec.ascending = request.BoolOr("ascending", spec.ascending);
+  FAIRTOPK_ASSIGN_OR_RETURN(
+      spec.ascending, api::ReadBoolField(request, "ascending", spec.ascending));
   FAIRTOPK_ASSIGN_OR_RETURN(spec.bins,
                             api::ReadIntField(request, "bins", spec.bins));
   if (spec.bins < 2) {
@@ -724,8 +733,11 @@ Result<std::string> JsonlService::HandleOpen(const JsonValue& request) {
                             api::ReadIntField(request, "k_max", spec.k_max));
   FAIRTOPK_ASSIGN_OR_RETURN(spec.tau,
                             api::ReadIntField(request, "tau", spec.tau));
-  spec.lower_fraction = request.NumberOr("lower", spec.lower_fraction);
-  spec.alpha = request.NumberOr("alpha", spec.alpha);
+  FAIRTOPK_ASSIGN_OR_RETURN(
+      spec.lower_fraction,
+      api::ReadDoubleField(request, "lower", spec.lower_fraction));
+  FAIRTOPK_ASSIGN_OR_RETURN(
+      spec.alpha, api::ReadDoubleField(request, "alpha", spec.alpha));
   FAIRTOPK_ASSIGN_OR_RETURN(
       int cache_capacity,
       api::ReadIntField(request, "cache_capacity",
@@ -734,8 +746,10 @@ Result<std::string> JsonlService::HandleOpen(const JsonValue& request) {
     return Status::InvalidArgument("'cache_capacity' must be >= 0");
   }
   spec.session.cache_capacity = static_cast<size_t>(cache_capacity);
-  spec.session.rebuild_threshold =
-      request.NumberOr("rebuild_threshold", spec.session.rebuild_threshold);
+  FAIRTOPK_ASSIGN_OR_RETURN(
+      spec.session.rebuild_threshold,
+      api::ReadDoubleField(request, "rebuild_threshold",
+                           spec.session.rebuild_threshold));
   FAIRTOPK_RETURN_IF_ERROR(catalog_->Open(name, spec));
   std::shared_ptr<SessionCatalog::Entry> entry = catalog_->Find(name);
   JsonWriter w;

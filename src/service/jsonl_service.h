@@ -53,7 +53,9 @@
 //               rebuild_threshold). "snapshot" opens a snapshot file
 //               read-only instead of a CSV; "data_dir" opens a durable
 //               directory (open-or-replay, cold start from "csv" when
-//               empty); "fsync_always" selects op-log durability
+//               empty; not with "snapshot"); "fsync_always" selects
+//               op-log durability. A field of the wrong type is
+//               INVALID_ARGUMENT, never its default
 //   op=close    {"name": ...} — drops a session; requests already
 //               running against it finish unharmed
 //   op=list     the registered sessions and this client's current one

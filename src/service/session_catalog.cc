@@ -26,10 +26,14 @@ Result<AuditSession> SessionFromCsv(const SessionSpec& spec) {
 
 }  // namespace
 
-Status SessionCatalog::Open(const std::string& name,
-                            const SessionSpec& spec) {
+Status SessionCatalog::Open(const std::string& name, const SessionSpec& spec,
+                            PersistentOpenReport* report) {
   if (name.empty()) {
     return Status::InvalidArgument("session name must be non-empty");
+  }
+  if (!spec.snapshot.empty() && !spec.data_dir.empty()) {
+    return Status::InvalidArgument(
+        "'snapshot' and 'data_dir' are mutually exclusive");
   }
   // Load outside the lock: CSV parse + bucketize + index build can be
   // seconds, and concurrent requests to other sessions must not stall
@@ -41,9 +45,18 @@ Status SessionCatalog::Open(const std::string& name,
     PersistentOpenOptions persist;
     persist.fsync = spec.fsync_always ? storage::FsyncPolicy::kAlways
                                       : storage::FsyncPolicy::kNever;
+    const auto cold_start = [&spec]() -> Result<AuditSession> {
+      if (spec.csv.empty() || spec.rank_by.empty()) {
+        return Status::InvalidArgument(
+            "data dir " + spec.data_dir +
+            " holds no snapshot yet: the first start needs a CSV and its "
+            "ranking column (fairtopk_serve --csv and --rank-by, or the "
+            "open op's csv and rank_by) to build one");
+      }
+      return SessionFromCsv(spec);
+    };
     Result<AuditSession> opened = OpenPersistentSession(
-        spec.data_dir, [&spec] { return SessionFromCsv(spec); }, spec.session,
-        persist, /*report=*/nullptr);
+        spec.data_dir, cold_start, spec.session, persist, report);
     if (!opened.ok()) return opened.status();
     session.emplace(std::move(opened).value());
     dataset = spec.data_dir;

@@ -29,6 +29,8 @@
 
 namespace fairtopk {
 
+struct PersistentOpenReport;
+
 /// Everything the `open` op needs to turn a CSV path into a served
 /// session: dataset preparation knobs plus the per-session request
 /// defaults. Field defaults mirror the fairtopk_serve flag defaults.
@@ -42,7 +44,7 @@ struct SessionSpec {
   /// Data directory for a durable session: open-or-replay its
   /// snapshot + op log when present, cold-start from `csv` (and save
   /// the initial snapshot) otherwise. Maintenance ops are logged and
-  /// `save` compacts. Takes precedence over `snapshot`.
+  /// `save` compacts. Mutually exclusive with `snapshot`.
   std::string data_dir;
   /// fsync the op log after every maintenance op (data_dir only).
   bool fsync_always = false;
@@ -81,13 +83,17 @@ class SessionCatalog {
     size_t pattern_attributes = 0;
   };
 
-  /// Loads `spec.csv` (LoadAuditTable: validation + bucketization) and
-  /// registers the session under `name`. Fails with AlreadyExists-like
-  /// InvalidArgument on a taken name, or with the loader's error.
-  Status Open(const std::string& name, const SessionSpec& spec);
+  /// Opens the session `spec` describes — from its data_dir, its
+  /// snapshot, or its CSV (LoadAuditTable: validation +
+  /// bucketization) — and registers it under `name`. Fails with
+  /// AlreadyExists-like InvalidArgument on a taken name, on a spec
+  /// naming both snapshot and data_dir, or with the loader's error.
+  /// `report`, when non-null, receives what a data_dir open did.
+  Status Open(const std::string& name, const SessionSpec& spec,
+              PersistentOpenReport* report = nullptr);
 
-  /// Registers an already-built session under `name` — the startup
-  /// path of fairtopk_serve and the in-memory path of tests.
+  /// Registers an already-built session under `name` — the in-memory
+  /// path of tests.
   Status Adopt(const std::string& name, AuditSession session,
                ServeDefaults defaults);
 

@@ -8,6 +8,8 @@
 #include <sstream>
 #include <string>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -139,6 +141,22 @@ TEST(CliTest, ThreadCountsOtherThanOneAreUsageErrors) {
   EXPECT_EQ(RunTool(FAIRTOPK_SERVE_PATH, base + "--threads 2", out), 2);
   EXPECT_EQ(RunTool(FAIRTOPK_SERVE_PATH, base + "--threads 0", out), 2);
   EXPECT_EQ(RunTool(FAIRTOPK_SERVE_PATH, base + "--threads 1", out), 0);
+}
+
+// A data dir's first start builds its snapshot from the CSV, so a
+// data dir holding no snapshot and no --csv is a startup error that
+// says what is missing.
+TEST(CliTest, ServeEmptyDataDirWithoutCsvFails) {
+  std::string dir = TempPath("cli_empty_data_dir_XXXXXX");
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string out = TempPath("cli_empty_data_dir.out");
+  const std::string err = TempPath("cli_empty_data_dir.err");
+  EXPECT_EQ(RunTool(FAIRTOPK_SERVE_PATH, "--data-dir " + Quote(dir), out, err),
+            1);
+  EXPECT_NE(ReadAll(err).find("holds no snapshot yet"), std::string::npos)
+      << ReadAll(err);
+  EXPECT_NE(ReadAll(err).find("--csv"), std::string::npos) << ReadAll(err);
+  ::rmdir(dir.c_str());
 }
 
 TEST(CliTest, DetectionReportsBiasedGroups) {

@@ -101,8 +101,9 @@ std::atomic<const AuditSession*> g_gate_session{nullptr};
 std::atomic<uint64_t> g_gate_waiters{0};
 std::atomic<int> g_gate_runs{0};
 
-Status GateDetectorRun(const DetectionInput&, const api::BoundsSpec&,
-                       const DetectionConfig& config, ResultSink& sink) {
+Result<DetectionResult> GateDetectorRun(const DetectionInput& input,
+                                        const api::BoundsSpec&,
+                                        const DetectionConfig& config) {
   g_gate_runs.fetch_add(1, std::memory_order_relaxed);
   const AuditSession* session = g_gate_session.load();
   if (session != nullptr) {
@@ -118,11 +119,9 @@ Status GateDetectorRun(const DetectionInput&, const api::BoundsSpec&,
       std::this_thread::yield();
     }
   }
-  for (int k = config.k_min; k <= config.k_max; ++k) {
-    FAIRTOPK_RETURN_IF_ERROR(sink.OnResult(k, {}));
-  }
-  sink.OnStats(DetectionStats{});
-  return Status::OK();
+  DetectionResult result(config.k_min, config.k_max);
+  result.CountGroups(input);
+  return result;
 }
 
 const api::DetectorDescriptor* RegisterGateDetector() {

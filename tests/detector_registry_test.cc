@@ -15,6 +15,7 @@
 #include "api/audit.h"
 #include "api/canonical.h"
 #include "common/rng.h"
+#include "datagen/running_example.h"
 
 namespace fairtopk {
 namespace {
@@ -23,6 +24,22 @@ using api::AuditRequest;
 using api::BoundsKind;
 using api::DetectorDescriptor;
 using api::DetectorRegistry;
+
+/// Default bounds of the kind `d` consumes.
+api::BoundsSpec DefaultBoundsFor(const DetectorDescriptor& d) {
+  return d.bounds_kind == BoundsKind::kGlobal
+             ? api::BoundsSpec{GlobalBoundSpec{}}
+             : api::BoundsSpec{PropBoundSpec{}};
+}
+
+/// A run function reporting no groups at any k.
+Result<DetectionResult> EmptyRun(const DetectionInput& input,
+                                 const api::BoundsSpec&,
+                                 const DetectionConfig& config) {
+  DetectionResult result(config.k_min, config.k_max);
+  result.CountGroups(input);
+  return result;
+}
 
 TEST(DetectorRegistryTest, BuiltInsCoverTheSixPaperDetectors) {
   const DetectorRegistry& registry = DetectorRegistry::Global();
@@ -58,9 +75,7 @@ TEST(DetectorRegistryTest, EveryRegisteredNameRoundTrips) {
     // And a request naming the detector resolves through the facade.
     AuditRequest request;
     request.detector = d.name;
-    request.bounds = d.bounds_kind == BoundsKind::kGlobal
-                         ? api::BoundsSpec{GlobalBoundSpec{}}
-                         : api::BoundsSpec{PropBoundSpec{}};
+    request.bounds = DefaultBoundsFor(d);
     auto via_request = api::ResolveRequest(request);
     ASSERT_TRUE(via_request.ok()) << d.name;
     EXPECT_EQ(*via_request, &d);
@@ -86,8 +101,7 @@ TEST(DetectorRegistryTest, RegisterRejectsDuplicatesAndIncompleteEntries) {
   d.measure = "global";
   d.algo = "custom";
   d.bounds_kind = BoundsKind::kGlobal;
-  d.run = [](const DetectionInput&, const api::BoundsSpec&,
-             const DetectionConfig&, ResultSink&) { return Status::OK(); };
+  d.run = &EmptyRun;
   ASSERT_TRUE(registry.Register(d).ok());
   // Same name again.
   EXPECT_FALSE(registry.Register(d).ok());
@@ -118,18 +132,34 @@ TEST(DetectorRegistryTest, AddingADetectorIsOneRegistration) {
   d.measure = "global";
   d.algo = "empty";
   d.bounds_kind = BoundsKind::kGlobal;
-  d.summary = "reports no groups, streams empty sets per k";
-  d.run = [](const DetectionInput&, const api::BoundsSpec&,
-             const DetectionConfig& config, ResultSink& sink) {
-    for (int k = config.k_min; k <= config.k_max; ++k) {
-      FAIRTOPK_RETURN_IF_ERROR(sink.OnResult(k, {}));
-    }
-    sink.OnStats(DetectionStats{});
-    return Status::OK();
-  };
+  d.summary = "reports no groups at any k";
+  d.run = &EmptyRun;
   ASSERT_TRUE(registry.Register(std::move(d)).ok());
   const std::string capabilities = api::CapabilitiesJson(registry);
   EXPECT_NE(capabilities.find("\"AlwaysEmpty\""), std::string::npos);
+}
+
+// Every search runs on the calling thread, so any thread count but 1
+// is an invalid request, for every registered detector.
+TEST(DetectorRegistryTest, ThreadCountOtherThanOneIsInvalid) {
+  auto table = RunningExampleTable();
+  ASSERT_TRUE(table.ok());
+  auto input = DetectionInput::Prepare(*table, *RunningExampleRanker());
+  ASSERT_TRUE(input.ok()) << input.status().ToString();
+  for (const DetectorDescriptor& d : DetectorRegistry::Global().detectors()) {
+    AuditRequest request;
+    request.detector = d.name;
+    request.config = {/*k_min=*/2, /*k_max=*/10, /*size_threshold=*/2};
+    request.bounds = DefaultBoundsFor(d);
+    ASSERT_TRUE(api::RunAudit(*input, request).ok()) << d.name;
+    for (int threads : {0, 4}) {
+      request.config.num_threads = threads;
+      auto result = api::RunAudit(*input, request);
+      ASSERT_FALSE(result.ok()) << d.name << " threads=" << threads;
+      EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+          << d.name << " threads=" << threads;
+    }
+  }
 }
 
 /// Structural equality of the cache-key-relevant request fields.

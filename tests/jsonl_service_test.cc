@@ -268,6 +268,10 @@ TEST_F(JsonlServiceTest, MistypedParametersErrorInsteadOfDefaulting) {
       "INVALID_ARGUMENT");
   ExpectError(R"({"op":"detect","measure":"prop","upper":"9"})",
               "INVALID_ARGUMENT");
+  // So are mistyped detector selectors.
+  ExpectError(R"({"op":"detect","measure":1,"algo":2})", "INVALID_ARGUMENT");
+  ExpectError(R"({"op":"detect","measure":"global","algo":true})",
+              "INVALID_ARGUMENT");
 }
 
 TEST_F(JsonlServiceTest, AppendByLabelsGrowsSession) {
@@ -604,8 +608,9 @@ std::string WorkerScript() {
 
 std::atomic<bool> g_slow_release{false};
 
-Status SlowDetectorRun(const DetectionInput&, const api::BoundsSpec&,
-                       const DetectionConfig& config, ResultSink& sink) {
+Result<DetectionResult> SlowDetectorRun(const DetectionInput& input,
+                                        const api::BoundsSpec&,
+                                        const DetectionConfig& config) {
   // Deadline-guarded: a backpressure regression fails the admission
   // assertions instead of hanging the suite.
   const auto deadline =
@@ -614,11 +619,9 @@ Status SlowDetectorRun(const DetectionInput&, const api::BoundsSpec&,
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
-  for (int k = config.k_min; k <= config.k_max; ++k) {
-    FAIRTOPK_RETURN_IF_ERROR(sink.OnResult(k, {}));
-  }
-  sink.OnStats(DetectionStats{});
-  return Status::OK();
+  DetectionResult result(config.k_min, config.k_max);
+  result.CountGroups(input);
+  return result;
 }
 
 void RegisterSlowDetector() {
@@ -1104,6 +1107,24 @@ TEST_F(CatalogJsonlServiceTest, OpenCloseLifecycle) {
               "IO_ERROR");
   ExpectError(R"({"op":"open","name":"x","csv":")" + csv_path +
                   R"(","rank_by":"nope"})",
+              "INVALID_ARGUMENT");
+  // A present field of the wrong type is refused, not read as its
+  // default.
+  for (const std::string field :
+       {R"("ascending":"true")", R"("alpha":"0.5")",
+        R"("rebuild_threshold":"7")", R"("lower":"0.5")",
+        R"("fsync_always":1)", R"("data_dir":7)", R"("snapshot":[])"}) {
+    ExpectError(R"({"op":"open","name":"x","csv":")" + csv_path +
+                    R"(","rank_by":"score",)" + field + "}",
+                "INVALID_ARGUMENT");
+  }
+  // A snapshot restore and a data dir are two ways to open; naming both
+  // is refused.
+  const std::string data_dir =
+      ::testing::TempDir() + "/jsonl_service_open_both";
+  ExpectError(R"({"op":"open","name":"x","csv":")" + csv_path +
+                  R"(","rank_by":"score","snapshot":"s.ftk","data_dir":")" +
+                  data_dir + R"("})",
               "INVALID_ARGUMENT");
   EXPECT_EQ(catalog_.size(), 2u);
 }

@@ -60,8 +60,9 @@ ServeDefaults NetDefaults(const std::string& dataset) {
 std::atomic<bool> g_net_gate_started{false};
 std::atomic<bool> g_net_gate_release{true};
 
-Status NetGateDetectorRun(const DetectionInput&, const api::BoundsSpec&,
-                          const DetectionConfig& config, ResultSink& sink) {
+Result<DetectionResult> NetGateDetectorRun(const DetectionInput& input,
+                                           const api::BoundsSpec&,
+                                           const DetectionConfig& config) {
   g_net_gate_started.store(true, std::memory_order_release);
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(20);
@@ -69,11 +70,9 @@ Status NetGateDetectorRun(const DetectionInput&, const api::BoundsSpec&,
          std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
-  for (int k = config.k_min; k <= config.k_max; ++k) {
-    FAIRTOPK_RETURN_IF_ERROR(sink.OnResult(k, {}));
-  }
-  sink.OnStats(DetectionStats{});
-  return Status::OK();
+  DetectionResult result(config.k_min, config.k_max);
+  result.CountGroups(input);
+  return result;
 }
 
 void RegisterNetGateDetector() {

@@ -47,11 +47,18 @@ by its own time_unit (google-benchmark writes ns, us, ms or s), so a
 millisecond benchmark compares correctly against a nanosecond one, and
 each is printed in the unit it was recorded in.
 
+Under --benchmark_repetitions=N a file holds N entries per benchmark
+name; every gate judges the median of a name's repetitions, and each
+ratio is printed with the repetition count (n) and coefficient of
+variation (cv, sample standard deviation over mean) of both sides. With
+one repetition the median is that repetition and its cv is 0.
+
 Exit code 0 when every gate passes, 1 otherwise.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -59,11 +66,17 @@ NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
 class Time(float):
-    """A real_time in nanoseconds that prints in its recorded unit."""
+    """The median real_time in nanoseconds of one benchmark's
+    repetitions; prints in its recorded unit and keeps the repetition
+    count and coefficient of variation."""
 
-    def __new__(cls, ns, unit):
-        time = super().__new__(cls, ns)
+    def __new__(cls, samples_ns, unit):
+        time = super().__new__(cls, statistics.median(samples_ns))
         time.unit = unit
+        time.reps = len(samples_ns)
+        mean = statistics.fmean(samples_ns)
+        time.cv = (statistics.stdev(samples_ns) / mean
+                   if len(samples_ns) > 1 and mean > 0 else 0.0)
         return time
 
     def __str__(self):
@@ -71,19 +84,30 @@ class Time(float):
         digits = 0 if self.unit == "ns" else 2
         return f"{value:.{digits}f}{self.unit}"
 
+    def spread(self):
+        return f"n={self.reps} cv={self.cv:.1%}"
+
 
 def load_report(path):
     """Returns ({benchmark name: Time}, context dict)."""
     with open(path) as f:
         doc = json.load(f)
-    times = {}
+    samples = {}
+    units = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             continue
         unit = bench.get("time_unit", "ns")
-        times[bench["name"]] = Time(
-            float(bench["real_time"]) * NS_PER_UNIT[unit], unit)
+        samples.setdefault(bench["name"], []).append(
+            float(bench["real_time"]) * NS_PER_UNIT[unit])
+        units[bench["name"]] = unit
+    times = {name: Time(ns, units[name]) for name, ns in samples.items()}
     return times, doc.get("context", {})
+
+
+def spreads(first, second):
+    """The n and cv of a ratio's two sides, printed beside it."""
+    return f"[{first.spread()} | {second.spread()}]"
 
 
 def check_min_speedup(current, slow, fast, minimum, failures):
@@ -94,7 +118,8 @@ def check_min_speedup(current, slow, fast, minimum, failures):
     speedup = current[slow] / current[fast]
     ok = speedup >= minimum
     print(f"speedup {slow} / {fast} = {speedup:.2f}x "
-          f"(minimum {minimum:.2f}x){'' if ok else '  << TOO SLOW'}")
+          f"(minimum {minimum:.2f}x) {spreads(current[slow], current[fast])}"
+          f"{'' if ok else '  << TOO SLOW'}")
     if not ok:
         failures.append(
             f"{fast} is only {speedup:.2f}x faster than {slow} "
@@ -137,19 +162,21 @@ def main():
              if args.benchmarks else sorted(current))
 
     failures = []
-    print(f"{'benchmark':55} {'baseline':>12} {'current':>12} {'ratio':>7}")
+    print(f"{'benchmark':55} {'baseline':>12} {'current':>12} {'ratio':>7}"
+          f"  [baseline n, cv | current n, cv]")
     for name in names:
         if name not in current:
             failures.append(f"benchmark '{name}' missing from {args.current}")
             continue
         if name not in baseline:
             print(f"{name:55} {'-':>12} {str(current[name]):>12} "
-                  f"{'new':>7}")
+                  f"{'new':>7}  [{current[name].spread()}]")
             continue
         ratio = current[name] / baseline[name]
         flag = "" if ratio <= args.max_ratio else "  << REGRESSION"
         print(f"{name:55} {str(baseline[name]):>12} {str(current[name]):>12} "
-              f"{ratio:>6.2f}x{flag}")
+              f"{ratio:>6.2f}x  {spreads(baseline[name], current[name])}"
+              f"{flag}")
         if ratio > args.max_ratio:
             failures.append(
                 f"{name}: {ratio:.2f}x slower than baseline "
@@ -176,7 +203,8 @@ def main():
         ratio = current[b] / current[a]
         ok = ratio <= limit
         print(f"ratio {b} / {a} = {ratio:.3f}x "
-              f"(limit {limit:.3f}x){'' if ok else '  << TOO SLOW'}")
+              f"(limit {limit:.3f}x) {spreads(current[b], current[a])}"
+              f"{'' if ok else '  << TOO SLOW'}")
         if not ok:
             failures.append(
                 f"{b} is {ratio:.3f}x of {a} (limit {limit:.3f}x)")
@@ -199,7 +227,9 @@ def main():
         ratio = current[curr_name] / baseline[base_name]
         ok = ratio <= limit
         print(f"ratio {curr_name} / baseline {base_name} = {ratio:.3f}x "
-              f"(limit {limit:.3f}x){'' if ok else '  << REGRESSION'}")
+              f"(limit {limit:.3f}x) "
+              f"{spreads(current[curr_name], baseline[base_name])}"
+              f"{'' if ok else '  << REGRESSION'}")
         if not ok:
             failures.append(
                 f"{curr_name} is {ratio:.3f}x of baseline {base_name} "

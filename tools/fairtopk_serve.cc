@@ -17,11 +17,12 @@
 // Startup mirrors fairtopk_audit: the CSV is loaded, every numeric
 // column except the ranking column is bucketized so it can join group
 // definitions, and one AuditSession is opened (table ranked by the
-// score column, rank-ordered BitmapIndex built once) and registered in
-// a SessionCatalog as "default". The JSONL protocol's catalog ops
-// (`open`, `close`, `list`, `use`) manage further named sessions over
-// other CSVs at runtime; plain requests keep hitting "default" so
-// single-table scripts need no session plumbing.
+// score column, rank-ordered BitmapIndex built once) through the same
+// SessionCatalog::Open as the `open` op, as session "default". The
+// JSONL protocol's catalog ops (`open`, `close`, `list`, `use`) manage
+// further named sessions over other CSVs at runtime; plain requests
+// keep hitting "default" so single-table scripts need no session
+// plumbing.
 //
 // Without --listen, the process reads one JSON request object per
 // stdin line and writes one JSON response object per stdout line until
@@ -36,11 +37,9 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <unistd.h>
-#include <vector>
 
 #include "common/metrics/metrics.h"
 #include "common/signals.h"
@@ -52,27 +51,15 @@
 #include "service/persistence.h"
 #include "service/request_pipeline.h"
 #include "service/session_catalog.h"
-#include "service/table_loader.h"
 
 namespace fairtopk {
 namespace {
 
 struct Args {
-  std::string csv;
-  std::string rank_by;
-  std::string data_dir;  // empty = in-memory only
-  bool fsync_always = false;
-  bool ascending = false;
-  int k_min = 10;
-  int k_max = 49;
-  int tau = 0;  // 0 = 5% of rows
-  int threads = 1;
-  int bins = 4;
-  std::vector<std::string> drop;
-  double lower_fraction = 0.5;
-  double alpha = 0.8;
-  double rebuild_threshold = 0.5;
-  int cache_capacity = 64;
+  /// The "default" session, opened like the `open` op's sessions; an
+  /// empty data_dir keeps it in memory only.
+  SessionSpec spec;
+  int threads = 1;  // only 1 is accepted: a query runs on one thread
   int workers = 1;
   int listen_port = -1;  // -1 = stdin/stdout mode
   std::string host = "127.0.0.1";
@@ -90,7 +77,8 @@ void PrintUsage(std::FILE* out) {
       "or, with --listen, serves the same protocol to concurrent TCP\n"
       "connections until SIGINT/SIGTERM. Ops: detect, detect_batch,\n"
       "capabilities, suggest, verify, rerank, update, append, stats,\n"
-      "invalidate, plus the session catalog: open, close, list, use\n"
+      "metrics, invalidate, save, snapshot_info, plus the session\n"
+      "catalog: open, close, list, use\n"
       "(see README.md, \"Serving audits\" and \"Network serving\";\n"
       "capabilities lists every registered detector with its parameter\n"
       "schema). The startup CSV is session \"default\".\n"
@@ -192,47 +180,48 @@ bool ParseArgs(int argc, char** argv, Args& args, bool& help) {
     } else if (flag == "--csv") {
       const char* v = next("--csv");
       if (v == nullptr) return false;
-      args.csv = v;
+      args.spec.csv = v;
     } else if (flag == "--rank-by") {
       const char* v = next("--rank-by");
       if (v == nullptr) return false;
-      args.rank_by = v;
+      args.spec.rank_by = v;
     } else if (flag == "--ascending") {
-      args.ascending = true;
+      args.spec.ascending = true;
     } else if (flag == "--kmin") {
-      if (!next_int("--kmin", 1, 1 << 30, args.k_min)) return false;
+      if (!next_int("--kmin", 1, 1 << 30, args.spec.k_min)) return false;
     } else if (flag == "--kmax") {
-      if (!next_int("--kmax", 1, 1 << 30, args.k_max)) return false;
+      if (!next_int("--kmax", 1, 1 << 30, args.spec.k_max)) return false;
     } else if (flag == "--tau") {
-      if (!next_int("--tau", 1, 1 << 30, args.tau)) return false;
+      if (!next_int("--tau", 1, 1 << 30, args.spec.tau)) return false;
     } else if (flag == "--threads") {
       if (!next_int("--threads", 1, 1, args.threads)) return false;
     } else if (flag == "--bins") {
-      if (!next_int("--bins", 2, 1 << 20, args.bins)) return false;
+      if (!next_int("--bins", 2, 1 << 20, args.spec.bins)) return false;
     } else if (flag == "--cache-capacity") {
-      if (!next_int("--cache-capacity", 0, 1 << 30, args.cache_capacity)) {
-        return false;
-      }
+      int capacity = 0;
+      if (!next_int("--cache-capacity", 0, 1 << 30, capacity)) return false;
+      args.spec.session.cache_capacity = static_cast<size_t>(capacity);
     } else if (flag == "--workers") {
       if (!next_int("--workers", 0, 4096, args.workers)) return false;
     } else if (flag == "--lower") {
-      if (!next_double("--lower", args.lower_fraction)) return false;
+      if (!next_double("--lower", args.spec.lower_fraction)) return false;
     } else if (flag == "--alpha") {
-      if (!next_double("--alpha", args.alpha)) return false;
+      if (!next_double("--alpha", args.spec.alpha)) return false;
     } else if (flag == "--rebuild-threshold") {
-      if (!next_double("--rebuild-threshold", args.rebuild_threshold)) {
+      if (!next_double("--rebuild-threshold",
+                       args.spec.session.rebuild_threshold)) {
         return false;
       }
     } else if (flag == "--drop") {
       const char* v = next("--drop");
       if (v == nullptr) return false;
-      args.drop = Split(v, ',');
+      args.spec.drop = Split(v, ',');
     } else if (flag == "--data-dir") {
       const char* v = next("--data-dir");
       if (v == nullptr) return false;
-      args.data_dir = v;
+      args.spec.data_dir = v;
     } else if (flag == "--fsync-always") {
-      args.fsync_always = true;
+      args.spec.fsync_always = true;
     } else if (flag == "--listen") {
       if (!next_int("--listen", 0, 65535, args.listen_port)) return false;
     } else if (flag == "--host") {
@@ -255,7 +244,8 @@ bool ParseArgs(int argc, char** argv, Args& args, bool& help) {
   }
   // --data-dir can start from an existing snapshot alone; every other
   // mode (and a data-dir cold start, checked at open) needs the CSV.
-  if ((args.csv.empty() || args.rank_by.empty()) && args.data_dir.empty()) {
+  if ((args.spec.csv.empty() || args.spec.rank_by.empty()) &&
+      args.spec.data_dir.empty()) {
     PrintUsage(stderr);
     return false;
   }
@@ -299,78 +289,40 @@ int RunServe(const Args& args) {
   // Start the uptime clock before loading anything so the reported
   // uptime covers (almost) the whole process life.
   (void)metrics::UptimeSeconds();
-  SessionOptions session_options;
-  session_options.rebuild_threshold = args.rebuild_threshold;
-  session_options.cache_capacity = static_cast<size_t>(args.cache_capacity);
-
-  auto cold_start = [&args,
-                     &session_options]() -> Result<AuditSession> {
-    if (args.csv.empty() || args.rank_by.empty()) {
-      return Status::InvalidArgument(
-          "--data-dir holds no snapshot yet: the first start needs "
-          "--csv and --rank-by to build one");
-    }
-    FAIRTOPK_ASSIGN_OR_RETURN(
-        Table table,
-        LoadAuditTable(args.csv, args.rank_by, args.bins, args.drop));
-    return AuditSession::Create(std::move(table), args.rank_by,
-                                args.ascending, session_options);
-  };
-
-  std::optional<AuditSession> session;
-  if (!args.data_dir.empty()) {
-    PersistentOpenOptions persist;
-    persist.fsync = args.fsync_always ? storage::FsyncPolicy::kAlways
-                                      : storage::FsyncPolicy::kNever;
-    PersistentOpenReport report;
-    Result<AuditSession> opened = OpenPersistentSession(
-        args.data_dir, cold_start, session_options, persist, &report);
-    if (!opened.ok()) {
-      std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-      return 1;
-    }
-    session.emplace(std::move(opened).value());
-    if (report.cold_start) {
+  // Both modes serve a catalog so `open`/`close`/`list`/`use` work; the
+  // startup session is "default", which plain requests route to.
+  SessionCatalog catalog;
+  PersistentOpenReport report;
+  if (Status opened = catalog.Open("default", args.spec, &report);
+      !opened.ok()) {
+    std::fprintf(stderr, "%s\n", opened.ToString().c_str());
+    return 1;
+  }
+  int n = 0;
+  size_t attributes = 0;
+  {
+    // Not held past startup: a `close` of "default" frees the session.
+    const std::shared_ptr<SessionCatalog::Entry> entry =
+        catalog.Find("default");
+    n = static_cast<int>(entry->session.num_rows());
+    attributes = entry->session.space().num_attributes();
+    const std::string& data_dir = args.spec.data_dir;
+    if (!data_dir.empty() && report.cold_start) {
       std::fprintf(stderr, "data dir %s: cold start from %s\n",
-                   args.data_dir.c_str(), args.csv.c_str());
-    } else {
+                   data_dir.c_str(), args.spec.csv.c_str());
+    } else if (!data_dir.empty()) {
       std::fprintf(stderr,
                    "data dir %s: snapshot generation %llu, %zu op(s) "
                    "replayed%s%s\n",
-                   args.data_dir.c_str(),
+                   data_dir.c_str(),
                    static_cast<unsigned long long>(
-                       session->storage_info().generation),
+                       entry->session.storage_info().generation),
                    report.replayed_records,
                    report.dropped_torn_tail ? ", torn tail dropped" : "",
                    report.discarded_stale_log ? ", stale log discarded" : "");
     }
-  } else {
-    Result<AuditSession> built = cold_start();
-    if (!built.ok()) {
-      std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
-      return 1;
-    }
-    session.emplace(std::move(built).value());
   }
 
-  const int n = static_cast<int>(session->num_rows());
-  ServeDefaults defaults;
-  defaults.dataset = args.data_dir.empty() ? args.csv : args.data_dir;
-  defaults.config = MakeToolConfig(args.k_min, args.k_max, args.tau,
-                                   args.threads, static_cast<size_t>(n));
-  defaults.bounds.lower_fraction = args.lower_fraction;
-  defaults.bounds.alpha = args.alpha;
-
-  // Both modes serve a catalog so `open`/`close`/`list`/`use` work; the
-  // startup CSV is "default", which plain requests route to.
-  SessionCatalog catalog;
-  const size_t attributes = session->space().num_attributes();
-  if (Status adopted = catalog.Adopt("default", std::move(*session),
-                                     std::move(defaults));
-      !adopted.ok()) {
-    std::fprintf(stderr, "%s\n", adopted.ToString().c_str());
-    return 1;
-  }
   JsonlService service(&catalog, "default");
   const int workers = ResolveWorkers(args.workers);
   service.set_server_workers(workers);
