@@ -36,6 +36,8 @@ void Run() {
       std::printf("fig6,%s,%d,GlobalBounds,%.4f,%llu\n",
                   dataset.name.c_str(), tau, opt.seconds,
                   static_cast<unsigned long long>(opt.nodes_visited));
+      RequireSameGroups(base, opt, "fig6," + dataset.name + "," +
+                                       std::to_string(tau));
     }
   }
 }

@@ -33,6 +33,8 @@ void Run() {
       std::printf("fig7,%s,%d,PropBounds,%.4f,%llu\n", dataset.name.c_str(),
                   tau, opt.seconds,
                   static_cast<unsigned long long>(opt.nodes_visited));
+      RequireSameGroups(base, opt, "fig7," + dataset.name + "," +
+                                       std::to_string(tau));
     }
   }
 }

@@ -36,6 +36,8 @@ void Run() {
       std::printf("fig8,%s,%d,GlobalBounds,%.4f,%llu\n",
                   dataset.name.c_str(), k_max, opt.seconds,
                   static_cast<unsigned long long>(opt.nodes_visited));
+      RequireSameGroups(base, opt, "fig8," + dataset.name + "," +
+                                       std::to_string(k_max));
     }
   }
 }

@@ -34,6 +34,8 @@ void Run() {
       std::printf("fig9,%s,%d,PropBounds,%.4f,%llu\n", dataset.name.c_str(),
                   k_max, opt.seconds,
                   static_cast<unsigned long long>(opt.nodes_visited));
+      RequireSameGroups(base, opt, "fig9," + dataset.name + "," +
+                                       std::to_string(k_max));
     }
   }
 }

@@ -4,8 +4,8 @@
 //
 // Absolute numbers will not match the paper's (different hardware and
 // a synthetic substrate); the series' *shape* — which algorithm wins,
-// growth trends, crossovers — is the reproduced claim. See
-// EXPERIMENTS.md.
+// growth trends, crossovers — is the reproduced claim. See README.md,
+// section "Benchmarks".
 #ifndef FAIRTOPK_BENCH_BENCH_UTIL_H_
 #define FAIRTOPK_BENCH_BENCH_UTIL_H_
 
@@ -100,8 +100,42 @@ struct RunOutcome {
   double seconds = 0.0;
   uint64_t nodes_visited = 0;
   size_t max_result_size = 0;
-  bool timed_out = false;
+  /// FNV-1a digest of the groups reported at every k: two runs over
+  /// the same row answered alike iff their digests are equal (up to
+  /// hash collisions).
+  uint64_t groups_digest = 0;
 };
+
+/// The digest of RunOutcome::groups_digest.
+inline uint64_t GroupsDigest(const DetectionResult& result) {
+  uint64_t h = 14695981039346656037ull;
+  const auto mix = [&h](int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= static_cast<uint64_t>(value >> (8 * byte)) & 0xff;
+      h *= 1099511628211ull;
+    }
+  };
+  for (int k = result.k_min(); k <= result.k_max(); ++k) {
+    mix(k);
+    for (const Pattern& p : result.AtK(k)) {
+      for (const int16_t v : p.values()) mix(v);
+    }
+  }
+  return h;
+}
+
+/// Exits 1, naming `row` on stderr, unless the optimized algorithm
+/// reported the same groups at every k as the ITERTD baseline did on
+/// the same row.
+inline void RequireSameGroups(const RunOutcome& baseline,
+                              const RunOutcome& optimized,
+                              const std::string& row) {
+  if (baseline.groups_digest == optimized.groups_digest) return;
+  std::fprintf(stderr,
+               "%s: the optimized algorithm's groups differ from IterTD's\n",
+               row.c_str());
+  std::exit(1);
+}
 
 /// Runs `fn(cold)` (returning Result<DetectionResult>) on `cold`, a
 /// copy of `input` made before the clock starts, and extracts timing.
@@ -129,6 +163,7 @@ RunOutcome TimedRun(const DetectionInput& input, const Fn& fn) {
   }
   outcome.nodes_visited = result->stats().nodes_visited;
   outcome.max_result_size = result->MaxResultSize();
+  outcome.groups_digest = GroupsDigest(*result);
   return outcome;
 }
 

@@ -49,15 +49,24 @@ struct DetectionStats {
   /// outlives the run, so a run on a warm input counts 0; every other
   /// evaluation reads only the ceil(k/64) top-k prefix words.
   uint64_t sizes_counted = 0;
+  /// Re-examinations of the deferred set (DRes, the biased groups a
+  /// reported ancestor shadows) that the incremental detectors skipped:
+  /// at each incremental k, every DRes entry the newly admitted tuple
+  /// does not satisfy keeps its count, so its bound is not evaluated
+  /// again (engine/incremental_state.h). With nodes_visited it keeps
+  /// the paper's "patterns examined" comparable with re-examining all
+  /// of DRes at every k. 0 for every other detector.
+  uint64_t reexaminations_skipped = 0;
   /// Elapsed wall-clock seconds of the algorithm's per-k work, summed
   /// by engine::RunPerK (the result's CountGroups is not included).
   /// Not accumulated by Merge(): the driver's clock already covers
   /// every search it runs.
   double seconds = 0.0;
   /// Seconds spent inside full top-down searches
-  /// (engine::SequentialTopDown), a part of `seconds`: nearly all of it
-  /// for ITERTD and the upper-bound detectors, only the initial and
-  /// restarted searches for the incremental algorithms.
+  /// (engine::SequentialTopDown, IncrementalState::FullSearch), a part
+  /// of `seconds`: nearly all of it for ITERTD and the upper-bound
+  /// detectors, only the initial and restarted searches for the
+  /// incremental algorithms.
   double cpu_seconds = 0.0;
 
   /// Adds one search's work counters and cpu_seconds into these;
@@ -66,6 +75,7 @@ struct DetectionStats {
     nodes_visited += other.nodes_visited;
     cursor_reuse_hits += other.cursor_reuse_hits;
     sizes_counted += other.sizes_counted;
+    reexaminations_skipped += other.reexaminations_skipped;
     cpu_seconds += other.cpu_seconds;
   }
 };

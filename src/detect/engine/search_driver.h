@@ -27,6 +27,12 @@
 // Every detector runs its ks through the one per-k driver, RunPerK
 // below, which collects each k's finalized violation set into the
 // DetectionResult the detector returns.
+//
+// The incremental detectors, GLOBALBOUNDS and PROPBOUNDS, keep Res and
+// DRes across ks. They walk the tree through engine/incremental_state.h
+// instead, over node ids of their own run, and reconcile DRes by event:
+// at each k only the entries the new tuple satisfies, or whose
+// shadowing member left Res, are re-examined.
 #ifndef FAIRTOPK_DETECT_ENGINE_SEARCH_DRIVER_H_
 #define FAIRTOPK_DETECT_ENGINE_SEARCH_DRIVER_H_
 
@@ -160,40 +166,19 @@ DetectionResult RunPerK(const DetectionInput& input,
   return result;
 }
 
-/// Algorithm 1's report step, shared between the top-down searches and
-/// GLOBALBOUNDS' re-examination of the deferred set. One Update scan
-/// classifies everything: inserted (evictions → deferred), shadowed by
-/// a proper ancestor (→ deferred), or duplicate (dropped). A null
-/// `deferred` keeps Res only: the evicted and shadowed patterns are
-/// dropped, and nothing is copied.
-inline void ReportBiased(const Pattern& p, MostGeneralResultSet& res,
-                         std::vector<Pattern>* deferred) {
-  UpdateOutcome update = res.Update(p);
-  if (deferred == nullptr) return;
-  if (update.inserted) {
-    for (Pattern& evicted : update.evicted) {
-      deferred->push_back(std::move(evicted));
-    }
-    return;
-  }
-  if (!update.duplicate) deferred->push_back(p);
-}
-
 namespace internal {
 
 /// Visitor of Algorithm 1: stop descent at biased nodes (top-k count
-/// strictly below the bound) and report them into `res` / `deferred`
-/// (when non-null) with most-general semantics; descend through
-/// unbiased nodes.
+/// strictly below the bound) and report them into `res` with
+/// most-general semantics; descend through unbiased nodes.
 template <typename BoundFn>
 struct BelowBoundCollector {
   BoundFn bound;
   MostGeneralResultSet& res;
-  std::vector<Pattern>* deferred;
 
   bool operator()(const Pattern& p, size_t size_d, size_t top_k) {
     if (static_cast<double>(top_k) < bound(size_d)) {
-      ReportBiased(p, res, deferred);
+      res.Update(p);
       return false;
     }
     return true;
@@ -203,56 +188,23 @@ struct BelowBoundCollector {
 }  // namespace internal
 
 /// Algorithm 1: full top-down search from the root at a single k,
-/// returning the most-general biased patterns (Res) and, when
-/// `deferred` is non-null, appending DRes to it: the biased patterns a
-/// more general member shadows, which GLOBALBOUNDS reuses. Patterns are
+/// returning the most-general biased patterns (Res). Patterns are
 /// biased when their top-k count falls strictly below `bound`, any
 /// callable double(size_t size_in_d), inlined per instantiation: a
 /// constant L_k for the global problem, alpha * size * k / |D| for the
-/// proportional one. Shared by the ITERTD baselines, the full searches
-/// of GLOBALBOUNDS, and bound suggestion. `sizes` is the memo of the
-/// input `index` belongs to.
+/// proportional one. Shared by the ITERTD baselines and bound
+/// suggestion; the incremental algorithms search through
+/// engine/incremental_state.h. `sizes` is the memo of the input `index`
+/// belongs to.
 template <typename BoundFn>
-MostGeneralResultSet MostGeneralBelow(
-    const BitmapIndex& index, const SearchParams& params, SizeMemo& sizes,
-    const BoundFn& bound, DetectionStats* stats,
-    std::vector<Pattern>* deferred = nullptr) {
+MostGeneralResultSet MostGeneralBelow(const BitmapIndex& index,
+                                      const SearchParams& params,
+                                      SizeMemo& sizes, const BoundFn& bound,
+                                      DetectionStats* stats) {
   MostGeneralResultSet result;
-  internal::BelowBoundCollector<BoundFn> collector{bound, result, deferred};
+  internal::BelowBoundCollector<BoundFn> collector{bound, result};
   SequentialTopDown(index, params, sizes, collector, stats);
   return result;
-}
-
-/// Generic pre-order descent below non-empty `from` with an arbitrary
-/// visitor (used by the incremental PROPBOUNDS machinery to expand
-/// previously shadowed regions with its own bookkeeping).
-template <typename Visitor>
-void VisitBelowFrom(const BitmapIndex& index, const SearchParams& params,
-                    const Pattern& from, SizeMemo& sizes, Visitor& visitor,
-                    DetectionStats* stats) {
-  const uint32_t id = sizes.Locate(from);
-  PatternCursor cursor(index, params.k);
-  cursor.SeedFrom(from);
-  Pattern node = from;
-  DetectionStats local;
-  internal::DescendFrom(index, params, node, id,
-                        static_cast<size_t>(from.MaxSpecifiedIndex() + 1),
-                        sizes, cursor, visitor, local);
-  if (stats != nullptr) stats->Merge(local);
-}
-
-/// Resumes Algorithm 1 below an interior node `from` (procedure
-/// searchFromNode of Algorithm 2): `from` just stopped being biased, so
-/// its never-explored subtree is searched now, reporting into the
-/// caller's live result/deferred state.
-template <typename BoundFn>
-void MostGeneralBelowFrom(const BitmapIndex& index, const SearchParams& params,
-                          const Pattern& from, SizeMemo& sizes,
-                          const BoundFn& bound, MostGeneralResultSet& res,
-                          std::vector<Pattern>& deferred,
-                          DetectionStats* stats) {
-  internal::BelowBoundCollector<BoundFn> collector{bound, res, &deferred};
-  VisitBelowFrom(index, params, from, sizes, collector, stats);
 }
 
 namespace internal {

@@ -9,12 +9,20 @@
 //   (1) patterns satisfied by the newly admitted tuple (selective
 //       top-down descent),
 //   (2) patterns whose k-tilde fires at this k, and
-//   (3) the deferred set DRes (biased patterns subsumed by a reported
-//       ancestor), which is reconciled exactly as in Algorithm 3,
-//       line 6.
+//   (3) the entries of the deferred set DRes (biased patterns subsumed
+//       by a reported ancestor) that can have changed (Algorithm 3,
+//       line 6): those the new tuple satisfies, which are recounted,
+//       and those below a reported group that (1) removed, which are
+//       offered to Res again. Every other entry is still biased and
+//       still shadowed, so it is skipped (the event-driven reconcile of
+//       engine/incremental_state.h, shared with GLOBALBOUNDS).
 // Because counts only grow, a stored k-tilde is always a lower bound on
 // the true transition rank: stale entries fire early, are re-checked
 // against fresh counts, and re-registered — never missed.
+//
+// The run's state is keyed by node ids the run assigns itself (flags,
+// stamped counts, the schedule as one vector of ids per k); the only
+// Patterns it builds are Res's.
 #ifndef FAIRTOPK_DETECT_PROP_BOUNDS_H_
 #define FAIRTOPK_DETECT_PROP_BOUNDS_H_
 

@@ -23,15 +23,9 @@ bool ProperAncestorSigned(uint64_t sig_a, const Pattern& a, uint64_t sig_b,
 }  // namespace
 
 uint64_t PredicateSignature(const Pattern& p) {
-  // Fibonacci hashing of (attribute, value): the top 6 bits of the
-  // product pick the predicate's bit.
-  constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
   uint64_t sig = 0;
   for (size_t i = 0; i < p.num_attributes(); ++i) {
-    if (!p.IsSpecified(i)) continue;
-    const uint64_t key = (static_cast<uint64_t>(i) << 8) +
-                         static_cast<uint64_t>(p.value(i));
-    sig |= uint64_t{1} << ((key * kGolden) >> 58);
+    if (p.IsSpecified(i)) sig |= PredicateBit(i, p.value(i));
   }
   return sig;
 }

@@ -21,7 +21,16 @@
 
 namespace fairtopk {
 
-/// One hashed bit per (attribute, value) predicate of `p`, OR-ed
+/// The hashed bit of predicate (attr = value): Fibonacci hashing of
+/// (attribute, value), whose top 6 bits pick the bit.
+inline uint64_t PredicateBit(size_t attr, int16_t value) {
+  constexpr uint64_t kGolden = 0x9E3779B97F4A7C15ULL;
+  const uint64_t key =
+      (static_cast<uint64_t>(attr) << 8) + static_cast<uint64_t>(value);
+  return uint64_t{1} << ((key * kGolden) >> 58);
+}
+
+/// PredicateBit of every (attribute, value) predicate of `p`, OR-ed
 /// together; 0 for the empty pattern. Computed from the pattern alone.
 /// q.Subsumes(p) implies (sig(q) & ~sig(p)) == 0, and equal patterns
 /// have equal signatures.

@@ -45,6 +45,8 @@ std::string DetectionResultToJson(const DetectionResult& result,
   w.Key("nodes_visited").Uint(result.stats().nodes_visited);
   w.Key("cursor_reuse_hits").Uint(result.stats().cursor_reuse_hits);
   w.Key("sizes_counted").Uint(result.stats().sizes_counted);
+  w.Key("reexaminations_skipped")
+      .Uint(result.stats().reexaminations_skipped);
   w.Key("seconds").Double(result.stats().seconds);
   w.Key("cpu_seconds").Double(result.stats().cpu_seconds);
   w.EndObject();

@@ -28,6 +28,9 @@ struct ReportContext {
 ///   "stats": {"nodes_visited": int, "cursor_reuse_hits": int,
 ///             "sizes_counted": int,   // full-width size counts in
 ///                                     // this run (0 on a warm input)
+///             "reexaminations_skipped": int,  // deferred-set entries
+///                                     // GlobalBounds/PropBounds did
+///                                     // not re-evaluate (0 otherwise)
 ///             "seconds": double,      // elapsed wall-clock
 ///             "cpu_seconds": double}, // of which in full searches
 ///   "results": [

@@ -907,8 +907,13 @@ std::string JsonlService::HandleLine(
     response = ErrorResponse(*request, status);
   } else {
     valid_object = true;
-    op = request->StringOr("op", "");
-    Result<std::string> data = Dispatch(op, *request, context, trace);
+    // A present op that is not a string is a type error naming the
+    // field; a missing one is Dispatch's "misses 'op'".
+    Result<std::string> data = api::ReadStringField(*request, "op", "");
+    if (data.ok()) {
+      op = *data;
+      data = Dispatch(op, *request, context, trace);
+    }
     if (!data.ok()) {
       error_code = StatusCodeName(data.status().code());
       response = ErrorResponse(*request, data.status());

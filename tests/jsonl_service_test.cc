@@ -429,6 +429,13 @@ TEST_F(JsonlServiceTest, ProtocolErrors) {
   ExpectError("[1,2,3]", "INVALID_ARGUMENT");
   ExpectError(R"({"no_op":true})", "INVALID_ARGUMENT");
   ExpectError(R"({"op":"fly"})", "INVALID_ARGUMENT");
+  // A missing op and an op of the wrong type are different mistakes.
+  JsonValue missing = ExpectError(R"({"no_op":true})", "INVALID_ARGUMENT");
+  EXPECT_EQ(missing.Find("error")->StringOr("message", ""),
+            "request misses 'op'");
+  JsonValue mistyped = ExpectError(R"({"op":1})", "INVALID_ARGUMENT");
+  EXPECT_EQ(mistyped.Find("error")->StringOr("message", ""),
+            "'op' must be a string");
 }
 
 TEST_F(JsonlServiceTest, IdEchoCoversScalarTypes) {

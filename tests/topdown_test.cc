@@ -7,6 +7,7 @@
 
 #include "datagen/running_example.h"
 #include "detect/detection_result.h"
+#include "detect/engine/incremental_state.h"
 #include "detect/engine/search_driver.h"
 #include "detect/itertd.h"
 #include "test_util.h"
@@ -22,16 +23,33 @@ struct SearchOutcome {
   std::vector<Pattern> deferred;
 };
 
-/// Algorithm 1 at a single `k`, on a fresh size memo.
+/// Algorithm 1 at a single `k`, on a fresh size memo: Res from
+/// engine::MostGeneralBelow, and DRes, which only the incremental
+/// algorithms keep, from the same search run through their state
+/// (engine/incremental_state.h), whose Res must agree.
 template <typename BoundFn>
 SearchOutcome TopDownSearch(const BitmapIndex& index, int size_threshold,
                             int k, const BoundFn& bound,
                             DetectionStats* stats) {
+  using engine::IncrementalState;
   engine::SizeMemo sizes(index.space());
   SearchOutcome outcome;
   outcome.result = engine::MostGeneralBelow(
-      index, {size_threshold, static_cast<size_t>(k)}, sizes, bound, stats,
-      &outcome.deferred);
+      index, {size_threshold, static_cast<size_t>(k)}, sizes, bound, stats);
+  DetectionStats state_stats;
+  IncrementalState state(index, sizes, size_threshold, k, &state_stats);
+  state.BeginStep(k);
+  auto visitor = [&](IncrementalState::Id id, const Pattern& p,
+                     size_t size_d, size_t top_k, bool) {
+    if (static_cast<double>(top_k) < bound(size_d)) {
+      state.Report(id, p);
+      return IncrementalState::Descend::kNone;
+    }
+    return IncrementalState::Descend::kAll;
+  };
+  state.FullSearch(IncrementalState::Descend::kAll, visitor);
+  EXPECT_EQ(state.Snapshot(), outcome.result.Sorted());
+  outcome.deferred = state.DeferredPatterns();
   return outcome;
 }
 
