@@ -1,5 +1,6 @@
 #include "api/canonical.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -7,6 +8,50 @@
 #include <vector>
 
 namespace fairtopk::api {
+
+namespace {
+
+/// Per FieldType, in declaration order: its name in capabilities, what
+/// a value of it is for "must be ..." messages, and its JSON type.
+struct TypeInfo {
+  const char* name;
+  const char* noun;
+  JsonValue::Type json;
+};
+constexpr TypeInfo kTypes[] = {
+    {"any", "any value", JsonValue::Type::kNull},
+    {"bool", "true or false", JsonValue::Type::kBool},
+    {"int", "an integer", JsonValue::Type::kNumber},
+    {"number", "a number", JsonValue::Type::kNumber},
+    {"string", "a string", JsonValue::Type::kString},
+    {"[string, ...]", "an array of strings", JsonValue::Type::kArray},
+    {"[[k, value], ...]", "an array of [k, value] pairs",
+     JsonValue::Type::kArray},
+    {"array", "an array", JsonValue::Type::kArray},
+    {"object", "an object", JsonValue::Type::kObject},
+};
+
+/// An integral number within int's range.
+bool IsInt(const JsonValue& v) {
+  return v.is_number() && v.number_value() == std::floor(v.number_value()) &&
+         v.number_value() >= std::numeric_limits<int>::min() &&
+         v.number_value() <= std::numeric_limits<int>::max();
+}
+
+const TypeInfo& Info(FieldType type) {
+  return kTypes[static_cast<size_t>(type)];
+}
+
+bool HasType(const JsonValue& v, FieldType type) {
+  if (type == FieldType::kAny) return true;
+  if (type == FieldType::kInt) return IsInt(v);
+  if (v.type() != Info(type).json) return false;
+  return type != FieldType::kStrings ||
+         std::all_of(v.array_items().begin(), v.array_items().end(),
+                     [](const JsonValue& item) { return item.is_string(); });
+}
+
+}  // namespace
 
 std::string CanonicalDouble(double value) {
   char buf[40];
@@ -66,21 +111,25 @@ Result<BoundsSpec> BoundsFromDefaults(BoundsKind kind,
   return BoundsSpec{std::move(global)};
 }
 
+namespace {
+
+/// Reads an integer field with a default; a present field that is not
+/// an integral number within int's range is an error.
 Result<int> ReadIntField(const JsonValue& request, const std::string& key,
                          int fallback) {
   const JsonValue* v = request.Find(key);
   if (v == nullptr) return fallback;
-  if (!v->is_number() ||
-      v->number_value() != std::floor(v->number_value()) ||
-      v->number_value() < static_cast<double>(
-                              std::numeric_limits<int>::min()) ||
-      v->number_value() > static_cast<double>(
-                              std::numeric_limits<int>::max())) {
+  // The range check keeps the cast below defined.
+  if (!IsInt(*v)) {
     return Status::InvalidArgument("'" + key + "' must be an integer");
   }
   return static_cast<int>(v->number_value());
 }
 
+/// Reads a number field with a default. Unlike JsonValue::NumberOr, a
+/// PRESENT field of the wrong type is an error — a mistyped parameter
+/// must not silently fall back to the default and produce confidently
+/// wrong results.
 Result<double> ReadDoubleField(const JsonValue& request,
                                const std::string& key, double fallback) {
   const JsonValue* v = request.Find(key);
@@ -91,27 +140,7 @@ Result<double> ReadDoubleField(const JsonValue& request,
   return v->number_value();
 }
 
-Result<bool> ReadBoolField(const JsonValue& request, const std::string& key,
-                           bool fallback) {
-  const JsonValue* v = request.Find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_bool()) {
-    return Status::InvalidArgument("'" + key + "' must be true or false");
-  }
-  return v->bool_value();
-}
-
-Result<std::string> ReadStringField(const JsonValue& request,
-                                    const std::string& key,
-                                    std::string fallback) {
-  const JsonValue* v = request.Find(key);
-  if (v == nullptr) return fallback;
-  if (!v->is_string()) {
-    return Status::InvalidArgument("'" + key + "' must be a string");
-  }
-  return v->string_value();
-}
-
+/// Decodes [[start_k, value], ...] into a StepFunction.
 Result<StepFunction> StepsFromJson(const JsonValue& steps) {
   std::vector<std::pair<int, double>> pairs;
   if (!steps.is_array()) {
@@ -135,6 +164,8 @@ Result<StepFunction> StepsFromJson(const JsonValue& steps) {
   return StepFunction::FromSteps(std::move(pairs));
 }
 
+}  // namespace
+
 Result<DetectionConfig> ConfigFromJson(const JsonValue& request,
                                        const DetectionConfig& defaults) {
   DetectionConfig config = defaults;
@@ -148,37 +179,9 @@ Result<DetectionConfig> ConfigFromJson(const JsonValue& request,
   return config;
 }
 
-namespace {
-
-/// Rejects present-but-malformed bound fields of the family the
-/// detector does NOT consume. The values are ignored either way, but a
-/// mistyped parameter must still fail loudly — a client that sends
-/// `"alpha":"0.9"` to a global detector made a mistake worth
-/// surfacing, not silently dropping.
-Status CheckUnusedBoundFields(const JsonValue& request, BoundsKind kind) {
-  if (kind == BoundsKind::kProportional) {
-    for (const char* key : {"lower", "upper"}) {
-      FAIRTOPK_RETURN_IF_ERROR(ReadDoubleField(request, key, 0.0).status());
-    }
-    for (const char* key : {"lower_steps", "upper_steps"}) {
-      if (const JsonValue* steps = request.Find(key)) {
-        FAIRTOPK_RETURN_IF_ERROR(StepsFromJson(*steps).status());
-      }
-    }
-    return Status::OK();
-  }
-  for (const char* key : {"alpha", "beta"}) {
-    FAIRTOPK_RETURN_IF_ERROR(ReadDoubleField(request, key, 0.0).status());
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Result<BoundsSpec> BoundsFromJson(const JsonValue& request, BoundsKind kind,
                                   const BoundsDefaults& defaults,
                                   const DetectionConfig& config) {
-  FAIRTOPK_RETURN_IF_ERROR(CheckUnusedBoundFields(request, kind));
   if (kind == BoundsKind::kProportional) {
     PropBoundSpec prop;
     FAIRTOPK_ASSIGN_OR_RETURN(
@@ -221,6 +224,92 @@ void WriteStepsJson(JsonWriter& w, const StepFunction& f) {
     w.BeginArray().Int(start).Double(value).EndArray();
   }
   w.EndArray();
+}
+
+std::span<const FieldSpec> BoundFields(BoundsKind kind) {
+  if (kind == BoundsKind::kGlobal) return kGlobalBoundFields;
+  return kPropBoundFields;
+}
+
+std::string_view FieldTypeName(FieldType type) {
+  return Info(type).name;
+}
+
+std::string FieldNames(std::span<const FieldSpec> fields) {
+  std::string names;
+  for (const FieldSpec& field : fields) {
+    if (!names.empty()) names += ", ";
+    names += field.name;
+  }
+  return names;
+}
+
+const FieldSpec* FindField(std::span<const FieldSpec> fields,
+                           std::string_view name) {
+  for (const FieldSpec& field : fields) {
+    if (field.name == name) return &field;
+  }
+  return nullptr;
+}
+
+Status CheckFields(const JsonValue& object, std::span<const FieldSpec> fields,
+                   std::string_view owner) {
+  const auto refuse = [owner](std::string_view field, const std::string& why) {
+    return Status::InvalidArgument("'" + std::string(owner) + "' field '" +
+                                   std::string(field) + "' " + why);
+  };
+  for (const auto& [name, value] : object.object_members()) {
+    const FieldSpec* field = FindField(fields, name);
+    if (field == nullptr) {
+      return Status::InvalidArgument("'" + std::string(owner) +
+                                     "' takes no field '" + name +
+                                     "' (fields: " + FieldNames(fields) + ")");
+    }
+    if (!HasType(value, field->type)) {
+      return refuse(name, std::string("must be ") + Info(field->type).noun);
+    }
+    if (field->type == FieldType::kInt && value.number_value() < field->min) {
+      return refuse(name, "must be at least " + std::to_string(field->min));
+    }
+    const bool empty = (value.is_string() && value.string_value().empty()) ||
+                       (value.is_array() && value.array_items().empty());
+    if (field->min > 0 && empty) return refuse(name, "must not be empty");
+    const std::vector<JsonValue>* items =
+        field->items.empty() ? nullptr : &value.array_items();
+    for (size_t i = 0; items != nullptr && i < items->size(); ++i) {
+      if (!(*items)[i].is_object()) return refuse(name, "must hold objects");
+      FAIRTOPK_RETURN_IF_ERROR(CheckFields(
+          (*items)[i], field->items,
+          std::string(owner) + " " + name + "[" + std::to_string(i) + "]"));
+    }
+  }
+  for (const FieldSpec& field : fields) {
+    if (field.required && object.Find(std::string(field.name)) == nullptr) {
+      return Status::InvalidArgument(
+          "'" + std::string(owner) + "' requires field '" +
+          std::string(field.name) + "' (" + Info(field.type).noun + ")");
+    }
+  }
+  return Status::OK();
+}
+
+void WriteFieldsJson(JsonWriter& w, std::span<const FieldSpec> fields) {
+  w.BeginObject();
+  for (const FieldSpec& field : fields) {
+    w.Key(std::string(field.name)).BeginObject();
+    w.Key("type").String(std::string(FieldTypeName(field.type)));
+    w.Key("description").String(std::string(field.description));
+    if (field.required) w.Key("required").Bool(true);
+    if (field.min != std::numeric_limits<int>::min()) {
+      w.Key("min").Int(field.min);
+    }
+    if (!field.items.empty()) {
+      w.Key("items");
+      WriteFieldsJson(w, field.items);
+    }
+    w.EndObject();
+  }
+  w.EndObject();
 }
 
 }  // namespace fairtopk::api

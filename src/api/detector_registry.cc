@@ -3,7 +3,7 @@
 #include <cstdlib>
 #include <utility>
 
-#include "common/json.h"
+#include "api/canonical.h"
 #include "detect/global_bounds.h"
 #include "detect/itertd.h"
 #include "detect/prop_bounds.h"
@@ -130,9 +130,7 @@ Result<const DetectorDescriptor*> DetectorRegistry::Resolve(
   return it->second;
 }
 
-std::string CapabilitiesJson(const DetectorRegistry& registry) {
-  JsonWriter w;
-  w.BeginObject();
+void WriteCapabilities(JsonWriter& w, const DetectorRegistry& registry) {
   // The bitset kernel this process dispatches through (startup-selected,
   // FAIRTOPK_KERNEL overridable) and every variant this build/CPU could
   // run — so a deployment can verify what the server picked.
@@ -150,36 +148,19 @@ std::string CapabilitiesJson(const DetectorRegistry& registry) {
     w.Key("optimized").Bool(d.optimized);
     w.Key("lower_violations").Bool(d.lower_violations);
     w.Key("summary").String(d.summary);
-    // Parameter schema, generated from the descriptor: the config
-    // fields every detector takes plus the bound fields of its kind.
     w.Key("params").BeginObject();
-    w.Key("k_min").String("int: first rank of the audited range");
-    w.Key("k_max").String("int: last rank of the audited range");
-    w.Key("tau").String("int: minimum group size in D");
-    if (d.bounds_kind == BoundsKind::kGlobal) {
-      w.Key("lower").String(
-          "number: lower staircase as a fraction of k (default from the "
-          "service)");
-      w.Key("lower_steps").String(
-          "[[k, value], ...]: explicit lower staircase, wins over "
-          "'lower'");
-      w.Key("upper").String("number: constant upper bound (default +inf)");
-      w.Key("upper_steps").String(
-          "[[k, value], ...]: explicit upper staircase, wins over "
-          "'upper'");
-    } else {
-      w.Key("alpha").String(
-          "number: proportional lower multiplier (default from the "
-          "service)");
-      w.Key("beta").String(
-          "number: proportional upper multiplier (default +inf)");
+    for (const auto& fields : {std::span<const FieldSpec>(kConfigFields),
+                               BoundFields(d.bounds_kind)}) {
+      for (const FieldSpec& field : fields) {
+        w.Key(std::string(field.name))
+            .String(std::string(FieldTypeName(field.type)) + ": " +
+                    std::string(field.description));
+      }
     }
     w.EndObject();
     w.EndObject();
   }
   w.EndArray();
-  w.EndObject();
-  return w.str();
 }
 
 }  // namespace fairtopk::api

@@ -19,6 +19,7 @@
 #include <unordered_map>
 
 #include "api/bounds_spec.h"
+#include "common/json.h"
 #include "common/status.h"
 #include "detect/detection_result.h"
 
@@ -101,12 +102,12 @@ class DetectorRegistry {
   std::unordered_map<std::string, const DetectorDescriptor*> by_wire_;
 };
 
-/// Serializes the registry as the `capabilities` payload: every
-/// detector with its identity, flags, and parameter schema (generated
-/// from the descriptor's bounds kind — global detectors take
-/// `lower`/`lower_steps`/`upper`/`upper_steps`, proportional ones
-/// `alpha`/`beta`, all take the k-range/threshold/thread fields).
-std::string CapabilitiesJson(const DetectorRegistry& registry);
+/// Writes the registry's members of the `capabilities` payload into
+/// an open JSON object: the bitset kernels, and every detector with
+/// its identity, flags, and parameter schema — the config fields every
+/// detector takes and the bound fields of its kind, as declared in
+/// api/canonical.h.
+void WriteCapabilities(JsonWriter& w, const DetectorRegistry& registry);
 
 }  // namespace fairtopk::api
 

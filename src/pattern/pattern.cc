@@ -54,6 +54,35 @@ size_t PatternSpace::PatternGraphSize() const {
   return total;
 }
 
+Result<Pattern> PatternOfLabels(
+    const PatternSpace& space,
+    const std::vector<std::pair<std::string, std::string>>& labels) {
+  Pattern pattern = Pattern::Empty(space.num_attributes());
+  for (const auto& [name, label] : labels) {
+    size_t a = 0;
+    while (a < space.num_attributes() && space.name(a) != name) ++a;
+    if (a == space.num_attributes()) {
+      return Status::NotFound("attribute '" + name +
+                              "' not in the pattern space");
+    }
+    if (pattern.value(a) != Pattern::kUnspecified) {
+      return Status::InvalidArgument("attribute '" + name +
+                                     "' assigned twice in the group");
+    }
+    int16_t v = 0;
+    while (v < space.domain_size(a) && space.label(a, v) != label) ++v;
+    if (v == space.domain_size(a)) {
+      return Status::NotFound("value '" + label + "' not in the domain of '" +
+                              name + "'");
+    }
+    pattern = pattern.With(a, v);
+  }
+  if (pattern.IsEmpty()) {
+    return Status::InvalidArgument("group assigns no attributes");
+  }
+  return pattern;
+}
+
 size_t Pattern::NumSpecified() const {
   size_t n = 0;
   for (int16_t v : values_) {

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -163,6 +164,15 @@ class Pattern {
  private:
   std::vector<int16_t> values_;
 };
+
+/// The pattern over `space` that assigns each (attribute, label) pair
+/// of `labels`: NotFound for an attribute or a label the space lacks,
+/// InvalidArgument for an attribute assigned twice or for no pair at
+/// all. Groups named by labels decode through here (the JSONL `group`
+/// field, fairtopk_audit --verify).
+Result<Pattern> PatternOfLabels(
+    const PatternSpace& space,
+    const std::vector<std::pair<std::string, std::string>>& labels);
 
 /// Hash functor so patterns can key unordered containers.
 struct PatternHash {

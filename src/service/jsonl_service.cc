@@ -6,7 +6,6 @@
 #include <limits>
 #include <mutex>
 #include <ostream>
-#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -59,20 +58,6 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
-}
-
-/// Canonicalizes the wire op into a bounded label set so a client
-/// sending arbitrary op strings cannot grow unbounded metric series.
-const char* OpLabel(const std::string& op) {
-  static constexpr const char* kKnown[] = {
-      "detect", "detect_batch", "capabilities", "suggest",   "verify",
-      "rerank", "update",       "append",       "stats",     "metrics",
-      "open",   "close",        "list",         "use",       "invalidate",
-      "save",   "snapshot_info"};
-  for (const char* known : kKnown) {
-    if (op == known) return known;
-  }
-  return "other";
 }
 
 /// Echoes the request id (string, number, or bool) into the response;
@@ -139,50 +124,19 @@ std::string OkResponse(const JsonValue& request, const std::string& data) {
   return w.str();
 }
 
-/// Decodes {"Attr": "label", ...} into a pattern over `space`.
+/// Decodes {"Attr": "label", ...} (an object, checked against the
+/// op's fields) into a pattern over `space`.
 Result<Pattern> PatternField(const JsonValue& group,
                              const PatternSpace& space) {
-  if (!group.is_object()) {
-    return Status::InvalidArgument(
-        "'group' must be an object of attribute labels");
-  }
-  Pattern pattern = Pattern::Empty(space.num_attributes());
+  std::vector<std::pair<std::string, std::string>> labels;
   for (const auto& [name, label] : group.object_members()) {
     if (!label.is_string()) {
       return Status::InvalidArgument("group value for '" + name +
                                      "' must be a string label");
     }
-    bool found = false;
-    for (size_t a = 0; a < space.num_attributes() && !found; ++a) {
-      if (space.name(a) != name) continue;
-      // Re-assignment would silently audit whichever label landed
-      // last. The parser already rejects duplicate keys on the wire;
-      // this guards any other path that builds the group object.
-      if (pattern.value(a) != Pattern::kUnspecified) {
-        return Status::InvalidArgument("attribute '" + name +
-                                       "' assigned twice in 'group'");
-      }
-      for (int16_t v = 0; v < space.domain_size(a); ++v) {
-        if (space.label(a, v) == label.string_value()) {
-          pattern = pattern.With(a, v);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::NotFound("value '" + label.string_value() +
-                                "' not in the domain of '" + name + "'");
-      }
-    }
-    if (!found) {
-      return Status::NotFound("attribute '" + name +
-                              "' not in the pattern space");
-    }
+    labels.emplace_back(name, label.string_value());
   }
-  if (pattern.IsEmpty()) {
-    return Status::InvalidArgument("group assigns no attributes");
-  }
-  return pattern;
+  return PatternOfLabels(space, labels);
 }
 
 /// Serializes a session's storage state — shared by op=snapshot_info,
@@ -219,17 +173,130 @@ const char* MeasureLabel(const api::DetectorDescriptor& descriptor) {
              : "proportional";
 }
 
-/// The required string field `key`, or InvalidArgument.
-Result<std::string> RequiredString(const JsonValue& request,
-                                   const std::string& key,
-                                   const std::string& op) {
-  const JsonValue* value = request.Find(key);
-  if (value == nullptr || !value->is_string() ||
-      value->string_value().empty()) {
-    return Status::InvalidArgument("'" + op + "' requires a non-empty '" +
-                                   key + "' string");
+using api::FieldSpec;
+using enum api::FieldType;
+
+/// Stores a checked field value into `out`, by out's type.
+void Assign(const JsonValue& v, std::string& out) { out = v.string_value(); }
+void Assign(const JsonValue& v, bool& out) { out = v.bool_value(); }
+template <typename Number>
+void Assign(const JsonValue& v, Number& out) {
+  out = static_cast<Number>(v.number_value());
+}
+void Assign(const JsonValue& v, std::vector<std::string>& out) {
+  for (const JsonValue& item : v.array_items()) {
+    out.push_back(item.string_value());
   }
-  return value->string_value();
+}
+
+/// The setter of an open field: stores its value into the SessionSpec
+/// member that `Path` names (a member of a member for the session
+/// options).
+template <auto... Path>
+void Set(void* spec, const JsonValue& value) {
+  Assign(value, (*static_cast<SessionSpec*>(spec) .* ... .* Path));
+}
+
+// The declared fields of every op, in groups; each op's list below is
+// the whole of what its requests may carry.
+constexpr FieldSpec kEnvelope[] = {
+    {.name = "op", .type = kString, .description = "the op to run",
+     .required = true},
+    {"id", kAny, "echoed in the response if a string, number or bool"},
+};
+constexpr FieldSpec kRouting[] = {
+    {"session", kString, "session to run on (default: see op=use)"},
+};
+constexpr FieldSpec kSelector[] = {
+    {"detector", kString, "detector name; wins over measure and algo"},
+    {"measure", kString, "global or prop (default prop)"},
+    {"algo", kString, "itertd, bounds or upper (default bounds)"},
+};
+/// One detection query: its detector and that detector's parameters.
+constexpr auto kQuery =
+    api::JoinFields<kSelector, api::kConfigFields, api::kGlobalBoundFields,
+                    api::kPropBoundFields>();
+constexpr FieldSpec kSuggest[] = {
+    {"k_min", kInt, "first rank of the calibrated range"},
+    {"k_max", kInt, "last rank of the calibrated range"},
+    {.name = "max_groups", .type = kInt,
+     .description = "most groups a bound may report (default 20)", .min = 1},
+};
+constexpr FieldSpec kName[] = {
+    {.name = "name", .type = kString, .description = "the session's name",
+     .required = true, .min = 1},
+};
+/// open's knobs, as the fairtopk_serve flags.
+constexpr FieldSpec kOpen[] = {
+    {"csv", kString, "CSV to load (with rank_by)", Set<&SessionSpec::csv>},
+    {"rank_by", kString, "numeric column to rank by",
+     Set<&SessionSpec::rank_by>},
+    {"snapshot", kString, "snapshot file to open read-only",
+     Set<&SessionSpec::snapshot>},
+    {"data_dir", kString, "durable directory to replay or cold-start",
+     Set<&SessionSpec::data_dir>},
+    {"fsync_always", kBool, "fsync the op log after each maintenance op",
+     Set<&SessionSpec::fsync_always>},
+    {"ascending", kBool, "rank ascending", Set<&SessionSpec::ascending>},
+    {.name = "bins", .type = kInt,
+     .description = "buckets per numeric attribute (default 4)",
+     .set = Set<&SessionSpec::bins>, .min = 2},
+    {"drop", kStrings, "columns to ignore", Set<&SessionSpec::drop>},
+    {"k_min", kInt, "default first rank", Set<&SessionSpec::k_min>},
+    {"k_max", kInt, "default last rank", Set<&SessionSpec::k_max>},
+    {"tau", kInt, "default minimum group size (0: 5% of rows)",
+     Set<&SessionSpec::tau>},
+    {"lower", kNumber, "default global lower bound, a fraction of k",
+     Set<&SessionSpec::lower_fraction>},
+    {"alpha", kNumber, "default proportional multiplier",
+     Set<&SessionSpec::alpha>},
+    {.name = "cache_capacity", .type = kInt,
+     .description = "cached detection results (0 disables)",
+     .set = Set<&SessionSpec::session, &SessionOptions::cache_capacity>,
+     .min = 0},
+    {"rebuild_threshold", kNumber, "changed share of rank positions above "
+     "which the index is rebuilt, not patched",
+     Set<&SessionSpec::session, &SessionOptions::rebuild_threshold>},
+};
+
+constexpr auto kSessionOp = api::JoinFields<kEnvelope, kRouting>();
+constexpr auto kQueryOp = api::JoinFields<kEnvelope, kRouting, kQuery>();
+constexpr auto kBatchOp = api::JoinFields<kEnvelope, kRouting>(FieldSpec{
+    .name = "queries", .type = kArray,
+    .description = "detect queries, without op, id and session",
+    .required = true, .min = 1, .items = kQuery});
+constexpr auto kVerifyOp = api::JoinFields<kEnvelope, kRouting, kQuery>(
+    FieldSpec{.name = "group", .type = kObject,
+              .description = "{attribute: label, ...}", .required = true});
+constexpr auto kSuggestOp = api::JoinFields<kEnvelope, kRouting, kSuggest>();
+constexpr auto kUpdateOp = api::JoinFields<kEnvelope, kRouting>(FieldSpec{
+    .name = "scores", .type = kArray, .description = "[[row, score], ...]",
+    .required = true});
+constexpr auto kAppendOp = api::JoinFields<kEnvelope, kRouting>(FieldSpec{
+    .name = "rows", .type = kArray, .description = "[{column: value}, ...]",
+    .required = true});
+constexpr auto kSaveOp = api::JoinFields<kEnvelope, kRouting>(FieldSpec{
+    .name = "path", .type = kString,
+    .description = "write a snapshot copy here instead", .min = 1});
+constexpr auto kNameOp = api::JoinFields<kEnvelope, kName>();
+constexpr auto kOpenOp = api::JoinFields<kEnvelope, kName, kOpen>();
+
+constexpr const char* kScopeNames[] = {"session", "catalog", "process"};
+
+/// The declared op a request names.
+Result<const JsonlService::Op*> FindOp(const JsonValue& request) {
+  const JsonValue* op = request.Find("op");
+  if (op != nullptr && !op->is_string()) {
+    return Status::InvalidArgument("'op' must be a string");
+  }
+  if (op == nullptr || op->string_value().empty()) {
+    return Status::InvalidArgument("request misses 'op'");
+  }
+  for (const JsonlService::Op& candidate : JsonlService::Ops()) {
+    if (op->string_value() == candidate.name) return &candidate;
+  }
+  return Status::InvalidArgument("unknown op '" + op->string_value() +
+                                 "' (see op=capabilities)");
 }
 
 }  // namespace
@@ -247,9 +314,6 @@ Result<JsonlService::Target> JsonlService::ResolveTarget(
   }
   std::string name;
   if (selector != nullptr) {
-    if (!selector->is_string()) {
-      return Status::InvalidArgument("'session' must be a session name");
-    }
     name = selector->string_value();
   } else {
     name = context.current();
@@ -266,29 +330,39 @@ Result<JsonlService::Target> JsonlService::ResolveTarget(
 }
 
 Result<api::AuditRequest> JsonlService::DecodeRequest(
-    const JsonValue& request, const ServeDefaults& defaults) const {
+    const Call& call, const JsonValue& request) const {
   const api::DetectorRegistry& registry = api::DetectorRegistry::Global();
   const api::DetectorDescriptor* descriptor = nullptr;
   // The registry name wins over the wire (measure, algo) pair.
   if (const JsonValue* name = request.Find("detector")) {
-    if (!name->is_string()) {
-      return Status::InvalidArgument(
-          "'detector' must be a registered detector name");
-    }
     descriptor = registry.Find(name->string_value());
     if (descriptor == nullptr) {
       return Status::NotFound("no detector named '" + name->string_value() +
                               "' is registered (see op=capabilities)");
     }
   } else {
-    FAIRTOPK_ASSIGN_OR_RETURN(const std::string measure,
-                              api::ReadStringField(request, "measure", "prop"));
-    FAIRTOPK_ASSIGN_OR_RETURN(const std::string algo,
-                              api::ReadStringField(request, "algo", "bounds"));
-    FAIRTOPK_ASSIGN_OR_RETURN(descriptor, registry.Resolve(measure, algo));
+    FAIRTOPK_ASSIGN_OR_RETURN(
+        descriptor, registry.Resolve(request.StringOr("measure", "prop"),
+                                     request.StringOr("algo", "bounds")));
+  }
+  // The detector reads only its own family's bound fields, so one of
+  // the other family would be dropped unread.
+  const api::BoundsKind other =
+      descriptor->bounds_kind == api::BoundsKind::kGlobal
+          ? api::BoundsKind::kProportional
+          : api::BoundsKind::kGlobal;
+  for (const auto& [key, value] : request.object_members()) {
+    if (api::FindField(api::BoundFields(other), key) != nullptr) {
+      return Status::InvalidArgument(
+          "'" + std::string(call.op.name) + "' field '" + key +
+          "' is no bound of detector '" + descriptor->name +
+          "' (its bound fields: " +
+          api::FieldNames(api::BoundFields(descriptor->bounds_kind)) + ")");
+    }
   }
   api::AuditRequest query;
   query.detector = descriptor->name;
+  const ServeDefaults& defaults = *call.target.defaults;
   FAIRTOPK_ASSIGN_OR_RETURN(query.config,
                             api::ConfigFromJson(request, defaults.config));
   FAIRTOPK_ASSIGN_OR_RETURN(
@@ -324,75 +398,69 @@ std::string JsonlService::DetectionResponseJson(
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleDetect(const Target& target,
-                                               const JsonValue& request,
-                                               metrics::TraceSink* trace) {
+Result<std::string> JsonlService::HandleDetect(const Call& call) {
   FAIRTOPK_ASSIGN_OR_RETURN(api::AuditRequest query,
-                            DecodeRequest(request, *target.defaults));
-  query.trace = trace;
+                            DecodeRequest(call, call.request));
+  query.trace = call.trace;
   FAIRTOPK_ASSIGN_OR_RETURN(api::AuditResponse response,
-                            target.session->Detect(query));
-  return DetectionResponseJson(target, response, trace);
+                            call.target.session->Detect(query));
+  return DetectionResponseJson(call.target, response, call.trace);
 }
 
-Result<std::string> JsonlService::HandleDetectBatch(const Target& target,
-                                                    const JsonValue& request,
-                                                    metrics::TraceSink* trace) {
-  const JsonValue* queries = request.Find("queries");
-  if (queries == nullptr || !queries->is_array() ||
-      queries->array_items().empty()) {
-    return Status::InvalidArgument(
-        "'detect_batch' requires a non-empty 'queries' array");
-  }
+Result<std::string> JsonlService::HandleDetectBatch(const Call& call) {
+  const std::vector<JsonValue>& queries =
+      call.request.Find("queries")->array_items();
   std::vector<api::AuditRequest> batch;
-  batch.reserve(queries->array_items().size());
-  for (const JsonValue& q : queries->array_items()) {
-    if (!q.is_object()) {
-      return Status::InvalidArgument("each batched query must be an object");
-    }
-    FAIRTOPK_ASSIGN_OR_RETURN(api::AuditRequest query,
-                              DecodeRequest(q, *target.defaults));
+  batch.reserve(queries.size());
+  for (const JsonValue& q : queries) {
+    FAIRTOPK_ASSIGN_OR_RETURN(api::AuditRequest query, DecodeRequest(call, q));
     batch.push_back(std::move(query));
   }
   // DetectMany takes no trace, so batch members are not traced one by
   // one — the batch still reports parse/serialize spans and per-op
   // latency.
   FAIRTOPK_ASSIGN_OR_RETURN(std::vector<api::AuditResponse> responses,
-                            target.session->DetectMany(batch));
-  metrics::SpanTimer span(trace, "serialize");
+                            call.target.session->DetectMany(batch));
+  metrics::SpanTimer span(call.trace, "serialize");
   JsonWriter w;
   w.BeginObject();
   w.Key("results").BeginArray();
   for (const api::AuditResponse& response : responses) {
-    w.Raw(DetectionResponseJson(target, response, /*trace=*/nullptr));
+    w.Raw(DetectionResponseJson(call.target, response, /*trace=*/nullptr));
   }
   w.EndArray();
   w.EndObject();
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleCapabilities(const JsonValue&) {
-  return api::CapabilitiesJson(api::DetectorRegistry::Global());
+Result<std::string> JsonlService::HandleCapabilities(const Call&) {
+  JsonWriter w;
+  w.BeginObject();
+  api::WriteCapabilities(w, api::DetectorRegistry::Global());
+  w.Key("ops").BeginArray();
+  for (const Op& op : Ops()) {
+    w.BeginObject();
+    w.Key("name").String(op.name);
+    w.Key("scope").String(kScopeNames[static_cast<int>(op.scope)]);
+    w.Key("summary").String(op.summary);
+    w.Key("fields");
+    api::WriteFieldsJson(w, op.fields);
+    w.EndObject();
+  }
+  w.EndArray();
+  w.EndObject();
+  return w.str();
 }
 
-Result<std::string> JsonlService::HandleSuggest(const Target& target,
-                                                const JsonValue& request) {
-  DetectionConfig config = target.defaults->config;
-  FAIRTOPK_ASSIGN_OR_RETURN(config.k_min,
-                            api::ReadIntField(request, "k_min", config.k_min));
-  FAIRTOPK_ASSIGN_OR_RETURN(config.k_max,
-                            api::ReadIntField(request, "k_max", config.k_max));
-  SuggestOptions options;
+Result<std::string> JsonlService::HandleSuggest(const Call& call) {
   FAIRTOPK_ASSIGN_OR_RETURN(
-      int max_groups,
-      api::ReadIntField(request, "max_groups",
-                        static_cast<int>(options.max_groups)));
-  if (max_groups < 1) {
-    return Status::InvalidArgument("'max_groups' must be positive");
-  }
-  options.max_groups = static_cast<size_t>(max_groups);
+      const DetectionConfig config,
+      api::ConfigFromJson(call.request, call.target.defaults->config));
+  SuggestOptions options;
+  options.max_groups = static_cast<size_t>(call.request.NumberOr(
+      "max_groups", static_cast<double>(options.max_groups)));
   FAIRTOPK_ASSIGN_OR_RETURN(SuggestedParameters params,
-                            target.session->Suggest(config, options));
+                            call.target.session->Suggest(config, options));
   JsonWriter w;
   w.BeginObject();
   w.Key("tau").Int(params.size_threshold);
@@ -406,16 +474,13 @@ Result<std::string> JsonlService::HandleSuggest(const Target& target,
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleVerify(const Target& target,
-                                               const JsonValue& request) {
+Result<std::string> JsonlService::HandleVerify(const Call& call) {
+  const Target& target = call.target;
   FAIRTOPK_ASSIGN_OR_RETURN(api::AuditRequest query,
-                            DecodeRequest(request, *target.defaults));
-  const JsonValue* group = request.Find("group");
-  if (group == nullptr) {
-    return Status::InvalidArgument("'verify' requires a 'group' object");
-  }
-  FAIRTOPK_ASSIGN_OR_RETURN(Pattern pattern,
-                            PatternField(*group, target.session->space()));
+                            DecodeRequest(call, call.request));
+  FAIRTOPK_ASSIGN_OR_RETURN(
+      Pattern pattern,
+      PatternField(*call.request.Find("group"), target.session->space()));
   FAIRTOPK_ASSIGN_OR_RETURN(
       FairnessReport report,
       std::holds_alternative<GlobalBoundSpec>(query.bounds)
@@ -446,12 +511,11 @@ Result<std::string> JsonlService::HandleVerify(const Target& target,
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleRerank(const Target& target,
-                                               const JsonValue& request,
-                                               metrics::TraceSink* trace) {
+Result<std::string> JsonlService::HandleRerank(const Call& call) {
+  const Target& target = call.target;
   FAIRTOPK_ASSIGN_OR_RETURN(api::AuditRequest query,
-                            DecodeRequest(request, *target.defaults));
-  query.trace = trace;
+                            DecodeRequest(call, call.request));
+  query.trace = call.trace;
   FAIRTOPK_ASSIGN_OR_RETURN(const api::DetectorDescriptor* descriptor,
                             api::ResolveRequest(query));
   if (!descriptor->lower_violations) {
@@ -490,16 +554,12 @@ Result<std::string> JsonlService::HandleRerank(const Target& target,
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleUpdate(const Target& target,
-                                               const JsonValue& request) {
-  const JsonValue* scores = request.Find("scores");
-  if (scores == nullptr || !scores->is_array()) {
-    return Status::InvalidArgument(
-        "'update' requires 'scores': [[row, score], ...]");
-  }
+Result<std::string> JsonlService::HandleUpdate(const Call& call) {
+  const std::vector<JsonValue>& scores =
+      call.request.Find("scores")->array_items();
   std::vector<ScoreUpdate> updates;
-  updates.reserve(scores->array_items().size());
-  for (const JsonValue& item : scores->array_items()) {
+  updates.reserve(scores.size());
+  for (const JsonValue& item : scores) {
     if (!item.is_array() || item.array_items().size() != 2 ||
         !item.array_items()[0].is_number() ||
         !item.array_items()[1].is_number()) {
@@ -537,7 +597,7 @@ Result<std::string> JsonlService::HandleUpdate(const Target& target,
   // maintenance to this one.
   MaintenanceReport report;
   FAIRTOPK_RETURN_IF_ERROR(
-      target.session->ApplyScoreUpdates(updates, &report));
+      call.target.session->ApplyScoreUpdates(updates, &report));
   JsonWriter w;
   w.BeginObject();
   w.Key("rows_updated").Uint(updates.size());
@@ -546,19 +606,25 @@ Result<std::string> JsonlService::HandleUpdate(const Target& target,
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleAppend(const Target& target,
-                                               const JsonValue& request) {
-  const JsonValue* rows = request.Find("rows");
-  if (rows == nullptr || !rows->is_array()) {
-    return Status::InvalidArgument(
-        "'append' requires 'rows': [{column: value, ...}, ...]");
-  }
-  const Schema& schema = target.session->table().schema();
+Result<std::string> JsonlService::HandleAppend(const Call& call) {
+  const std::vector<JsonValue>& rows =
+      call.request.Find("rows")->array_items();
+  const Schema& schema = call.target.session->table().schema();
   std::vector<std::vector<Cell>> cells;
-  cells.reserve(rows->array_items().size());
-  for (const JsonValue& row : rows->array_items()) {
+  cells.reserve(rows.size());
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const JsonValue& row = rows[r];
     if (!row.is_object()) {
       return Status::InvalidArgument("each appended row must be an object");
+    }
+    // A member that names no column would be dropped unread.
+    for (const auto& [column, value] : row.object_members()) {
+      if (!schema.IndexOf(column).has_value()) {
+        return Status::InvalidArgument("appended row " + std::to_string(r) +
+                                       " names '" + column +
+                                       "', which is not a column of the "
+                                       "table");
+      }
     }
     std::vector<Cell> out(schema.size());
     for (size_t c = 0; c < schema.size(); ++c) {
@@ -591,27 +657,27 @@ Result<std::string> JsonlService::HandleAppend(const Target& target,
     cells.push_back(std::move(out));
   }
   MaintenanceReport report;
-  FAIRTOPK_RETURN_IF_ERROR(target.session->AppendRows(cells, &report));
+  FAIRTOPK_RETURN_IF_ERROR(call.target.session->AppendRows(cells, &report));
   JsonWriter w;
   w.BeginObject();
   w.Key("rows_appended").Uint(cells.size());
-  w.Key("num_rows").Uint(target.session->num_rows());
+  w.Key("num_rows").Uint(call.target.session->num_rows());
   WriteMaintenance(w, report);
   w.EndObject();
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleStats(const Target& target,
-                                              const JsonValue&) {
-  const SessionServiceStats stats = target.session->service_stats();
+Result<std::string> JsonlService::HandleStats(const Call& call) {
+  const AuditSession& session = *call.target.session;
+  const SessionServiceStats stats = session.service_stats();
   JsonWriter w;
   w.BeginObject();
-  w.Key("num_rows").Uint(target.session->num_rows());
-  w.Key("pattern_attributes").Uint(target.session->space().num_attributes());
+  w.Key("num_rows").Uint(session.num_rows());
+  w.Key("pattern_attributes").Uint(session.space().num_attributes());
   // Which bitset kernel variant this process dispatched to at startup
   // (scalar/avx2/avx512/neon; see index/kernels/kernels.h).
   w.Key("kernel").String(kernels::ActiveName());
-  w.Key("cache_entries").Uint(target.session->cache_size());
+  w.Key("cache_entries").Uint(session.cache_size());
   w.Key("detect_queries").Uint(stats.detect_queries);
   w.Key("cache_hits").Uint(stats.cache_hits);
   w.Key("coalesced_hits").Uint(stats.coalesced_hits);
@@ -630,126 +696,50 @@ Result<std::string> JsonlService::HandleStats(const Target& target,
   w.Key("sessions").Uint(catalog_ != nullptr ? catalog_->size() : 1);
   w.EndObject();
   w.Key("storage");
-  WriteStorageInfo(w, target.session->storage_info());
+  WriteStorageInfo(w, session.storage_info());
   w.EndObject();
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleMetrics(const JsonValue&) {
+Result<std::string> JsonlService::HandleMetrics(const Call&) {
   return metrics::MetricsRegistry::Global().RenderJson();
 }
 
-Result<std::string> JsonlService::HandleInvalidate(const Target& target,
-                                                   const JsonValue&) {
-  target.session->InvalidateCache();
+Result<std::string> JsonlService::HandleInvalidate(const Call& call) {
+  call.target.session->InvalidateCache();
   JsonWriter w;
   w.BeginObject();
-  w.Key("cache_entries").Uint(target.session->cache_size());
+  w.Key("cache_entries").Uint(call.target.session->cache_size());
   w.EndObject();
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleSave(const Target& target,
-                                             const JsonValue& request) {
-  const JsonValue* path = request.Find("path");
-  if (path != nullptr) {
-    if (!path->is_string() || path->string_value().empty()) {
-      return Status::InvalidArgument("'path' must be a non-empty string");
-    }
+Result<std::string> JsonlService::HandleSave(const Call& call) {
+  if (const JsonValue* path = call.request.Find("path")) {
     FAIRTOPK_RETURN_IF_ERROR(
-        target.session->SaveSnapshot(path->string_value()));
+        call.target.session->SaveSnapshot(path->string_value()));
   } else {
-    FAIRTOPK_RETURN_IF_ERROR(target.session->SaveSnapshot());
+    FAIRTOPK_RETURN_IF_ERROR(call.target.session->SaveSnapshot());
   }
+  return HandleSnapshotInfo(call);
+}
+
+Result<std::string> JsonlService::HandleSnapshotInfo(const Call& call) {
   JsonWriter w;
   w.BeginObject();
   w.Key("storage");
-  WriteStorageInfo(w, target.session->storage_info());
+  WriteStorageInfo(w, call.target.session->storage_info());
   w.EndObject();
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleSnapshotInfo(const Target& target,
-                                                     const JsonValue&) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("storage");
-  WriteStorageInfo(w, target.session->storage_info());
-  w.EndObject();
-  return w.str();
-}
-
-Result<std::string> JsonlService::HandleOpen(const JsonValue& request) {
-  if (catalog_ == nullptr) {
-    return Status::FailedPrecondition(
-        "this service has no session catalog (single-session mode)");
-  }
-  FAIRTOPK_ASSIGN_OR_RETURN(std::string name,
-                            RequiredString(request, "name", "open"));
+Result<std::string> JsonlService::HandleOpen(const Call& call) {
+  const std::string& name = call.request.Find("name")->string_value();
   SessionSpec spec;
-  FAIRTOPK_ASSIGN_OR_RETURN(spec.snapshot,
-                            api::ReadStringField(request, "snapshot", ""));
-  FAIRTOPK_ASSIGN_OR_RETURN(spec.data_dir,
-                            api::ReadStringField(request, "data_dir", ""));
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      spec.fsync_always,
-      api::ReadBoolField(request, "fsync_always", spec.fsync_always));
-  FAIRTOPK_ASSIGN_OR_RETURN(spec.csv,
-                            api::ReadStringField(request, "csv", ""));
-  FAIRTOPK_ASSIGN_OR_RETURN(spec.rank_by,
-                            api::ReadStringField(request, "rank_by", ""));
-  // A pure snapshot restore needs neither csv nor rank_by; a data_dir
-  // needs them only on the cold-start path (the catalog reports that
-  // precisely); a plain open needs both.
-  if (spec.snapshot.empty() && spec.data_dir.empty()) {
-    FAIRTOPK_ASSIGN_OR_RETURN(spec.csv,
-                              RequiredString(request, "csv", "open"));
-    FAIRTOPK_ASSIGN_OR_RETURN(spec.rank_by,
-                              RequiredString(request, "rank_by", "open"));
+  for (const auto& [key, value] : call.request.object_members()) {
+    const api::FieldSpec* field = api::FindField(call.op.fields, key);
+    if (field != nullptr && field->set != nullptr) field->set(&spec, value);
   }
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      spec.ascending, api::ReadBoolField(request, "ascending", spec.ascending));
-  FAIRTOPK_ASSIGN_OR_RETURN(spec.bins,
-                            api::ReadIntField(request, "bins", spec.bins));
-  if (spec.bins < 2) {
-    return Status::InvalidArgument("'bins' must be at least 2");
-  }
-  if (const JsonValue* drop = request.Find("drop")) {
-    if (!drop->is_array()) {
-      return Status::InvalidArgument(
-          "'drop' must be an array of column names");
-    }
-    for (const JsonValue& column : drop->array_items()) {
-      if (!column.is_string()) {
-        return Status::InvalidArgument(
-            "'drop' must be an array of column names");
-      }
-      spec.drop.push_back(column.string_value());
-    }
-  }
-  FAIRTOPK_ASSIGN_OR_RETURN(spec.k_min,
-                            api::ReadIntField(request, "k_min", spec.k_min));
-  FAIRTOPK_ASSIGN_OR_RETURN(spec.k_max,
-                            api::ReadIntField(request, "k_max", spec.k_max));
-  FAIRTOPK_ASSIGN_OR_RETURN(spec.tau,
-                            api::ReadIntField(request, "tau", spec.tau));
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      spec.lower_fraction,
-      api::ReadDoubleField(request, "lower", spec.lower_fraction));
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      spec.alpha, api::ReadDoubleField(request, "alpha", spec.alpha));
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      int cache_capacity,
-      api::ReadIntField(request, "cache_capacity",
-                        static_cast<int>(spec.session.cache_capacity)));
-  if (cache_capacity < 0) {
-    return Status::InvalidArgument("'cache_capacity' must be >= 0");
-  }
-  spec.session.cache_capacity = static_cast<size_t>(cache_capacity);
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      spec.session.rebuild_threshold,
-      api::ReadDoubleField(request, "rebuild_threshold",
-                           spec.session.rebuild_threshold));
   FAIRTOPK_RETURN_IF_ERROR(catalog_->Open(name, spec));
   std::shared_ptr<SessionCatalog::Entry> entry = catalog_->Find(name);
   JsonWriter w;
@@ -764,13 +754,8 @@ Result<std::string> JsonlService::HandleOpen(const JsonValue& request) {
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleClose(const JsonValue& request) {
-  if (catalog_ == nullptr) {
-    return Status::FailedPrecondition(
-        "this service has no session catalog (single-session mode)");
-  }
-  FAIRTOPK_ASSIGN_OR_RETURN(std::string name,
-                            RequiredString(request, "name", "close"));
+Result<std::string> JsonlService::HandleClose(const Call& call) {
+  const std::string& name = call.request.Find("name")->string_value();
   FAIRTOPK_RETURN_IF_ERROR(catalog_->Close(name));
   JsonWriter w;
   w.BeginObject();
@@ -779,13 +764,8 @@ Result<std::string> JsonlService::HandleClose(const JsonValue& request) {
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleList(const JsonValue&,
-                                             Context& context) {
-  if (catalog_ == nullptr) {
-    return Status::FailedPrecondition(
-        "this service has no session catalog (single-session mode)");
-  }
-  std::string current = context.current();
+Result<std::string> JsonlService::HandleList(const Call& call) {
+  std::string current = call.context.current();
   if (current.empty()) current = default_session_;
   JsonWriter w;
   w.BeginObject();
@@ -804,19 +784,13 @@ Result<std::string> JsonlService::HandleList(const JsonValue&,
   return w.str();
 }
 
-Result<std::string> JsonlService::HandleUse(const JsonValue& request,
-                                            Context& context) {
-  if (catalog_ == nullptr) {
-    return Status::FailedPrecondition(
-        "this service has no session catalog (single-session mode)");
-  }
-  FAIRTOPK_ASSIGN_OR_RETURN(std::string name,
-                            RequiredString(request, "name", "use"));
+Result<std::string> JsonlService::HandleUse(const Call& call) {
+  const std::string& name = call.request.Find("name")->string_value();
   if (catalog_->Find(name) == nullptr) {
     return Status::NotFound("no session named '" + name +
                             "' (see op=list)");
   }
-  context.set_current(name);
+  call.context.set_current(name);
   JsonWriter w;
   w.BeginObject();
   w.Key("session").String(name);
@@ -824,32 +798,61 @@ Result<std::string> JsonlService::HandleUse(const JsonValue& request,
   return w.str();
 }
 
-Result<std::string> JsonlService::Dispatch(const std::string& op,
+std::span<const JsonlService::Op> JsonlService::Ops() {
+  using enum Scope;
+  static constexpr Op kOps[] = {
+      {"detect", kSession, "one detection query: a detector, its k range "
+       "and bounds", kQueryOp, &JsonlService::HandleDetect},
+      {"detect_batch", kSession, "several detection queries; identical ones "
+       "run once", kBatchOp, &JsonlService::HandleDetectBatch},
+      {"capabilities", kProcess, "registered detectors, bitset kernels, and "
+       "these ops' fields", kEnvelope, &JsonlService::HandleCapabilities},
+      {"suggest", kSession, "calibrate tau and the bounds", kSuggestOp,
+       &JsonlService::HandleSuggest},
+      {"verify", kSession, "check one declared group against a detector's "
+       "bounds", kVerifyOp, &JsonlService::HandleVerify},
+      {"rerank", kSession, "detect, then report a repair of the ranking "
+       "(not applied)", kQueryOp, &JsonlService::HandleRerank},
+      {"update", kSession, "change scores; ranking and index are maintained "
+       "in place", kUpdateOp, &JsonlService::HandleUpdate},
+      {"append", kSession, "append rows; ranking and index are maintained "
+       "in place", kAppendOp, &JsonlService::HandleAppend},
+      {"stats", kSession, "session counters, storage state, and a server "
+       "block", kSessionOp, &JsonlService::HandleStats},
+      {"metrics", kProcess, "the process metrics registry (what Prometheus "
+       "scrapes)", kEnvelope, &JsonlService::HandleMetrics},
+      {"invalidate", kSession, "drop the session's cached results",
+       kSessionOp, &JsonlService::HandleInvalidate},
+      {"save", kSession, "compact the session's snapshot, or copy it to "
+       "'path'", kSaveOp, &JsonlService::HandleSave},
+      {"snapshot_info", kSession, "the session's storage state: generation, "
+       "snapshot, op log", kSessionOp, &JsonlService::HandleSnapshotInfo},
+      {"open", kCatalog, "open a named session from a CSV, snapshot, or data "
+       "dir", kOpenOp, &JsonlService::HandleOpen},
+      {"close", kCatalog, "drop a named session; requests running on it "
+       "finish", kNameOp, &JsonlService::HandleClose},
+      {"list", kCatalog, "the sessions and this client's current one",
+       kEnvelope, &JsonlService::HandleList},
+      {"use", kCatalog, "set this client's default session", kNameOp,
+       &JsonlService::HandleUse},
+  };
+  return kOps;
+}
+
+Result<std::string> JsonlService::Dispatch(const Op& op,
                                            const JsonValue& request,
                                            Context& context,
                                            metrics::TraceSink* trace) {
-  // Catalog lifecycle ops (and the process-level ops) do not run
-  // against a session.
-  if (op == "open") return HandleOpen(request);
-  if (op == "close") return HandleClose(request);
-  if (op == "list") return HandleList(request, context);
-  if (op == "use") return HandleUse(request, context);
-  if (op == "capabilities") return HandleCapabilities(request);
-  if (op == "metrics") return HandleMetrics(request);
-  FAIRTOPK_ASSIGN_OR_RETURN(Target target, ResolveTarget(request, context));
-  if (op == "detect") return HandleDetect(target, request, trace);
-  if (op == "detect_batch") return HandleDetectBatch(target, request, trace);
-  if (op == "suggest") return HandleSuggest(target, request);
-  if (op == "verify") return HandleVerify(target, request);
-  if (op == "rerank") return HandleRerank(target, request, trace);
-  if (op == "update") return HandleUpdate(target, request);
-  if (op == "append") return HandleAppend(target, request);
-  if (op == "stats") return HandleStats(target, request);
-  if (op == "invalidate") return HandleInvalidate(target, request);
-  if (op == "save") return HandleSave(target, request);
-  if (op == "snapshot_info") return HandleSnapshotInfo(target, request);
-  return Status::InvalidArgument(
-      op.empty() ? "request misses 'op'" : "unknown op '" + op + "'");
+  FAIRTOPK_RETURN_IF_ERROR(api::CheckFields(request, op.fields, op.name));
+  Call call{op, request, context, trace, {}};
+  if (op.scope == Scope::kCatalog && catalog_ == nullptr) {
+    return Status::FailedPrecondition(
+        "this service has no session catalog (single-session mode)");
+  }
+  if (op.scope == Scope::kSession) {
+    FAIRTOPK_ASSIGN_OR_RETURN(call.target, ResolveTarget(request, context));
+  }
+  return (this->*op.handle)(call);
 }
 
 void JsonlService::WriteSlowQueryLine(const JsonValue* request,
@@ -893,7 +896,7 @@ std::string JsonlService::HandleLine(
     return ParseJson(line);
   }();
 
-  std::string op;
+  const Op* op = nullptr;
   std::string response;
   const char* error_code = nullptr;
   bool valid_object = false;
@@ -907,13 +910,10 @@ std::string JsonlService::HandleLine(
     response = ErrorResponse(*request, status);
   } else {
     valid_object = true;
-    // A present op that is not a string is a type error naming the
-    // field; a missing one is Dispatch's "misses 'op'".
-    Result<std::string> data = api::ReadStringField(*request, "op", "");
-    if (data.ok()) {
-      op = *data;
-      data = Dispatch(op, *request, context, trace);
-    }
+    const Result<std::string> data = [&]() -> Result<std::string> {
+      FAIRTOPK_ASSIGN_OR_RETURN(op, FindOp(*request));
+      return Dispatch(*op, *request, context, trace);
+    }();
     if (!data.ok()) {
       error_code = StatusCodeName(data.status().code());
       response = ErrorResponse(*request, data.status());
@@ -923,7 +923,8 @@ std::string JsonlService::HandleLine(
   }
 
   const uint64_t micros = MicrosSince(admitted);
-  const char* op_label = OpLabel(op);
+  // The label set is bounded: the declared ops plus "other".
+  const char* op_label = op != nullptr ? op->name : "other";
   if (metrics::Enabled()) {
     ServiceMetrics& m = ServiceMetrics::Get();
     m.requests.With({op_label}).Inc();

@@ -5,64 +5,25 @@
 // admission and response order belong to service/request_pipeline.h,
 // which both front ends share.
 //
-// Requests: {"op": ..., "id": <any scalar, echoed back>, ...}.
-//   op=detect   one detection query. The detector is selected by its
-//               registry name ("detector": "PropBounds") or by the
-//               wire pair measure/algo; k_min/k_max/tau and
-//               the bound parameters fall back to the session's
-//               defaults (field vocabulary: api/canonical.h, listed
-//               per detector by op=capabilities)
-//   op=detect_batch  {"queries": [{...}, ...]} — several detection
-//               queries against the one prepared input via
-//               AuditSession::DetectMany (identical queries run once;
-//               the members run on the worker that holds the line)
-//   op=capabilities  the registered detectors with their parameter
-//               schemas, generated from api::DetectorRegistry
-//   op=suggest  parameter calibration (SuggestParameters)
-//   op=verify   check one declared group ("group": {"Attr": "label"})
-//   op=rerank   detect + repair; reports the repair outcome without
-//               mutating the session
-//   op=update   {"scores": [[row, score], ...]} — incremental ranking
-//               maintenance via AuditSession::ApplyScoreUpdates.
-//               Duplicate rows within one batch are last-write-wins
-//               (collapsed at this layer before the session runs)
-//   op=append   {"rows": [{"Col": value, ...}, ...]} — appends rows
-//               (categorical cells by label, numeric cells by number)
-//   op=stats    session/service counters plus a "server" block
-//               (uptime, kernel, worker-pool size, session count)
-//   op=metrics  full process metrics registry dumped as JSON (the
-//               same counters/histograms the Prometheus endpoint
-//               serves; see common/metrics/metrics.h)
-//   op=invalidate  explicit result-cache invalidation
-//   op=save     compact the session to its snapshot: write a new
-//               snapshot generation and truncate the op log. An
-//               optional "path" saves a copy elsewhere instead (the
-//               bound data directory, if any, is untouched); without a
-//               bound path and without "path" the op fails with
-//               FAILED_PRECONDITION
-//   op=snapshot_info  the session's storage state (generation,
-//               snapshot bytes/path, op-log records pending
-//               compaction)
+// Requests: {"op": ..., "id": <any scalar, echoed back>, ...}. The
+// ops and every field each one takes are declared once, in the table
+// behind JsonlService::Ops() (jsonl_service.cc; the detect-query fields
+// in api/canonical.h): per op its name, where it runs (a session, the
+// session catalog, or the process), and a one-line summary; per field
+// its JSON type, whether it is required, its minimum, and a one-line
+// description. Every request is checked against its op's entry before
+// anything runs: a field the op does not declare, a value of the wrong
+// type or below its minimum, a missing required field, or a bound
+// field of the family the selected detector does not use is
+// INVALID_ARGUMENT naming the field and the op. op=capabilities
+// renders the table (its "ops" member) and fairtopk_serve --help lists
+// the ops from it.
 //
-// Catalog ops (services bound to a SessionCatalog; single-session
-// services answer them with FAILED_PRECONDITION):
-//   op=open     {"name": ..., "csv": ..., "rank_by": ..., options} —
-//               loads a CSV into a new named session (knob vocabulary
-//               mirrors the fairtopk_serve flags: ascending, bins,
-//               drop, k_min/k_max/tau, lower, alpha, cache_capacity,
-//               rebuild_threshold). "snapshot" opens a snapshot file
-//               read-only instead of a CSV; "data_dir" opens a durable
-//               directory (open-or-replay, cold start from "csv" when
-//               empty; not with "snapshot"); "fsync_always" selects
-//               op-log durability. A field of the wrong type is
-//               INVALID_ARGUMENT, never its default
-//   op=close    {"name": ...} — drops a session; requests already
-//               running against it finish unharmed
-//   op=list     the registered sessions and this client's current one
-//   op=use      {"name": ...} — sets this client's default session
-// Every non-catalog op additionally accepts "session": "name" to
-// route one request explicitly; without it the client's `use` choice
-// (initially the service's default session) applies.
+// Session ops accept "session": "name" to route one request
+// explicitly; without it the client's `use` choice (initially the
+// service's default session) applies. Catalog ops (open, close, list,
+// use) need a service bound to a SessionCatalog; single-session
+// services answer them with FAILED_PRECONDITION.
 //
 // Responses: {"id": ..., "ok": true, "data": {...}} on success,
 // {"id": ..., "ok": false, "error": {"code": ..., "message": ...}}
@@ -86,6 +47,7 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -118,7 +80,32 @@ struct ObservabilityOptions {
 /// the heavy lifting; the service only reads its immutable defaults,
 /// and per-client mutable state lives in the Context).
 class JsonlService {
+  struct Call;
+
  public:
+  /// Where an op runs.
+  enum class Scope {
+    kSession,  ///< against one session (see the file comment)
+    kCatalog,  ///< on the session catalog
+    kProcess,  ///< on the process: no session, no catalog
+  };
+
+  /// One declared op: the protocol's unit of dispatch.
+  struct Op {
+    const char* name;
+    Scope scope;
+    /// One line for --help and capabilities.
+    const char* summary;
+    /// Every field its requests may carry, "op" and "id" included.
+    std::span<const api::FieldSpec> fields;
+    Result<std::string> (JsonlService::*handle)(const Call& call);
+  };
+
+  /// The 17 declared ops, in listing order: the one table that the
+  /// request check, dispatch, the metric op labels, capabilities and
+  /// fairtopk_serve --help all read.
+  static std::span<const Op> Ops();
+
   /// Per-client request state: the session selected by op=use. One per
   /// stream (stdin, or one network connection); safe to share between
   /// the concurrent workers of one stream (which of two racing requests sees
@@ -196,18 +183,29 @@ class JsonlService {
     std::shared_ptr<SessionCatalog::Entry> holder;
   };
 
+  /// One checked request on its way to its op's handler; `target` is
+  /// resolved for session ops only.
+  struct Call {
+    const Op& op;
+    const JsonValue& request;
+    Context& context;
+    metrics::TraceSink* trace;  // null when tracing is off
+    Target target;
+  };
+
   /// Resolves the request's "session" field / the context's current
   /// session to a Target (single-session services resolve to their one
   /// session and reject explicit routing).
   Result<Target> ResolveTarget(const JsonValue& request,
                                Context& context) const;
 
-  /// Builds the api::AuditRequest described by `request` (shared by
-  /// detect, detect_batch, verify, and rerank): detector resolution
-  /// through the registry, config and bounds through the canonical
-  /// codec.
-  Result<api::AuditRequest> DecodeRequest(const JsonValue& request,
-                                          const ServeDefaults& defaults) const;
+  /// Builds the api::AuditRequest that `request` (the call's own, or
+  /// one of its detect_batch queries) describes: detector resolution
+  /// through the registry, then config and bounds through the
+  /// canonical codec over the target's defaults. A bound field of the
+  /// family the detector does not use is refused, naming the op.
+  Result<api::AuditRequest> DecodeRequest(const Call& call,
+                                          const JsonValue& request) const;
 
   /// Serializes one detection response as {"cached": ..., "report": ...},
   /// reporting a "serialize" span to `trace` when set. Takes no session
@@ -220,46 +218,30 @@ class JsonlService {
                                     const api::AuditResponse& response,
                                     metrics::TraceSink* trace) const;
 
-  /// Dispatches one parsed request object to its op handler; `trace`
-  /// (null when tracing is off) flows into the detect paths.
-  Result<std::string> Dispatch(const std::string& op, const JsonValue& request,
+  /// Checks `request` against `op`'s fields, resolves its scope, and
+  /// runs its handler.
+  Result<std::string> Dispatch(const Op& op, const JsonValue& request,
                                Context& context, metrics::TraceSink* trace);
 
-  /// Per-op payload builders; on success the returned string is the
-  /// serialized "data" object.
-  Result<std::string> HandleDetect(const Target& target,
-                                   const JsonValue& request,
-                                   metrics::TraceSink* trace);
-  Result<std::string> HandleDetectBatch(const Target& target,
-                                        const JsonValue& request,
-                                        metrics::TraceSink* trace);
-  Result<std::string> HandleCapabilities(const JsonValue& request);
-  Result<std::string> HandleMetrics(const JsonValue& request);
-  Result<std::string> HandleSuggest(const Target& target,
-                                    const JsonValue& request);
-  Result<std::string> HandleVerify(const Target& target,
-                                   const JsonValue& request);
-  Result<std::string> HandleRerank(const Target& target,
-                                   const JsonValue& request,
-                                   metrics::TraceSink* trace);
-  Result<std::string> HandleUpdate(const Target& target,
-                                   const JsonValue& request);
-  Result<std::string> HandleAppend(const Target& target,
-                                   const JsonValue& request);
-  Result<std::string> HandleStats(const Target& target,
-                                  const JsonValue& request);
-  Result<std::string> HandleInvalidate(const Target& target,
-                                       const JsonValue& request);
-  Result<std::string> HandleSave(const Target& target,
-                                 const JsonValue& request);
-  Result<std::string> HandleSnapshotInfo(const Target& target,
-                                         const JsonValue& request);
-
-  /// Catalog ops; error on single-session services.
-  Result<std::string> HandleOpen(const JsonValue& request);
-  Result<std::string> HandleClose(const JsonValue& request);
-  Result<std::string> HandleList(const JsonValue& request, Context& context);
-  Result<std::string> HandleUse(const JsonValue& request, Context& context);
+  /// Per-op payload builders, one per table entry; on success the
+  /// returned string is the serialized "data" object.
+  Result<std::string> HandleDetect(const Call& call);
+  Result<std::string> HandleDetectBatch(const Call& call);
+  Result<std::string> HandleCapabilities(const Call& call);
+  Result<std::string> HandleSuggest(const Call& call);
+  Result<std::string> HandleVerify(const Call& call);
+  Result<std::string> HandleRerank(const Call& call);
+  Result<std::string> HandleUpdate(const Call& call);
+  Result<std::string> HandleAppend(const Call& call);
+  Result<std::string> HandleStats(const Call& call);
+  Result<std::string> HandleMetrics(const Call& call);
+  Result<std::string> HandleInvalidate(const Call& call);
+  Result<std::string> HandleSave(const Call& call);
+  Result<std::string> HandleSnapshotInfo(const Call& call);
+  Result<std::string> HandleOpen(const Call& call);
+  Result<std::string> HandleClose(const Call& call);
+  Result<std::string> HandleList(const Call& call);
+  Result<std::string> HandleUse(const Call& call);
 
   /// Writes one slow-query JSONL line (whole, under a process-wide
   /// lock) describing a request that crossed the threshold.

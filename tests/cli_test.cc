@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -12,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.h"
 #include "common/rng.h"
 #include "relation/csv.h"
 #include "relation/table.h"
@@ -43,14 +45,16 @@ std::string Quote(const std::string& s) {
   return quoted;
 }
 
-/// Runs `binary` with `args` and stdin at EOF, capturing stdout into
-/// `out_path` and stderr into `err_path`. Returns the process exit
-/// code (-1 on system() failure).
+/// Runs `binary` with `args` and stdin from `in_path` (at EOF by
+/// default), capturing stdout into `out_path` and stderr into
+/// `err_path`. Returns the process exit code (-1 on system() failure).
 int RunTool(const std::string& binary, const std::string& args,
             const std::string& out_path,
-            const std::string& err_path = "/dev/null") {
-  const std::string command = Quote(binary) + " " + args + " < /dev/null > " +
-                              Quote(out_path) + " 2> " + Quote(err_path);
+            const std::string& err_path = "/dev/null",
+            const std::string& in_path = "/dev/null") {
+  const std::string command = Quote(binary) + " " + args + " < " +
+                              Quote(in_path) + " > " + Quote(out_path) +
+                              " 2> " + Quote(err_path);
   const int status = std::system(command.c_str());
   if (status < 0) return -1;
   return WEXITSTATUS(status);
@@ -141,6 +145,51 @@ TEST(CliTest, ThreadCountsOtherThanOneAreUsageErrors) {
   EXPECT_EQ(RunTool(FAIRTOPK_SERVE_PATH, base + "--threads 2", out), 2);
   EXPECT_EQ(RunTool(FAIRTOPK_SERVE_PATH, base + "--threads 0", out), 2);
   EXPECT_EQ(RunTool(FAIRTOPK_SERVE_PATH, base + "--threads 1", out), 0);
+}
+
+// --help and capabilities render the ops from one table, so they name
+// the same ops.
+TEST(CliTest, ServeHelpAndCapabilitiesListTheSameOps) {
+  const std::string help_out = TempPath("cli_serve_help.out");
+  ASSERT_EQ(RunTool(FAIRTOPK_SERVE_PATH, "--help", help_out), 0);
+  std::set<std::string> help_ops;
+  {
+    std::istringstream help(ReadAll(help_out));
+    std::string line;
+    bool in_ops = false;
+    while (std::getline(help, line)) {
+      if (line.rfind("Ops ", 0) == 0) {
+        in_ops = true;
+      } else if (in_ops && line.rfind("  ", 0) == 0) {
+        help_ops.insert(line.substr(2, line.find(' ', 2) - 2));
+      } else if (in_ops && line.empty()) {
+        break;
+      }
+    }
+  }
+
+  const std::string request = TempPath("cli_serve_capabilities.jsonl");
+  {
+    std::ofstream out(request);
+    out << R"({"op":"capabilities"})" << '\n';
+  }
+  const std::string csv = WriteDemoCsv();
+  const std::string out = TempPath("cli_serve_capabilities.out");
+  ASSERT_EQ(RunTool(FAIRTOPK_SERVE_PATH,
+                    "--csv " + Quote(csv) + " --rank-by score", out,
+                    "/dev/null", request),
+            0);
+  auto response = ParseJson(ReadAll(out));
+  ASSERT_TRUE(response.ok()) << ReadAll(out);
+  const JsonValue* ops = response->Find("data")->Find("ops");
+  ASSERT_NE(ops, nullptr) << ReadAll(out);
+  std::set<std::string> capability_ops;
+  for (const JsonValue& op : ops->array_items()) {
+    capability_ops.insert(op.StringOr("name", ""));
+    EXPECT_NE(op.Find("fields")->Find("op"), nullptr);
+  }
+  EXPECT_EQ(capability_ops.size(), 17u);
+  EXPECT_EQ(help_ops, capability_ops);
 }
 
 // A data dir's first start builds its snapshot from the CSV, so a

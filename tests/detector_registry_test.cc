@@ -135,8 +135,11 @@ TEST(DetectorRegistryTest, AddingADetectorIsOneRegistration) {
   d.summary = "reports no groups at any k";
   d.run = &EmptyRun;
   ASSERT_TRUE(registry.Register(std::move(d)).ok());
-  const std::string capabilities = api::CapabilitiesJson(registry);
-  EXPECT_NE(capabilities.find("\"AlwaysEmpty\""), std::string::npos);
+  JsonWriter w;
+  w.BeginObject();
+  api::WriteCapabilities(w, registry);
+  w.EndObject();
+  EXPECT_NE(w.str().find("\"AlwaysEmpty\""), std::string::npos);
 }
 
 // Every search runs on the calling thread, so any thread count but 1

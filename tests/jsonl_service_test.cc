@@ -259,8 +259,8 @@ TEST_F(JsonlServiceTest, MistypedParametersErrorInsteadOfDefaulting) {
   ExpectError(
       R"({"op":"detect","measure":"global","lower_steps":[[5.5,2]]})",
       "INVALID_ARGUMENT");
-  // Mistyped bound fields of the OTHER family are ignored value-wise
-  // but still type-checked — they signal a client mistake.
+  // Bound fields of the other family are refused, typed or not: the
+  // detector would never read them.
   ExpectError(R"({"op":"detect","measure":"global","alpha":"0.9"})",
               "INVALID_ARGUMENT");
   ExpectError(
@@ -272,6 +272,50 @@ TEST_F(JsonlServiceTest, MistypedParametersErrorInsteadOfDefaulting) {
   ExpectError(R"({"op":"detect","measure":1,"algo":2})", "INVALID_ARGUMENT");
   ExpectError(R"({"op":"detect","measure":"global","algo":true})",
               "INVALID_ARGUMENT");
+}
+
+/// The error message of a refused request.
+std::string ErrorMessage(const JsonValue& response) {
+  const JsonValue* error = response.Find("error");
+  return error == nullptr ? "" : error->StringOr("message", "");
+}
+
+TEST_F(JsonlServiceTest, UndeclaredFieldsAreRefusedByName) {
+  // Each of these was answered ok with the field ignored: the CLI
+  // spelling of k_min/k_max fell back to the session default.
+  const std::pair<std::string, std::string> cases[] = {
+      {R"({"op":"detect","measure":"global","algo":"itertd","kmin":5})",
+       "'kmin'"},
+      {R"({"op":"detect","detector":"GlobalIterTD","alpha":0.8})",
+       "'alpha'"},
+      {R"({"op":"detect","detector":"PropBounds","lower_steps":[[5,2]]})",
+       "'lower_steps'"},
+      {R"({"op":"suggest","tau":3})", "'tau'"},
+      {R"({"op":"detect_batch","queries":[{"detector":"GlobalIterTD"},)"
+       R"({"session":"nope","detector":"GlobalIterTD"}]})",
+       "'session'"},
+      {R"({"op":"detect_batch","queries":[{"op":"detect"}]})", "'op'"},
+      {R"({"op":"save","pth":"/nonexistent/x.ftk"})", "'pth'"},
+      {R"({"op":"stats","verbose":true})", "'verbose'"},
+  };
+  for (const auto& [line, field] : cases) {
+    JsonValue v = ExpectError(line, "INVALID_ARGUMENT");
+    EXPECT_NE(ErrorMessage(v).find(field), std::string::npos)
+        << line << " -> " << last_response_;
+  }
+  // An undeclared field's message lists the declared ones, so the
+  // CLI spelling points to the wire spelling.
+  JsonValue v = ExpectError(R"({"op":"detect","kmin":5})", "INVALID_ARGUMENT");
+  EXPECT_NE(ErrorMessage(v).find("'detect'"), std::string::npos);
+  EXPECT_NE(ErrorMessage(v).find("k_min"), std::string::npos);
+  // A wrong type and a value below the declared minimum name the field.
+  v = ExpectError(R"({"op":"detect","k_max":[20]})", "INVALID_ARGUMENT");
+  EXPECT_NE(ErrorMessage(v).find("'k_max'"), std::string::npos);
+  v = ExpectError(R"({"op":"detect_batch","queries":[7]})",
+                  "INVALID_ARGUMENT");
+  EXPECT_NE(ErrorMessage(v).find("'queries'"), std::string::npos);
+  // Nothing ran: the refused detects filled no cache entry.
+  EXPECT_EQ(session_->cache_size(), 0u);
 }
 
 TEST_F(JsonlServiceTest, AppendByLabelsGrowsSession) {
@@ -294,6 +338,18 @@ TEST_F(JsonlServiceTest, AppendByLabelsGrowsSession) {
       R"({"op":"append","rows":[)"
       R"({"gender":"F","region":"north","score":"high"}]})",
       "INVALID_ARGUMENT");
+  // A member that names no column is refused before any row lands: a
+  // misspelled column must not be dropped while the row is appended.
+  JsonValue v2 = ExpectError(
+      R"({"op":"append","rows":[)"
+      R"({"gender":"F","region":"north","score":1.0},)"
+      R"({"gender":"F","region":"north","score":99.0,"regoin":"south"}]})",
+      "INVALID_ARGUMENT");
+  EXPECT_NE(ErrorMessage(v2).find("'regoin'"), std::string::npos)
+      << last_response_;
+  EXPECT_NE(ErrorMessage(v2).find("row 1"), std::string::npos)
+      << last_response_;
+  EXPECT_EQ(session_->num_rows(), 102u);
 }
 
 TEST_F(JsonlServiceTest, VerifyReportsViolations) {
@@ -1134,6 +1190,51 @@ TEST_F(CatalogJsonlServiceTest, OpenCloseLifecycle) {
                   data_dir + R"("})",
               "INVALID_ARGUMENT");
   EXPECT_EQ(catalog_.size(), 2u);
+  // An undeclared knob is refused, not opened with the default, and a
+  // value below a declared minimum names the field.
+  JsonValue v2 = ExpectError(R"({"op":"open","name":"x","csv":")" +
+                                 csv_path + R"(","rank_by":"score","kmin":3})",
+                             "INVALID_ARGUMENT");
+  EXPECT_NE(ErrorMessage(v2).find("'kmin'"), std::string::npos);
+  v2 = ExpectError(R"({"op":"open","name":"x","csv":")" + csv_path +
+                       R"(","rank_by":"score","bins":1})",
+                   "INVALID_ARGUMENT");
+  EXPECT_NE(ErrorMessage(v2).find("'bins'"), std::string::npos);
+  EXPECT_EQ(catalog_.size(), 2u);
+  // Catalog ops declare no "session".
+  v2 = ExpectError(R"({"op":"list","session":"zzz"})", "INVALID_ARGUMENT");
+  EXPECT_NE(ErrorMessage(v2).find("'session'"), std::string::npos);
+}
+
+TEST_F(CatalogJsonlServiceTest, OpenAppliesEveryDeclaredKnob) {
+  const std::string csv_path =
+      ::testing::TempDir() + "/jsonl_service_open_knobs.csv";
+  {
+    std::ofstream csv(csv_path);
+    csv << "id,gender,region,age,score\n";
+    for (int i = 0; i < 40; ++i) {
+      csv << i << ',' << (i % 2 == 0 ? "F" : "M") << ','
+          << (i % 3 == 0 ? "north" : "south") << ',' << (20 + i) << ','
+          << (100 - i) << '\n';
+    }
+  }
+  ExpectOk(R"({"op":"open","name":"knobs","csv":")" + csv_path +
+           R"(","rank_by":"score","ascending":true,"bins":3,)"
+           R"("drop":["id"],"k_min":3,"k_max":12,"tau":4,"lower":0.3,)"
+           R"("alpha":0.7,"cache_capacity":0,"rebuild_threshold":0.25})");
+  std::shared_ptr<SessionCatalog::Entry> entry = catalog_.Find("knobs");
+  ASSERT_NE(entry, nullptr);
+  // gender, region, and age in 3 buckets; id dropped, score ranks.
+  EXPECT_EQ(entry->session.space().num_attributes(), 3u);
+  EXPECT_EQ(entry->session.ranking().front(), 39u);  // ascending
+  EXPECT_EQ(entry->defaults.config.k_min, 3);
+  EXPECT_EQ(entry->defaults.config.k_max, 12);
+  EXPECT_EQ(entry->defaults.config.size_threshold, 4);
+  EXPECT_DOUBLE_EQ(entry->defaults.bounds.lower_fraction, 0.3);
+  EXPECT_DOUBLE_EQ(entry->defaults.bounds.alpha, 0.7);
+  // cache_capacity 0 disables the cache.
+  ExpectOk(R"({"op":"detect","session":"knobs"})");
+  EXPECT_EQ(entry->session.cache_size(), 0u);
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -264,38 +265,15 @@ bool ParseArgs(int argc, char** argv, Args& args, bool& help) {
 /// Parses "Attr=value;Attr2=value2" into a pattern over `space`.
 Result<Pattern> ParseGroupSpec(const std::string& spec,
                                const PatternSpace& space) {
-  Pattern pattern = Pattern::Empty(space.num_attributes());
+  std::vector<std::pair<std::string, std::string>> labels;
   for (const std::string& term : Split(spec, ';')) {
     auto parts = Split(term, '=');
     if (parts.size() != 2) {
       return Status::InvalidArgument("bad group term: " + term);
     }
-    const std::string name(Trim(parts[0]));
-    const std::string value(Trim(parts[1]));
-    bool found = false;
-    for (size_t a = 0; a < space.num_attributes() && !found; ++a) {
-      if (space.name(a) != name) continue;
-      for (int16_t v = 0; v < space.domain_size(a); ++v) {
-        if (space.label(a, v) == value) {
-          pattern = pattern.With(a, v);
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::NotFound("value '" + value +
-                                "' not in the domain of '" + name + "'");
-      }
-    }
-    if (!found) {
-      return Status::NotFound("attribute '" + name +
-                              "' not in the pattern space");
-    }
+    labels.emplace_back(Trim(parts[0]), Trim(parts[1]));
   }
-  if (pattern.IsEmpty()) {
-    return Status::InvalidArgument("group spec assigns no attributes");
-  }
-  return pattern;
+  return PatternOfLabels(space, labels);
 }
 
 int RunAudit(const Args& args) {

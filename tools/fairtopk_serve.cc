@@ -75,13 +75,17 @@ void PrintUsage(std::FILE* out) {
       "Serves audit sessions over the CSV: reads one JSON request per\n"
       "stdin line, writes one JSON response per stdout line until EOF —\n"
       "or, with --listen, serves the same protocol to concurrent TCP\n"
-      "connections until SIGINT/SIGTERM. Ops: detect, detect_batch,\n"
-      "capabilities, suggest, verify, rerank, update, append, stats,\n"
-      "metrics, invalidate, save, snapshot_info, plus the session\n"
-      "catalog: open, close, list, use\n"
-      "(see README.md, \"Serving audits\" and \"Network serving\";\n"
-      "capabilities lists every registered detector with its parameter\n"
-      "schema). The startup CSV is session \"default\".\n"
+      "connections until SIGINT/SIGTERM (see README.md, \"Serving\n"
+      "audits\" and \"Network serving\"). The startup CSV is session\n"
+      "\"default\".\n"
+      "\n"
+      "Ops (the \"op\" of a request; op=capabilities lists each op's\n"
+      "fields and every registered detector's parameters):\n");
+  for (const JsonlService::Op& op : JsonlService::Ops()) {
+    std::fprintf(out, "  %-14s %s\n", op.name, op.summary);
+  }
+  std::fprintf(
+      out,
       "\n"
       "Options:\n"
       "  --csv PATH             input CSV file (required)\n"
