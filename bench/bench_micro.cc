@@ -22,7 +22,9 @@
 #include "pattern/result_set.h"
 #include "pattern/search_tree.h"
 #include "ranking/score_ranker.h"
+#include "report/json_report.h"
 #include "service/audit_session.h"
+#include "service/jsonl_service.h"
 
 namespace fairtopk {
 namespace {
@@ -441,6 +443,99 @@ void BM_ConcurrentDetectThroughput(benchmark::State& state) {
                           static_cast<int64_t>(requests.size()));
 }
 BENCHMARK(BM_ConcurrentDetectThroughput)->Arg(1)->Arg(4)->UseRealTime();
+
+// The table of the repository benchmark's workloads
+// (perfbench/src/workload.cc): 10^5 rows over the same 8 categorical
+// attributes, 35 values in all, with a score that depends on four of
+// them.
+const Table& WorkloadTable() {
+  static const Table table = [] {
+    const std::vector<SyntheticAttribute> attributes = {
+        {"sex", 2, {0.5, 0.5}, {"F", "M"}},
+        {"race", 5, {0.4, 0.3, 0.15, 0.1, 0.05}},
+        {"age", 4, {}, {"18-25", "26-40", "41-60", "60+"}},
+        {"region", 6},
+        {"edu", 4, {0.2, 0.4, 0.3, 0.1}},
+        {"job", 8},
+        {"marital", 3, {0.5, 0.3, 0.2}},
+        {"lang", 3, {0.6, 0.3, 0.1}},
+    };
+    SyntheticScore score;
+    score.name = "score";
+    score.noise_stddev = 1.0;
+    score.effects = {{"sex", {0.0, 0.3}},
+                     {"race", {0.4, 0.2, 0.0, -0.3, -0.5}},
+                     {"age", {-0.2, 0.2, 0.1, -0.4}},
+                     {"edu", {-0.5, 0.0, 0.3, 0.6}}};
+    auto t = GenerateSynthetic(attributes, {score}, 100000, 20230403);
+    if (!t.ok()) std::abort();
+    return std::move(t).value();
+  }();
+  return table;
+}
+
+AuditSession& WorkloadSession() {
+  static AuditSession* session = [] {
+    auto created = AuditSession::Create(WorkloadTable(), "score");
+    if (!created.ok()) std::abort();
+    return new AuditSession(std::move(created).value());
+  }();
+  return *session;
+}
+
+// The report layer alone: rendering a result shaped like a cold_audit
+// answer (PropBounds, k 5..34, tau 2000, alpha 0.8: about 1,700 group
+// entries over the 8 attributes, about 115 KB).
+void BM_DetectionResultToJson(benchmark::State& state) {
+  api::AuditRequest query;
+  query.detector = "PropBounds";
+  query.config = DetectionConfig{5, 34, 2000};
+  query.bounds = PropBoundSpec{0.8};
+  auto response = WorkloadSession().Detect(query);
+  if (!response.ok()) std::abort();
+  const DetectionResult& result = *response->result;
+  const ReportContext context{"perfbench", "proportional", "PropBounds"};
+  size_t bytes = 0;
+  for (auto _ : state) {
+    const std::string json =
+        DetectionResultToJson(result, WorkloadSession().space(), context);
+    bytes = json.size();
+    benchmark::DoNotOptimize(json.data());
+    benchmark::ClobberMemory();
+  }
+  size_t groups = 0;
+  for (int k = result.k_min(); k <= result.k_max(); ++k) {
+    groups += result.AtK(k).size();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.counters["groups"] = static_cast<double>(groups);
+  state.counters["report_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_DetectionResultToJson);
+
+// A hot_dashboard answer end to end through the protocol layer:
+// JsonlService::HandleLine on a detect the session has cached
+// (GlobalBounds, k 20..59, tau 5000, lower 0.6; a report of about
+// 80 KB), i.e. parse, cache lookup and the response's one copy of the
+// shared report.
+void BM_DetectHitResponse(benchmark::State& state) {
+  ServeDefaults defaults;
+  defaults.dataset = "perfbench";
+  JsonlService service(&WorkloadSession(), defaults);
+  const std::string line =
+      R"({"op":"detect","id":1,"detector":"GlobalBounds","k_min":20,)"
+      R"("k_max":59,"tau":5000,"lower":0.6})";
+  size_t bytes = service.HandleLine(line).size();  // fills the cache
+  for (auto _ : state) {
+    const std::string response = service.HandleLine(line);
+    bytes = response.size();
+    benchmark::DoNotOptimize(response.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(bytes));
+  state.counters["response_bytes"] = static_cast<double>(bytes);
+}
+BENCHMARK(BM_DetectHitResponse);
 
 }  // namespace
 }  // namespace fairtopk

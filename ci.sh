@@ -138,9 +138,12 @@ stage_perf() {
   fi
   cmake --build build-ci -j "${JOBS}" --target bench_micro
   ./build-ci/bench/bench_micro \
-    --benchmark_filter='BM_DetectGlobalIterTDSmall|BM_ResultSetUpdate|BM_SessionReuseDetect|BM_ConcurrentDetectThroughput|BM_AndCounts|BM_MetricsOverhead' \
+    --benchmark_filter='BM_DetectGlobalIterTDSmall|BM_ResultSetUpdate|BM_SessionReuseDetect|BM_ConcurrentDetectThroughput|BM_AndCounts|BM_MetricsOverhead|BM_DetectionResultToJson|BM_DetectHitResponse' \
     --benchmark_out=build-ci/bench_current.json \
     --benchmark_out_format=json
+  # BM_DetectionResultToJson and BM_DetectHitResponse (the report
+  # layer) are recorded in bench_current.json but not gated:
+  # ${PERF_BASELINE} has no entry for them.
   # The SIMD-vs-scalar gate only binds when the run actually dispatched
   # a vector kernel (the JSON context records which), so a scalar-only
   # runner skips it instead of failing. The 4-vs-1-worker coalescing

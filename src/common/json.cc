@@ -1,16 +1,21 @@
 #include "common/json.h"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
 namespace fairtopk {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
+void AppendJsonEscaped(std::string& out, std::string_view s) {
+  // Bytes that need no escape are copied in runs.
+  size_t run = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"':
         out += "\\\"";
@@ -27,18 +32,42 @@ std::string JsonEscape(const std::string& s) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+      default: {
+        constexpr char kHex[] = "0123456789abcdef";
+        const char escape[] = {'\\', 'u', '0', '0', kHex[c >> 4],
+                               kHex[c & 15]};
+        out.append(escape, sizeof(escape));
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
+}
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendJsonEscaped(out, s);
   return out;
+}
+
+void AppendJsonInt(std::string& out, long long value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void AppendJsonUint(std::string& out, unsigned long long value) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
+void AppendJsonDouble(std::string& out, double value) {
+  if (std::isnan(value) || std::isinf(value)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof(buf), "%.10g", value);
+  out.append(buf, static_cast<size_t>(n));
 }
 
 void JsonWriter::BeforeValue() {
@@ -90,7 +119,7 @@ JsonWriter& JsonWriter::Key(const std::string& key) {
   if (has_items_.back()) out_.push_back(',');
   has_items_.back() = true;
   out_.push_back('"');
-  out_ += JsonEscape(key);
+  AppendJsonEscaped(out_, key);
   out_ += "\":";
   pending_key_ = true;
   return *this;
@@ -99,32 +128,26 @@ JsonWriter& JsonWriter::Key(const std::string& key) {
 JsonWriter& JsonWriter::String(const std::string& value) {
   BeforeValue();
   out_.push_back('"');
-  out_ += JsonEscape(value);
+  AppendJsonEscaped(out_, value);
   out_.push_back('"');
   return *this;
 }
 
 JsonWriter& JsonWriter::Int(long long value) {
   BeforeValue();
-  out_ += std::to_string(value);
+  AppendJsonInt(out_, value);
   return *this;
 }
 
 JsonWriter& JsonWriter::Uint(unsigned long long value) {
   BeforeValue();
-  out_ += std::to_string(value);
+  AppendJsonUint(out_, value);
   return *this;
 }
 
 JsonWriter& JsonWriter::Double(double value) {
   BeforeValue();
-  if (std::isnan(value) || std::isinf(value)) {
-    out_ += "null";  // JSON has no NaN/Inf literals
-    return *this;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.10g", value);
-  out_ += buf;
+  AppendJsonDouble(out_, value);
   return *this;
 }
 

@@ -18,8 +18,23 @@
 namespace fairtopk {
 
 /// Escapes `s` for inclusion inside a JSON string literal (without the
-/// surrounding quotes).
+/// surrounding quotes): `"` and `\` backslash-escaped, \n \r \t by
+/// name, other bytes below 0x20 as \u00xx, every other byte (UTF-8
+/// included) as is.
 std::string JsonEscape(const std::string& s);
+
+/// The primitives of every JSON this library writes; each appends to
+/// `out` in place. JsonWriter is built on them, and the detect report
+/// (report/json_report.h) appends with them directly.
+
+/// Appends JsonEscape(s).
+void AppendJsonEscaped(std::string& out, std::string_view s);
+/// Appends `value` in decimal.
+void AppendJsonInt(std::string& out, long long value);
+void AppendJsonUint(std::string& out, unsigned long long value);
+/// Appends `value` with 10 significant digits (printf's %.10g), or null
+/// for NaN and +-inf, which JSON cannot express.
+void AppendJsonDouble(std::string& out, double value);
 
 /// Streaming JSON writer with automatic comma placement. Usage:
 ///   JsonWriter w;
@@ -58,6 +73,9 @@ class JsonWriter {
 
   /// The serialized document so far.
   const std::string& str() const { return out_; }
+
+  /// Moves the serialized document out, leaving the writer empty.
+  std::string Take() { return std::move(out_); }
 
  private:
   enum class Scope { kObject, kArray };

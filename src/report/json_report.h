@@ -42,6 +42,9 @@ struct ReportContext {
 /// taken under the ranking the detection ran on; this only formats
 /// (no index reads, no locks). Aborts on a result without stored
 /// counts — every detector entry point returns one with them.
+/// Rendered in one pass of appends to one string, reserved up front
+/// from the groups' counts and labels; strings escape as JsonEscape,
+/// doubles print as JsonWriter::Double (common/json.h).
 std::string DetectionResultToJson(const DetectionResult& result,
                                   const PatternSpace& space,
                                   const ReportContext& context);

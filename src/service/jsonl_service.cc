@@ -1,11 +1,13 @@
 #include "service/jsonl_service.h"
 
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <iostream>
 #include <limits>
 #include <mutex>
 #include <ostream>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <variant>
@@ -60,68 +62,81 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point start) {
           .count());
 }
 
-/// Echoes the request id (string, number, or bool) into the response;
-/// anything else — including a missing id — becomes null. Integral
-/// numeric ids are rendered exactly: JsonWriter::Double's %.10g is
-/// meant for report metrics and would corrupt ids with more than 10
-/// significant digits (e.g. epoch-millis or uint64 snowflake ids),
-/// orphaning the response for any client correlating by id.
-void WriteId(JsonWriter& w, const JsonValue& request) {
+/// The request id (string, number, or bool) as it is echoed in the
+/// response; anything else, including a missing id, becomes null.
+/// Numbers echo in the shortest form that reads back as the same
+/// double, integral ones in [-2^63, 2^64) digit for digit: %.10g, as
+/// JsonWriter::Double prints report metrics, would lose digits of
+/// epoch-millis, uint64 snowflake or fractional ids and orphan the
+/// response for a client that matches responses by id.
+std::string IdJson(const JsonValue& request) {
   const JsonValue* id = request.Find("id");
-  w.Key("id");
-  if (id == nullptr) {
-    w.Null();
-    return;
-  }
+  if (id == nullptr) return "null";
+  std::string out;
   switch (id->type()) {
     case JsonValue::Type::kString:
-      w.String(id->string_value());
-      break;
+      out += '"';
+      AppendJsonEscaped(out, id->string_value());
+      out += '"';
+      return out;
     case JsonValue::Type::kNumber: {
       const double v = id->number_value();
       if (v == std::floor(v) && v >= -9223372036854775808.0 &&
           v < 9223372036854775808.0) {
-        w.Int(static_cast<long long>(v));
+        AppendJsonInt(out, static_cast<long long>(v));
       } else if (v == std::floor(v) && v >= 9223372036854775808.0 &&
                  v < 18446744073709551616.0) {
-        // Integral ids in [2^63, 2^64) — uint64 snowflake ids — fit
-        // Uint exactly (every integral double in this range is a
-        // uint64); Double would mangle them.
-        w.Uint(static_cast<unsigned long long>(v));
+        // Every integral double in [2^63, 2^64) is a uint64.
+        AppendJsonUint(out, static_cast<unsigned long long>(v));
       } else {
-        w.Double(v);
+        char buf[32];
+        out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
       }
-      break;
+      return out;
     }
     case JsonValue::Type::kBool:
-      w.Bool(id->bool_value());
-      break;
+      return id->bool_value() ? "true" : "false";
     default:
-      w.Null();
+      return "null";
   }
+}
+
+/// The response line {"id": ..., "ok": ..., <member>: <body>}, `body`'s
+/// reports spliced in. The line is one buffer, sized up front with room
+/// for the newline the front end appends, so each report is copied
+/// exactly once on its way out and nothing is reallocated after it.
+std::string Respond(const JsonValue& request, bool ok,
+                    const JsonlService::Data& body) {
+  constexpr std::string_view kOpen = "{\"id\":";
+  const std::string id = IdJson(request);
+  const std::string_view head = ok ? ",\"ok\":true,\"data\":"
+                                   : ",\"ok\":false,\"error\":";
+  // The members, the closing brace and the newline.
+  size_t size = kOpen.size() + id.size() + head.size() + body.json.size() + 2;
+  for (const auto& [at, bytes] : body.reports) size += bytes->size();
+  std::string out;
+  out.reserve(size);
+  out += kOpen;
+  out += id;
+  out += head;
+  size_t done = 0;
+  for (const auto& [at, bytes] : body.reports) {
+    out.append(body.json, done, at - done);
+    out += *bytes;
+    done = at;
+  }
+  out.append(body.json, done);
+  out += '}';
+  return out;
 }
 
 std::string ErrorResponse(const JsonValue& request, const Status& status) {
   JsonWriter w;
   w.BeginObject();
-  WriteId(w, request);
-  w.Key("ok").Bool(false);
-  w.Key("error").BeginObject();
   w.Key("code").String(StatusCodeName(status.code()));
   w.Key("message").String(status.message());
   w.EndObject();
-  w.EndObject();
-  return w.str();
-}
-
-std::string OkResponse(const JsonValue& request, const std::string& data) {
-  JsonWriter w;
-  w.BeginObject();
-  WriteId(w, request);
-  w.Key("ok").Bool(true);
-  w.Key("data").Raw(data);
-  w.EndObject();
-  return w.str();
+  return Respond(request, false, JsonlService::Data(w.Take()));
 }
 
 /// Decodes {"Attr": "label", ...} (an object, checked against the
@@ -372,16 +387,15 @@ Result<api::AuditRequest> JsonlService::DecodeRequest(
   return query;
 }
 
-std::string JsonlService::DetectionResponseJson(
-    const Target& target, const api::AuditResponse& response,
-    metrics::TraceSink* trace) const {
-  metrics::SpanTimer span(trace, "serialize");
+void JsonlService::AppendDetection(const Target& target,
+                                   const api::AuditResponse& response,
+                                   Data& data) const {
   // The result carries its own counts, so formatting needs no session
   // lock. The bytes are built once per result, then shared by every
   // hit, coalesced waiter and batch duplicate of it: the labels are
   // fixed per result (the detector is part of the cache key, the
   // dataset a default of the session's service).
-  const std::shared_ptr<const std::string> report =
+  std::shared_ptr<const std::string> report =
       response.result->ReportBytes([&] {
         const ReportContext context{target.defaults->dataset,
                                     MeasureLabel(*response.detector),
@@ -389,25 +403,27 @@ std::string JsonlService::DetectionResponseJson(
         return DetectionResultToJson(*response.result,
                                      target.session->space(), context);
       });
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("cached").Bool(response.cached);
-  w.Key("coalesced").Bool(response.coalesced);
-  w.Key("report").Raw(*report);
-  w.EndObject();
-  return w.str();
+  data.json += response.cached ? "{\"cached\":true" : "{\"cached\":false";
+  data.json +=
+      response.coalesced ? ",\"coalesced\":true" : ",\"coalesced\":false";
+  data.json += ",\"report\":";
+  data.reports.emplace_back(data.json.size(), std::move(report));
+  data.json += '}';
 }
 
-Result<std::string> JsonlService::HandleDetect(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleDetect(const Call& call) {
   FAIRTOPK_ASSIGN_OR_RETURN(api::AuditRequest query,
                             DecodeRequest(call, call.request));
   query.trace = call.trace;
   FAIRTOPK_ASSIGN_OR_RETURN(api::AuditResponse response,
                             call.target.session->Detect(query));
-  return DetectionResponseJson(call.target, response, call.trace);
+  metrics::SpanTimer span(call.trace, "serialize");
+  Data data("");
+  AppendDetection(call.target, response, data);
+  return data;
 }
 
-Result<std::string> JsonlService::HandleDetectBatch(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleDetectBatch(const Call& call) {
   const std::vector<JsonValue>& queries =
       call.request.Find("queries")->array_items();
   std::vector<api::AuditRequest> batch;
@@ -422,18 +438,16 @@ Result<std::string> JsonlService::HandleDetectBatch(const Call& call) {
   FAIRTOPK_ASSIGN_OR_RETURN(std::vector<api::AuditResponse> responses,
                             call.target.session->DetectMany(batch));
   metrics::SpanTimer span(call.trace, "serialize");
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("results").BeginArray();
-  for (const api::AuditResponse& response : responses) {
-    w.Raw(DetectionResponseJson(call.target, response, /*trace=*/nullptr));
+  Data data("{\"results\":[");
+  for (size_t i = 0; i < responses.size(); ++i) {
+    if (i > 0) data.json += ',';
+    AppendDetection(call.target, responses[i], data);
   }
-  w.EndArray();
-  w.EndObject();
-  return w.str();
+  data.json += "]}";
+  return data;
 }
 
-Result<std::string> JsonlService::HandleCapabilities(const Call&) {
+Result<JsonlService::Data> JsonlService::HandleCapabilities(const Call&) {
   JsonWriter w;
   w.BeginObject();
   api::WriteCapabilities(w, api::DetectorRegistry::Global());
@@ -449,10 +463,10 @@ Result<std::string> JsonlService::HandleCapabilities(const Call&) {
   }
   w.EndArray();
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleSuggest(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleSuggest(const Call& call) {
   FAIRTOPK_ASSIGN_OR_RETURN(
       const DetectionConfig config,
       api::ConfigFromJson(call.request, call.target.defaults->config));
@@ -471,10 +485,10 @@ Result<std::string> JsonlService::HandleSuggest(const Call& call) {
   w.Key("groups_at_kmax_global").Uint(params.groups_at_kmax_global);
   w.Key("groups_at_kmax_prop").Uint(params.groups_at_kmax_prop);
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleVerify(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleVerify(const Call& call) {
   const Target& target = call.target;
   FAIRTOPK_ASSIGN_OR_RETURN(api::AuditRequest query,
                             DecodeRequest(call, call.request));
@@ -508,10 +522,10 @@ Result<std::string> JsonlService::HandleVerify(const Call& call) {
   }
   w.EndArray();
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleRerank(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleRerank(const Call& call) {
   const Target& target = call.target;
   FAIRTOPK_ASSIGN_OR_RETURN(api::AuditRequest query,
                             DecodeRequest(call, call.request));
@@ -551,10 +565,10 @@ Result<std::string> JsonlService::HandleRerank(const Call& call) {
   }
   w.EndArray();
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleUpdate(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleUpdate(const Call& call) {
   const std::vector<JsonValue>& scores =
       call.request.Find("scores")->array_items();
   std::vector<ScoreUpdate> updates;
@@ -603,10 +617,10 @@ Result<std::string> JsonlService::HandleUpdate(const Call& call) {
   w.Key("rows_updated").Uint(updates.size());
   WriteMaintenance(w, report);
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleAppend(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleAppend(const Call& call) {
   const std::vector<JsonValue>& rows =
       call.request.Find("rows")->array_items();
   const Schema& schema = call.target.session->table().schema();
@@ -664,10 +678,10 @@ Result<std::string> JsonlService::HandleAppend(const Call& call) {
   w.Key("num_rows").Uint(call.target.session->num_rows());
   WriteMaintenance(w, report);
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleStats(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleStats(const Call& call) {
   const AuditSession& session = *call.target.session;
   const SessionServiceStats stats = session.service_stats();
   JsonWriter w;
@@ -698,23 +712,23 @@ Result<std::string> JsonlService::HandleStats(const Call& call) {
   w.Key("storage");
   WriteStorageInfo(w, session.storage_info());
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleMetrics(const Call&) {
-  return metrics::MetricsRegistry::Global().RenderJson();
+Result<JsonlService::Data> JsonlService::HandleMetrics(const Call&) {
+  return Data(metrics::MetricsRegistry::Global().RenderJson());
 }
 
-Result<std::string> JsonlService::HandleInvalidate(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleInvalidate(const Call& call) {
   call.target.session->InvalidateCache();
   JsonWriter w;
   w.BeginObject();
   w.Key("cache_entries").Uint(call.target.session->cache_size());
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleSave(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleSave(const Call& call) {
   if (const JsonValue* path = call.request.Find("path")) {
     FAIRTOPK_RETURN_IF_ERROR(
         call.target.session->SaveSnapshot(path->string_value()));
@@ -724,16 +738,16 @@ Result<std::string> JsonlService::HandleSave(const Call& call) {
   return HandleSnapshotInfo(call);
 }
 
-Result<std::string> JsonlService::HandleSnapshotInfo(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleSnapshotInfo(const Call& call) {
   JsonWriter w;
   w.BeginObject();
   w.Key("storage");
   WriteStorageInfo(w, call.target.session->storage_info());
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleOpen(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleOpen(const Call& call) {
   const std::string& name = call.request.Find("name")->string_value();
   SessionSpec spec;
   for (const auto& [key, value] : call.request.object_members()) {
@@ -751,20 +765,27 @@ Result<std::string> JsonlService::HandleOpen(const Call& call) {
         .Uint(entry->session.space().num_attributes());
   }
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleClose(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleClose(const Call& call) {
   const std::string& name = call.request.Find("name")->string_value();
+  // Every client without a `use` choice runs on the default session;
+  // closing it would strand all of them.
+  if (name == default_session_) {
+    return Status::FailedPrecondition(
+        "session '" + name +
+        "' is the service's default session and cannot be closed");
+  }
   FAIRTOPK_RETURN_IF_ERROR(catalog_->Close(name));
   JsonWriter w;
   w.BeginObject();
   w.Key("closed").String(name);
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleList(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleList(const Call& call) {
   std::string current = call.context.current();
   if (current.empty()) current = default_session_;
   JsonWriter w;
@@ -781,10 +802,10 @@ Result<std::string> JsonlService::HandleList(const Call& call) {
   }
   w.EndArray();
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
-Result<std::string> JsonlService::HandleUse(const Call& call) {
+Result<JsonlService::Data> JsonlService::HandleUse(const Call& call) {
   const std::string& name = call.request.Find("name")->string_value();
   if (catalog_->Find(name) == nullptr) {
     return Status::NotFound("no session named '" + name +
@@ -795,7 +816,7 @@ Result<std::string> JsonlService::HandleUse(const Call& call) {
   w.BeginObject();
   w.Key("session").String(name);
   w.EndObject();
-  return w.str();
+  return Data(w.Take());
 }
 
 std::span<const JsonlService::Op> JsonlService::Ops() {
@@ -839,10 +860,10 @@ std::span<const JsonlService::Op> JsonlService::Ops() {
   return kOps;
 }
 
-Result<std::string> JsonlService::Dispatch(const Op& op,
-                                           const JsonValue& request,
-                                           Context& context,
-                                           metrics::TraceSink* trace) {
+Result<JsonlService::Data> JsonlService::Dispatch(const Op& op,
+                                                  const JsonValue& request,
+                                                  Context& context,
+                                                  metrics::TraceSink* trace) {
   FAIRTOPK_RETURN_IF_ERROR(api::CheckFields(request, op.fields, op.name));
   Call call{op, request, context, trace, {}};
   if (op.scope == Scope::kCatalog && catalog_ == nullptr) {
@@ -861,11 +882,7 @@ void JsonlService::WriteSlowQueryLine(const JsonValue* request,
   JsonWriter w;
   w.BeginObject();
   w.Key("slow_query").Bool(true);
-  if (request != nullptr) {
-    WriteId(w, *request);
-  } else {
-    w.Key("id").Null();
-  }
+  w.Key("id").Raw(request != nullptr ? IdJson(*request) : "null");
   w.Key("op").String(op_label);
   w.Key("micros").Uint(micros);
   w.Key("threshold_micros").Uint(observability_.slow_query_log_micros);
@@ -910,7 +927,7 @@ std::string JsonlService::HandleLine(
     response = ErrorResponse(*request, status);
   } else {
     valid_object = true;
-    const Result<std::string> data = [&]() -> Result<std::string> {
+    const Result<Data> data = [&]() -> Result<Data> {
       FAIRTOPK_ASSIGN_OR_RETURN(op, FindOp(*request));
       return Dispatch(*op, *request, context, trace);
     }();
@@ -918,7 +935,7 @@ std::string JsonlService::HandleLine(
       error_code = StatusCodeName(data.status().code());
       response = ErrorResponse(*request, data.status());
     } else {
-      response = OkResponse(*request, *data);
+      response = Respond(*request, true, *data);
     }
   }
 

@@ -23,7 +23,8 @@
 // explicitly; without it the client's `use` choice (initially the
 // service's default session) applies. Catalog ops (open, close, list,
 // use) need a service bound to a SessionCatalog; single-session
-// services answer them with FAILED_PRECONDITION.
+// services answer them with FAILED_PRECONDITION, as `close` answers a
+// request to close the service's default session.
 //
 // Responses: {"id": ..., "ok": true, "data": {...}} on success,
 // {"id": ..., "ok": false, "error": {"code": ..., "message": ...}}
@@ -50,6 +51,7 @@
 #include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "api/audit.h"
 #include "api/canonical.h"
@@ -90,6 +92,20 @@ class JsonlService {
     kProcess,  ///< on the process: no session, no catalog
   };
 
+  /// An op's answer, the response's "data" object: serialized JSON
+  /// and the report bytes to splice into it. A report is shared with
+  /// its result (DetectionResult::ReportBytes), so HandleLine copies it
+  /// once, straight into the response line.
+  struct Data {
+    explicit Data(std::string json) : json(std::move(json)) {}
+
+    /// The object, without the spliced reports.
+    std::string json;
+    /// (offset into `json`, bytes) pairs, by ascending offset.
+    std::vector<std::pair<size_t, std::shared_ptr<const std::string>>>
+        reports;
+  };
+
   /// One declared op: the protocol's unit of dispatch.
   struct Op {
     const char* name;
@@ -98,7 +114,7 @@ class JsonlService {
     const char* summary;
     /// Every field its requests may carry, "op" and "id" included.
     std::span<const api::FieldSpec> fields;
-    Result<std::string> (JsonlService::*handle)(const Call& call);
+    Result<Data> (JsonlService::*handle)(const Call& call);
   };
 
   /// The 17 declared ops, in listing order: the one table that the
@@ -154,7 +170,8 @@ class JsonlService {
   void set_server_workers(int workers) { server_workers_ = workers; }
 
   /// Handles one request line against `context`; returns the response
-  /// line (no trailing newline). Never fails — protocol errors become
+  /// line, without its newline but with the capacity for it, so the
+  /// front end appends it in place. Never fails — protocol errors become
   /// error responses. The request's latency (the latency histogram
   /// and the slow-query log) counts from `admitted`, when the front
   /// end accepted the line, so it includes the wait for a pool worker;
@@ -207,41 +224,40 @@ class JsonlService {
   Result<api::AuditRequest> DecodeRequest(const Call& call,
                                           const JsonValue& request) const;
 
-  /// Serializes one detection response as {"cached": ..., "report": ...},
-  /// reporting a "serialize" span to `trace` when set. Takes no session
-  /// lock: the report is formatted from the result's stored counts, once
-  /// per result (DetectionResult::ReportBytes), and copied after that.
-  /// Every service over one session must label it with the same
-  /// dataset, since a cached result keeps the first labels it was
+  /// Appends one detection answer, {"cached": ..., "coalesced": ...,
+  /// "report": ...}, to `data`, the report as a splice. Takes no
+  /// session lock: the report is formatted from the result's stored
+  /// counts, once per result (DetectionResult::ReportBytes), and shared
+  /// after that. Every service over one session must label it with the
+  /// same dataset, since a cached result keeps the first labels it was
   /// served with.
-  std::string DetectionResponseJson(const Target& target,
-                                    const api::AuditResponse& response,
-                                    metrics::TraceSink* trace) const;
+  void AppendDetection(const Target& target,
+                       const api::AuditResponse& response, Data& data) const;
 
   /// Checks `request` against `op`'s fields, resolves its scope, and
   /// runs its handler.
-  Result<std::string> Dispatch(const Op& op, const JsonValue& request,
-                               Context& context, metrics::TraceSink* trace);
+  Result<Data> Dispatch(const Op& op, const JsonValue& request,
+                        Context& context, metrics::TraceSink* trace);
 
-  /// Per-op payload builders, one per table entry; on success the
-  /// returned string is the serialized "data" object.
-  Result<std::string> HandleDetect(const Call& call);
-  Result<std::string> HandleDetectBatch(const Call& call);
-  Result<std::string> HandleCapabilities(const Call& call);
-  Result<std::string> HandleSuggest(const Call& call);
-  Result<std::string> HandleVerify(const Call& call);
-  Result<std::string> HandleRerank(const Call& call);
-  Result<std::string> HandleUpdate(const Call& call);
-  Result<std::string> HandleAppend(const Call& call);
-  Result<std::string> HandleStats(const Call& call);
-  Result<std::string> HandleMetrics(const Call& call);
-  Result<std::string> HandleInvalidate(const Call& call);
-  Result<std::string> HandleSave(const Call& call);
-  Result<std::string> HandleSnapshotInfo(const Call& call);
-  Result<std::string> HandleOpen(const Call& call);
-  Result<std::string> HandleClose(const Call& call);
-  Result<std::string> HandleList(const Call& call);
-  Result<std::string> HandleUse(const Call& call);
+  /// Per-op payload builders, one per table entry; on success they
+  /// answer the "data" object.
+  Result<Data> HandleDetect(const Call& call);
+  Result<Data> HandleDetectBatch(const Call& call);
+  Result<Data> HandleCapabilities(const Call& call);
+  Result<Data> HandleSuggest(const Call& call);
+  Result<Data> HandleVerify(const Call& call);
+  Result<Data> HandleRerank(const Call& call);
+  Result<Data> HandleUpdate(const Call& call);
+  Result<Data> HandleAppend(const Call& call);
+  Result<Data> HandleStats(const Call& call);
+  Result<Data> HandleMetrics(const Call& call);
+  Result<Data> HandleInvalidate(const Call& call);
+  Result<Data> HandleSave(const Call& call);
+  Result<Data> HandleSnapshotInfo(const Call& call);
+  Result<Data> HandleOpen(const Call& call);
+  Result<Data> HandleClose(const Call& call);
+  Result<Data> HandleList(const Call& call);
+  Result<Data> HandleUse(const Call& call);
 
   /// Writes one slow-query JSONL line (whole, under a process-wide
   /// lock) describing a request that crossed the threshold.

@@ -132,7 +132,7 @@ void RequestPipeline::Complete(size_t seq, std::string response) {
     return;
   }
   const auto send = [this](std::string& line) {
-    line.push_back('\n');
+    line.push_back('\n');  // in place: HandleLine leaves room for it
     if (!consumer_gone_ && !emit_(line)) consumer_gone_ = true;
     ++emitted_;
   };

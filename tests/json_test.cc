@@ -1,5 +1,10 @@
 #include "common/json.h"
 
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
 
 namespace fairtopk {
@@ -12,6 +17,78 @@ TEST(JsonEscapeTest, EscapesSpecialCharacters) {
   EXPECT_EQ(JsonEscape("line\nbreak"), "line\\nbreak");
   EXPECT_EQ(JsonEscape("tab\there"), "tab\\there");
   EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
+}
+
+TEST(JsonEscapeTest, EveryByte) {
+  // Independent of the escaper's own run-copying: one byte at a time,
+  // control bytes through printf, appended after existing text.
+  for (int byte = 0; byte < 256; ++byte) {
+    const char c = static_cast<char>(byte);
+    std::string expected;
+    switch (c) {
+      case '"':
+        expected = "\\\"";
+        break;
+      case '\\':
+        expected = "\\\\";
+        break;
+      case '\n':
+        expected = "\\n";
+        break;
+      case '\r':
+        expected = "\\r";
+        break;
+      case '\t':
+        expected = "\\t";
+        break;
+      default:
+        if (byte < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", byte);
+          expected = buf;
+        } else {
+          expected = std::string(1, c);
+        }
+    }
+    const std::string text = "x" + std::string(1, c) + "y" + std::string(1, c);
+    EXPECT_EQ(JsonEscape(text), "x" + expected + "y" + expected) << byte;
+    std::string out = "head";
+    AppendJsonEscaped(out, text);
+    EXPECT_EQ(out, "head" + JsonEscape(text)) << byte;
+  }
+}
+
+TEST(JsonAppendTest, NumbersAsTheWriterPrintsThem) {
+  std::string out;
+  AppendJsonInt(out, std::numeric_limits<long long>::min());
+  out += ' ';
+  AppendJsonUint(out, std::numeric_limits<unsigned long long>::max());
+  out += ' ';
+  AppendJsonUint(out, 0);
+  EXPECT_EQ(out, std::to_string(std::numeric_limits<long long>::min()) + " " +
+                     std::to_string(
+                         std::numeric_limits<unsigned long long>::max()) +
+                     " 0");
+  for (const double v : {0.0, -0.0, 1e-300, 1e300, 1.0 / 3.0, -2.5e-7,
+                         123456789012.0, 4.9e-324}) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.10g", v);
+    std::string printed;
+    AppendJsonDouble(printed, v);
+    EXPECT_EQ(printed, buf) << v;
+  }
+  for (const double v : {std::nan(""), std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    std::string printed;
+    AppendJsonDouble(printed, v);
+    EXPECT_EQ(printed, "null") << v;
+  }
+}
+
+TEST(JsonWriterTest, TakeMovesTheDocumentOut) {
+  JsonWriter w;
+  w.BeginArray().Int(1).EndArray();
+  EXPECT_EQ(w.Take(), "[1]");
 }
 
 TEST(JsonWriterTest, EmptyObjectAndArray) {

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -494,6 +495,33 @@ TEST_F(JsonlServiceTest, ProtocolErrors) {
             "'op' must be a string");
 }
 
+TEST_F(JsonlServiceTest, ResponsesSpliceOneReportAndLeaveRoomForTheNewline) {
+  const std::string head =
+      R"({"id":1,"ok":true,"data":{"cached":false,"coalesced":false,)"
+      R"("report":)";
+  const std::string first = service_->HandleLine(R"({"op":"detect","id":1})");
+  ASSERT_EQ(first.compare(0, head.size(), head), 0) << first;
+  ASSERT_EQ(first.substr(first.size() - 2), "}}");
+  const std::string report =
+      first.substr(head.size(), first.size() - head.size() - 2);
+  ASSERT_TRUE(ParseJson(report).ok()) << report;
+  // A cache hit and both members of a batch carry the same bytes.
+  const std::string hit = R"({"cached":true,"coalesced":false,"report":)";
+  EXPECT_EQ(service_->HandleLine(R"({"op":"detect","id":2})"),
+            R"({"id":2,"ok":true,"data":)" + hit + report + "}}");
+  EXPECT_EQ(service_->HandleLine(
+                R"({"op":"detect_batch","id":3,"queries":[{},{}]})"),
+            R"({"id":3,"ok":true,"data":{"results":[)" + hit + report +
+                "}," + hit + report + "}]}}");
+  // Every response leaves the front end room for its newline.
+  for (const std::string line :
+       {R"({"op":"detect","id":4})", R"({"op":"stats"})",
+        R"({"op":"detect","k_min":"x"})", "not json"}) {
+    const std::string response = service_->HandleLine(line);
+    EXPECT_GT(response.capacity(), response.size()) << response;
+  }
+}
+
 TEST_F(JsonlServiceTest, IdEchoCoversScalarTypes) {
   EXPECT_EQ(Roundtrip(R"({"op":"stats","id":"abc"})")
                 .Find("id")
@@ -505,6 +533,20 @@ TEST_F(JsonlServiceTest, IdEchoCoversScalarTypes) {
   EXPECT_TRUE(Roundtrip(R"({"op":"stats"})").Find("id")->is_null());
   EXPECT_TRUE(
       Roundtrip(R"({"op":"stats","id":[1]})").Find("id")->is_null());
+  EXPECT_TRUE(
+      Roundtrip(R"({"op":"stats","id":true})").Find("id")->bool_value());
+  // Fractional ids echo in the shortest form that reads back as the
+  // same double; %.10g would answer 0.123456789 and 12345.6789.
+  for (const std::string id : {"0.1234567890123", "12345.678901234", "-2.5",
+                               "1e+300", "5e-324", "0.1"}) {
+    const JsonValue v = Roundtrip(R"({"op":"stats","id":)" + id + "}");
+    EXPECT_EQ(last_response_.compare(0, 6 + id.size() + 1,
+                                     "{\"id\":" + id + ","),
+              0)
+        << last_response_;
+    EXPECT_EQ(v.Find("id")->number_value(), std::strtod(id.c_str(), nullptr))
+        << id;
+  }
 }
 
 TEST_F(JsonlServiceTest, LargeIntegerIdsEchoExactly) {
@@ -532,12 +574,14 @@ TEST_F(JsonlServiceTest, Uint64IdsEchoExactly) {
   EXPECT_NE(last_response_.find("\"id\":18446744073709549568"),
             std::string::npos)
       << last_response_;
-  // At 2^64 and beyond no integer type fits: scientific notation is
-  // the honest rendering (the value was never exact in the request's
-  // double either).
+  // At 2^64 and beyond no integer type fits: the echo is the shortest
+  // form that reads back as the request's double, here all its digits.
   Roundtrip(R"({"op":"stats","id":18446744073709551616})");
-  EXPECT_NE(last_response_.find("\"id\":1.844674407e+19"),
+  EXPECT_NE(last_response_.find("\"id\":18446744073709551616,"),
             std::string::npos)
+      << last_response_;
+  Roundtrip(R"({"op":"stats","id":1e20})");
+  EXPECT_NE(last_response_.find("\"id\":1e+20,"), std::string::npos)
       << last_response_;
 }
 
@@ -1125,6 +1169,27 @@ TEST_F(CatalogJsonlServiceTest, UseSwitchesTheContextDefault) {
   auto parsed = ParseJson(last_response_);
   ASSERT_TRUE(parsed.ok());
   EXPECT_DOUBLE_EQ(parsed->Find("data")->NumberOr("num_rows", 0), 100.0);
+}
+
+TEST_F(CatalogJsonlServiceTest, DefaultSessionCannotBeClosed) {
+  // Every client without a `use` choice runs on the default session, so
+  // closing it would strand them all.
+  JsonValue v = ExpectError(R"({"op":"close","name":"alpha"})",
+                            "FAILED_PRECONDITION");
+  EXPECT_NE(v.Find("error")->StringOr("message", "").find("'alpha'"),
+            std::string::npos)
+      << last_response_;
+  EXPECT_EQ(catalog_.size(), 2u);
+  // It still serves this client, and a fresh one.
+  v = ExpectOk(R"({"op":"stats"})");
+  EXPECT_DOUBLE_EQ(v.Find("data")->NumberOr("num_rows", 0), 100.0);
+  auto fresh = ParseJson(service_->HandleLine(R"({"op":"detect"})"));
+  ASSERT_TRUE(fresh.ok());
+  EXPECT_TRUE(fresh->BoolOr("ok", false));
+  // Any other session closes, also the one this client has chosen.
+  ExpectOk(R"({"op":"use","name":"beta"})");
+  ExpectOk(R"({"op":"close","name":"beta"})");
+  EXPECT_EQ(catalog_.size(), 1u);
 }
 
 TEST_F(CatalogJsonlServiceTest, ListEnumeratesSessions) {

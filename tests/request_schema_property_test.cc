@@ -318,7 +318,7 @@ TEST_P(RequestSchemaPropertyTest, EveryOpChecksItsDeclaredFields) {
   generator.WriteCsv();
 
   SessionCatalog catalog;
-  const auto adopt_default = [&catalog, seed] {
+  {
     ServeDefaults defaults;
     defaults.dataset = "schema-fixture";
     defaults.config = DetectionConfig{5, 30, 6};
@@ -326,8 +326,7 @@ TEST_P(RequestSchemaPropertyTest, EveryOpChecksItsDeclaredFields) {
     ASSERT_TRUE(session.ok());
     ASSERT_TRUE(
         catalog.Adopt("default", std::move(session).value(), defaults).ok());
-  };
-  adopt_default();
+  }
   JsonlService service(&catalog, "default");
   JsonlService::Context context;
 
@@ -335,9 +334,8 @@ TEST_P(RequestSchemaPropertyTest, EveryOpChecksItsDeclaredFields) {
   std::vector<std::string> lines;
   size_t faults = 0, accepted_detects = 0, refused_mutations = 0;
   for (int i = 0; i < 4000; ++i) {
-    // Drift back to the default session now and then, and bring it
-    // back after a `close`: the session ops need a session to run on.
-    if (catalog.Find("default") == nullptr) adopt_default();
+    // Drift back to the default session now and then: the session ops
+    // need a session to run on.
     if (i % 40 == 0) {
       service.HandleLine(R"({"op":"use","name":"default"})", context);
     }
@@ -351,6 +349,8 @@ TEST_P(RequestSchemaPropertyTest, EveryOpChecksItsDeclaredFields) {
 
     const std::string response = service.HandleLine(line, context);
     ASSERT_EQ(response.find('\n'), std::string::npos) << response;
+    // The service never closes its default session.
+    ASSERT_NE(catalog.Find("default"), nullptr) << line << " -> " << response;
     auto parsed = ParseJson(response);
     ASSERT_TRUE(parsed.ok()) << line << " -> " << response;
     const bool ok = parsed->BoolOr("ok", false);

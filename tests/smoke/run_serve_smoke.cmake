@@ -11,6 +11,12 @@
 #                                "ok":false — and with "id":null when
 #                                the request line is not a JSON object
 #                                (the malformed-mid-stream envelope).
+#   -DGOLDEN=<path>              optional file of the expected responses:
+#                                stdout must equal it byte for byte once
+#                                the members that vary by run or by
+#                                schedule (seconds, cpu_seconds,
+#                                sizes_counted, cached, coalesced) read
+#                                `_` in both.
 # Fails unless the binary exits 0 and answers EVERY request line with a
 # JSON object matching its expectation — in particular, a malformed
 # line must produce an error envelope and must NOT stop the stream.
@@ -80,3 +86,40 @@ foreach(line IN LISTS responses)
   endif()
   math(EXPR index "${index} + 1")
 endforeach()
+
+if(DEFINED GOLDEN)
+  file(READ "${OUT}" actual)
+  file(READ "${GOLDEN}" expected)
+  foreach(text IN ITEMS actual expected)
+    string(REGEX REPLACE
+           "\"(seconds|cpu_seconds|sizes_counted|cached|coalesced)\":[^,}]*"
+           "\"\\1\":_" ${text} "${${text}}")
+  endforeach()
+  if(NOT actual STREQUAL expected)
+    # Name the first line that differs. Lines are cut with string(FIND),
+    # not as a CMake list: a JSON line may hold ';' inside brackets.
+    set(line_number 0)
+    set(searching ON)
+    while(searching)
+      math(EXPR line_number "${line_number} + 1")
+      string(FIND "${actual}" "\n" actual_end)
+      string(FIND "${expected}" "\n" expected_end)
+      string(SUBSTRING "${actual}" 0 ${actual_end} actual_line)
+      string(SUBSTRING "${expected}" 0 ${expected_end} expected_line)
+      if(NOT actual_line STREQUAL expected_line OR actual_end EQUAL -1 OR
+         expected_end EQUAL -1)
+        set(searching OFF)
+      else()
+        math(EXPR actual_end "${actual_end} + 1")
+        math(EXPR expected_end "${expected_end} + 1")
+        string(SUBSTRING "${actual}" ${actual_end} -1 actual)
+        string(SUBSTRING "${expected}" ${expected_end} -1 expected)
+      endif()
+    endwhile()
+    message(FATAL_ERROR
+            "response ${line_number} differs from ${GOLDEN} "
+            "(varying members masked):\n"
+            "  got:      ${actual_line}\n"
+            "  expected: ${expected_line}")
+  endif()
+endif()
