@@ -4,11 +4,11 @@
 // versus (b) a naive scan over the table rows. Series show how the
 // index keeps counting cost flat as the dataset grows.
 #include <functional>
+#include <vector>
 
 #include "bench_util.h"
 #include "detect/bounds.h"
 #include "pattern/result_set.h"
-#include "pattern/search_tree.h"
 
 namespace fairtopk::bench {
 namespace {
@@ -18,6 +18,18 @@ struct Counter {
   std::function<size_t(const Pattern&)> size_in_d;
   std::function<size_t(const Pattern&, size_t)> top_k;
 };
+
+/// Appends p's children in the search tree of Definition 4.1: p plus
+/// one predicate on an attribute after every attribute p specifies.
+void AppendChildren(const Pattern& p, const PatternSpace& space,
+                    std::vector<Pattern>& out) {
+  for (size_t j = static_cast<size_t>(p.MaxSpecifiedIndex() + 1);
+       j < space.num_attributes(); ++j) {
+    for (int16_t v = 0; v < space.domain_size(j); ++v) {
+      out.push_back(p.With(j, v));
+    }
+  }
+}
 
 size_t TopDownWith(const Counter& counter, const PatternSpace& space,
                    int tau, int k, double lower) {

@@ -20,7 +20,6 @@
 #include "index/bitmap_index.h"
 #include "index/pattern_cursor.h"
 #include "pattern/result_set.h"
-#include "pattern/search_tree.h"
 #include "ranking/score_ranker.h"
 #include "report/json_report.h"
 #include "service/audit_session.h"
@@ -83,18 +82,6 @@ void BM_TopKCount(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopKCount)->Arg(50)->Arg(500)->Arg(5000);
-
-void BM_GenerateChildren(benchmark::State& state) {
-  const DetectionInput& input = CompasInput();
-  Pattern p = Pattern::Empty(input.space().num_attributes()).With(1, 0);
-  std::vector<Pattern> out;
-  for (auto _ : state) {
-    out.clear();
-    AppendChildren(p, input.space(), out);
-    benchmark::DoNotOptimize(out);
-  }
-}
-BENCHMARK(BM_GenerateChildren);
 
 void BM_ResultSetUpdate(benchmark::State& state) {
   Rng rng(7);

@@ -22,7 +22,9 @@
 #include <string>
 
 #include "api/bounds_spec.h"
+#include "api/canonical.h"
 #include "api/detector_registry.h"
+#include "common/json.h"
 #include "common/metrics/trace.h"
 #include "common/status.h"
 #include "detect/detection_result.h"
@@ -77,6 +79,25 @@ struct AuditResponse {
 Result<const DetectorDescriptor*> ResolveRequest(
     const AuditRequest& request,
     const DetectorRegistry& registry = DetectorRegistry::Global());
+
+/// The detector a request object selects from the global registry: its
+/// "detector" by name, else its "measure" and "algo" (default prop and
+/// bounds). A bound field of the family the detector does not read
+/// (`alpha` on a global detector) would be dropped unread, so it is
+/// refused, naming `owner` (the op or tool) and the detector's bound
+/// fields.
+Result<const DetectorDescriptor*> SelectDetector(const JsonValue& request,
+                                                 std::string_view owner);
+
+/// Decodes a request object (checked against its declared fields) into
+/// the AuditRequest it describes: SelectDetector, then the config and
+/// the bounds through ConfigFromJson and BoundsFromJson, each omitted
+/// field taken from the defaults. The JSONL detect-query ops and
+/// fairtopk_audit both decode through it.
+Result<AuditRequest> RequestFromJson(const JsonValue& request,
+                                     std::string_view owner,
+                                     const DetectionConfig& config_defaults,
+                                     const BoundsDefaults& bounds_defaults);
 
 /// Resolves the request's detector and runs it over a prepared input;
 /// the result stores each reported group's counts from `input`'s

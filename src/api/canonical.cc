@@ -3,32 +3,40 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <limits>
+#include <map>
+#include <optional>
 #include <utility>
 #include <vector>
+
+#include "common/strings.h"
 
 namespace fairtopk::api {
 
 namespace {
 
 /// Per FieldType, in declaration order: its name in capabilities, what
-/// a value of it is for "must be ..." messages, and its JSON type.
+/// a value of it is for "must be ..." messages, its JSON type, and its
+/// value as --help shows a flag's.
 struct TypeInfo {
   const char* name;
   const char* noun;
   JsonValue::Type json;
+  const char* flag_value;
 };
 constexpr TypeInfo kTypes[] = {
-    {"any", "any value", JsonValue::Type::kNull},
-    {"bool", "true or false", JsonValue::Type::kBool},
-    {"int", "an integer", JsonValue::Type::kNumber},
-    {"number", "a number", JsonValue::Type::kNumber},
-    {"string", "a string", JsonValue::Type::kString},
-    {"[string, ...]", "an array of strings", JsonValue::Type::kArray},
+    {"any", "any value", JsonValue::Type::kNull, " TEXT"},
+    {"bool", "true or false", JsonValue::Type::kBool, ""},
+    {"int", "an integer", JsonValue::Type::kNumber, " N"},
+    {"number", "a number", JsonValue::Type::kNumber, " X"},
+    {"string", "a string", JsonValue::Type::kString, " TEXT"},
+    {"[string, ...]", "an array of strings", JsonValue::Type::kArray,
+     " A,B,..."},
     {"[[k, value], ...]", "an array of [k, value] pairs",
-     JsonValue::Type::kArray},
-    {"array", "an array", JsonValue::Type::kArray},
-    {"object", "an object", JsonValue::Type::kObject},
+     JsonValue::Type::kArray, " TEXT"},
+    {"array", "an array", JsonValue::Type::kArray, " TEXT"},
+    {"object", "an object", JsonValue::Type::kObject, " TEXT"},
 };
 
 /// An integral number within int's range.
@@ -94,21 +102,6 @@ std::string CanonicalConfigKey(const DetectionConfig& config) {
   key += "|tau=";
   key += std::to_string(config.size_threshold);
   return key;
-}
-
-Result<BoundsSpec> BoundsFromDefaults(BoundsKind kind,
-                                      const BoundsDefaults& defaults,
-                                      const DetectionConfig& config) {
-  if (kind == BoundsKind::kProportional) {
-    PropBoundSpec prop;
-    prop.alpha = defaults.alpha;
-    return BoundsSpec{prop};
-  }
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      GlobalBoundSpec global,
-      GlobalBoundSpec::FractionStaircase(defaults.lower_fraction,
-                                         config.k_min, config.k_max));
-  return BoundsSpec{std::move(global)};
 }
 
 namespace {
@@ -235,11 +228,11 @@ std::string_view FieldTypeName(FieldType type) {
   return Info(type).name;
 }
 
-std::string FieldNames(std::span<const FieldSpec> fields) {
+std::string FieldNames(std::span<const FieldSpec> fields, bool as_flags) {
   std::string names;
   for (const FieldSpec& field : fields) {
     if (!names.empty()) names += ", ";
-    names += field.name;
+    names += as_flags ? FlagName(field.name) : std::string(field.name);
   }
   return names;
 }
@@ -271,6 +264,9 @@ Status CheckFields(const JsonValue& object, std::span<const FieldSpec> fields,
     if (field->type == FieldType::kInt && value.number_value() < field->min) {
       return refuse(name, "must be at least " + std::to_string(field->min));
     }
+    if (field->type == FieldType::kInt && value.number_value() > field->max) {
+      return refuse(name, "must be at most " + std::to_string(field->max));
+    }
     const bool empty = (value.is_string() && value.string_value().empty()) ||
                        (value.is_array() && value.array_items().empty());
     if (field->min > 0 && empty) return refuse(name, "must not be empty");
@@ -293,6 +289,23 @@ Status CheckFields(const JsonValue& object, std::span<const FieldSpec> fields,
   return Status::OK();
 }
 
+void ApplyFields(const JsonValue& object, std::span<const FieldSpec> fields,
+                 void* target) {
+  for (const auto& [name, value] : object.object_members()) {
+    const FieldSpec* field = FindField(fields, name);
+    if (field != nullptr && field->set != nullptr) field->set(target, value);
+  }
+}
+
+JsonValue SelectFields(const JsonValue& object,
+                       std::span<const FieldSpec> fields) {
+  std::map<std::string, JsonValue> members;
+  for (const auto& [name, value] : object.object_members()) {
+    if (FindField(fields, name) != nullptr) members.emplace(name, value);
+  }
+  return JsonValue::Object(std::move(members));
+}
+
 void WriteFieldsJson(JsonWriter& w, std::span<const FieldSpec> fields) {
   w.BeginObject();
   for (const FieldSpec& field : fields) {
@@ -303,6 +316,9 @@ void WriteFieldsJson(JsonWriter& w, std::span<const FieldSpec> fields) {
     if (field.min != std::numeric_limits<int>::min()) {
       w.Key("min").Int(field.min);
     }
+    if (field.max != std::numeric_limits<int>::max()) {
+      w.Key("max").Int(field.max);
+    }
     if (!field.items.empty()) {
       w.Key("items");
       WriteFieldsJson(w, field.items);
@@ -310,6 +326,91 @@ void WriteFieldsJson(JsonWriter& w, std::span<const FieldSpec> fields) {
     w.EndObject();
   }
   w.EndObject();
+}
+
+std::string FlagName(std::string_view field) {
+  std::string flag = "--";
+  for (char c : field) flag += c == '_' ? '-' : c;
+  return flag;
+}
+
+Result<JsonValue> ReadFlags(const std::vector<std::string>& args,
+                            std::span<const FieldSpec> fields,
+                            std::string_view owner) {
+  std::map<std::string, JsonValue> members;
+  for (size_t i = 0; i < args.size(); ++i) {
+    const std::string& flag = args[i];
+    const auto field = std::find_if(
+        fields.begin(), fields.end(),
+        [&flag](const FieldSpec& f) { return FlagName(f.name) == flag; });
+    if (field == fields.end()) {
+      return Status::InvalidArgument("unknown flag: " + flag + " (flags: " +
+                                     FieldNames(fields, true) + ")");
+    }
+    JsonValue& value = members[std::string(field->name)];
+    if (field->type == FieldType::kBool) {
+      value = JsonValue::Bool(true);
+      continue;
+    }
+    if (++i == args.size()) {
+      return Status::InvalidArgument("missing value for " + flag);
+    }
+    const std::string& text = args[i];
+    if (field->type == FieldType::kInt) {
+      const std::optional<long long> parsed = ParseInt(text);
+      if (!parsed.has_value() || *parsed < field->min ||
+          *parsed > field->max) {
+        return Status::InvalidArgument(
+            flag + " expects an integer in [" + std::to_string(field->min) +
+            ", " + std::to_string(field->max) + "], got '" + text + "'");
+      }
+      value = JsonValue::Number(static_cast<double>(*parsed));
+    } else if (field->type == FieldType::kNumber) {
+      const std::optional<double> parsed = ParseDouble(text);
+      if (!parsed.has_value()) {
+        return Status::InvalidArgument(flag + " expects a number, got '" +
+                                       text + "'");
+      }
+      value = JsonValue::Number(*parsed);
+    } else if (field->type == FieldType::kStrings) {
+      std::vector<JsonValue> items;
+      if (!text.empty()) {
+        for (std::string& item : Split(text, ',')) {
+          items.push_back(JsonValue::String(std::move(item)));
+        }
+      }
+      value = JsonValue::Array(std::move(items));
+    } else {
+      value = JsonValue::String(text);
+    }
+  }
+  JsonValue object = JsonValue::Object(std::move(members));
+  FAIRTOPK_RETURN_IF_ERROR(CheckFields(object, fields, owner));
+  return object;
+}
+
+std::string FlagsHelp(std::span<const FieldSpec> fields) {
+  size_t width = 0;
+  for (const FieldSpec& field : fields) {
+    width = std::max(width, FlagName(field.name).size() +
+                                std::strlen(Info(field.type).flag_value));
+  }
+  std::string help;
+  for (const FieldSpec& field : fields) {
+    const std::string usage =
+        FlagName(field.name) + Info(field.type).flag_value;
+    help += "  " + usage + std::string(width + 2 - usage.size(), ' ');
+    help += field.description;
+    if (field.type == FieldType::kInt &&
+        field.min != std::numeric_limits<int>::min()) {
+      help += " [" + std::to_string(field.min);
+      help += field.max != std::numeric_limits<int>::max()
+                  ? ".." + std::to_string(field.max) + "]"
+                  : " or more]";
+    }
+    help += '\n';
+  }
+  return help;
 }
 
 }  // namespace fairtopk::api

@@ -12,14 +12,15 @@
 //     ValidateConfig holds at 1; the basis of AuditRequest::CacheKey.
 //   * JSON codec (ConfigFromJson / BoundsFromJson / WriteStepsJson) —
 //     the JSONL protocol's field vocabulary (`k_min`, `tau`, `lower`,
-//     `lower_steps`, `alpha`, ...).
-//   * Fraction-knob construction (BoundsFromDefaults) — the `--lower`
-//     / `--alpha` semantics shared by fairtopk_audit, fairtopk_serve,
-//     and requests that omit explicit bounds.
-//   * Request field declarations (FieldSpec, CheckFields) — the
+//     `lower_steps`, `alpha`, ...); a request that omits its bounds
+//     gets the `lower` / `alpha` fraction knobs of BoundsDefaults.
+//   * Field declarations (FieldSpec, CheckFields, ApplyFields) — the
 //     detect-query fields are declared here, once; every JSONL op's
 //     fields are declared in one table built from them
 //     (service/jsonl_service.cc).
+//   * Command-line flags (ReadFlags, FlagsHelp) — a tool's flags are
+//     declared fields too: `--k-min 5` is the field `k_min`, read,
+//     checked and documented by the same declarations.
 #ifndef FAIRTOPK_API_CANONICAL_H_
 #define FAIRTOPK_API_CANONICAL_H_
 
@@ -29,6 +30,8 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <vector>
 
 #include "api/bounds_spec.h"
 #include "common/json.h"
@@ -64,13 +67,6 @@ std::string CanonicalBounds(const BoundsSpec& bounds);
 /// num_threads is excluded: DetectionInput::ValidateConfig accepts only
 /// 1, so every config that reaches a search has the same value.
 std::string CanonicalConfigKey(const DetectionConfig& config);
-
-/// Expands the fraction knobs into a full bounds spec of `kind` over
-/// the config's k range: the global staircase from `lower_fraction`
-/// with an unbounded upper, or PropBoundSpec{alpha, +inf}.
-Result<BoundsSpec> BoundsFromDefaults(BoundsKind kind,
-                                      const BoundsDefaults& defaults,
-                                      const DetectionConfig& config);
 
 /// Decodes the config fields (`k_min`, `k_max`, `tau`) of a request,
 /// falling back to `defaults` per field.
@@ -115,6 +111,8 @@ struct FieldSpec {
   /// The least value of an int field. For a string or array field, a
   /// positive `min` means it must not be empty.
   int min = std::numeric_limits<int>::min();
+  /// The greatest value of an int field.
+  int max = std::numeric_limits<int>::max();
   /// For an array of objects: the fields each item declares.
   std::span<const FieldSpec> items = {};
 };
@@ -126,13 +124,29 @@ inline constexpr FieldSpec kConfigFields[] = {
     {"tau", FieldType::kInt, "minimum group size in D"},
 };
 
+/// The fields that select a registered detector (SelectDetector).
+inline constexpr FieldSpec kSelectorFields[] = {
+    {"detector", FieldType::kString,
+     "detector name; wins over measure and algo"},
+    {"measure", FieldType::kString, "global or prop (default prop)"},
+    {"algo", FieldType::kString, "itertd, bounds or upper (default bounds)"},
+};
+
+/// The upper bound of each family: U_k as a constant (Problem 3.1) and
+/// the proportional upper multiplier beta (Problem 3.2).
+inline constexpr FieldSpec kUpperField = {
+    "upper", FieldType::kNumber, "constant upper bound (default +inf)"};
+inline constexpr FieldSpec kBetaField = {
+    "beta", FieldType::kNumber,
+    "proportional upper multiplier (default +inf)"};
+
 /// The bound fields BoundsFromJson reads for a global detector.
 inline constexpr FieldSpec kGlobalBoundFields[] = {
     {"lower", FieldType::kNumber,
      "lower staircase as a fraction of k (default from the service)"},
     {"lower_steps", FieldType::kSteps,
      "explicit lower staircase, wins over 'lower'"},
-    {"upper", FieldType::kNumber, "constant upper bound (default +inf)"},
+    kUpperField,
     {"upper_steps", FieldType::kSteps,
      "explicit upper staircase, wins over 'upper'"},
 };
@@ -141,8 +155,7 @@ inline constexpr FieldSpec kGlobalBoundFields[] = {
 inline constexpr FieldSpec kPropBoundFields[] = {
     {"alpha", FieldType::kNumber,
      "proportional lower multiplier (default from the service)"},
-    {"beta", FieldType::kNumber,
-     "proportional upper multiplier (default +inf)"},
+    kBetaField,
 };
 
 /// The field list of `Groups` (arrays of FieldSpec) and then of `own`,
@@ -164,27 +177,96 @@ std::span<const FieldSpec> BoundFields(BoundsKind kind);
 /// "[[k, value], ...]", ...
 std::string_view FieldTypeName(FieldType type);
 
-/// The names of `fields`, comma-separated, for messages.
-std::string FieldNames(std::span<const FieldSpec> fields);
+/// The names of `fields`, comma-separated, for messages; spelled as
+/// flags (FlagName) with `as_flags`.
+std::string FieldNames(std::span<const FieldSpec> fields,
+                       bool as_flags = false);
 
 /// The declared field named `name`, or null.
 const FieldSpec* FindField(std::span<const FieldSpec> fields,
                            std::string_view name);
 
 /// Checks `object`'s members against the `fields` that `owner` (an op
-/// name) declares, in one pass over the members: each must be
-/// declared, of its type and at least its `min`; each array of objects
-/// is checked against its `items`; each required field must be
+/// or tool name) declares, in one pass over the members: each must be
+/// declared, of its type and within its `min` and `max`; each array of
+/// objects is checked against its `items`; each required field must be
 /// present. The InvalidArgument names the field and `owner`; for an
 /// undeclared field it lists the declared ones. Allocates only to
 /// build an error.
 Status CheckFields(const JsonValue& object, std::span<const FieldSpec> fields,
                    std::string_view owner);
 
+/// Stores each member of `object` (checked by CheckFields) that one of
+/// `fields` declares with a setter into `target`, through that setter.
+/// Members the list does not declare are skipped.
+void ApplyFields(const JsonValue& object, std::span<const FieldSpec> fields,
+                 void* target);
+
+/// The members of `object` that `fields` declares.
+JsonValue SelectFields(const JsonValue& object,
+                       std::span<const FieldSpec> fields);
+
 /// Writes `fields` as an object keyed by name:
-/// {"type": ..., "description": ...} plus "required", "min" and
+/// {"type": ..., "description": ...} plus "required", "min", "max" and
 /// "items" where declared.
 void WriteFieldsJson(JsonWriter& w, std::span<const FieldSpec> fields);
+
+/// The flag of a field: `--` and its name with `_` spelled `-`
+/// (`k_min` -> `--k-min`).
+std::string FlagName(std::string_view field);
+
+/// Reads command-line arguments as the declared `fields` and returns
+/// them as a request object, checked by CheckFields under `owner`.
+/// `--a-b` sets the field `a_b`: a bool field takes no value and reads
+/// true; any other takes the next argument, typed by the field: an int
+/// through ParseInt and within the field's `min` and `max`, a number
+/// through ParseDouble (finite only), an array of strings split on
+/// commas (an empty value is no strings), and any other as a string
+/// (which CheckFields refuses for a field that is none, so a tool
+/// declares no such flag). A flag given twice keeps its last value. An
+/// undeclared flag (the declared ones are listed), a missing value or
+/// one its field does not take is an InvalidArgument naming the flag
+/// ("--k-max expects an integer in [1, 1073741824], got '1x'").
+Result<JsonValue> ReadFlags(const std::vector<std::string>& args,
+                            std::span<const FieldSpec> fields,
+                            std::string_view owner);
+
+/// `fields` as --help lists them: one line per flag, its value's form,
+/// its description and its range.
+std::string FlagsHelp(std::span<const FieldSpec> fields);
+
+namespace internal {
+
+template <typename Class, typename Member>
+Class ClassOf(Member Class::*);
+
+template <typename T>
+void Assign(const JsonValue& v, T& out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    out = v.string_value();
+  } else if constexpr (std::is_same_v<T, bool>) {
+    out = v.bool_value();
+  } else if constexpr (std::is_arithmetic_v<T>) {
+    out = static_cast<T>(v.number_value());
+  } else {  // std::vector<std::string>
+    out.clear();
+    for (const JsonValue& item : v.array_items()) {
+      out.push_back(item.string_value());
+    }
+  }
+}
+
+}  // namespace internal
+
+/// A FieldSpec::set: stores a checked value into the member that
+/// `First` names in the target (a member of that member with more
+/// pointers), by the member's type.
+template <auto First, auto... Rest>
+void Set(void* target, const JsonValue& value) {
+  using Target = decltype(internal::ClassOf(First));
+  internal::Assign(
+      value, (((*static_cast<Target*>(target)).*First) .* ... .* Rest));
+}
 
 }  // namespace fairtopk::api
 

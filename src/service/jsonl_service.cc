@@ -191,27 +191,6 @@ const char* MeasureLabel(const api::DetectorDescriptor& descriptor) {
 using api::FieldSpec;
 using enum api::FieldType;
 
-/// Stores a checked field value into `out`, by out's type.
-void Assign(const JsonValue& v, std::string& out) { out = v.string_value(); }
-void Assign(const JsonValue& v, bool& out) { out = v.bool_value(); }
-template <typename Number>
-void Assign(const JsonValue& v, Number& out) {
-  out = static_cast<Number>(v.number_value());
-}
-void Assign(const JsonValue& v, std::vector<std::string>& out) {
-  for (const JsonValue& item : v.array_items()) {
-    out.push_back(item.string_value());
-  }
-}
-
-/// The setter of an open field: stores its value into the SessionSpec
-/// member that `Path` names (a member of a member for the session
-/// options).
-template <auto... Path>
-void Set(void* spec, const JsonValue& value) {
-  Assign(value, (*static_cast<SessionSpec*>(spec) .* ... .* Path));
-}
-
 // The declared fields of every op, in groups; each op's list below is
 // the whole of what its requests may carry.
 constexpr FieldSpec kEnvelope[] = {
@@ -222,15 +201,10 @@ constexpr FieldSpec kEnvelope[] = {
 constexpr FieldSpec kRouting[] = {
     {"session", kString, "session to run on (default: see op=use)"},
 };
-constexpr FieldSpec kSelector[] = {
-    {"detector", kString, "detector name; wins over measure and algo"},
-    {"measure", kString, "global or prop (default prop)"},
-    {"algo", kString, "itertd, bounds or upper (default bounds)"},
-};
 /// One detection query: its detector and that detector's parameters.
 constexpr auto kQuery =
-    api::JoinFields<kSelector, api::kConfigFields, api::kGlobalBoundFields,
-                    api::kPropBoundFields>();
+    api::JoinFields<api::kSelectorFields, api::kConfigFields,
+                    api::kGlobalBoundFields, api::kPropBoundFields>();
 constexpr FieldSpec kSuggest[] = {
     {"k_min", kInt, "first rank of the calibrated range"},
     {"k_max", kInt, "last rank of the calibrated range"},
@@ -241,39 +215,6 @@ constexpr FieldSpec kName[] = {
     {.name = "name", .type = kString, .description = "the session's name",
      .required = true, .min = 1},
 };
-/// open's knobs, as the fairtopk_serve flags.
-constexpr FieldSpec kOpen[] = {
-    {"csv", kString, "CSV to load (with rank_by)", Set<&SessionSpec::csv>},
-    {"rank_by", kString, "numeric column to rank by",
-     Set<&SessionSpec::rank_by>},
-    {"snapshot", kString, "snapshot file to open read-only",
-     Set<&SessionSpec::snapshot>},
-    {"data_dir", kString, "durable directory to replay or cold-start",
-     Set<&SessionSpec::data_dir>},
-    {"fsync_always", kBool, "fsync the op log after each maintenance op",
-     Set<&SessionSpec::fsync_always>},
-    {"ascending", kBool, "rank ascending", Set<&SessionSpec::ascending>},
-    {.name = "bins", .type = kInt,
-     .description = "buckets per numeric attribute (default 4)",
-     .set = Set<&SessionSpec::bins>, .min = 2},
-    {"drop", kStrings, "columns to ignore", Set<&SessionSpec::drop>},
-    {"k_min", kInt, "default first rank", Set<&SessionSpec::k_min>},
-    {"k_max", kInt, "default last rank", Set<&SessionSpec::k_max>},
-    {"tau", kInt, "default minimum group size (0: 5% of rows)",
-     Set<&SessionSpec::tau>},
-    {"lower", kNumber, "default global lower bound, a fraction of k",
-     Set<&SessionSpec::lower_fraction>},
-    {"alpha", kNumber, "default proportional multiplier",
-     Set<&SessionSpec::alpha>},
-    {.name = "cache_capacity", .type = kInt,
-     .description = "cached detection results (0 disables)",
-     .set = Set<&SessionSpec::session, &SessionOptions::cache_capacity>,
-     .min = 0},
-    {"rebuild_threshold", kNumber, "changed share of rank positions above "
-     "which the index is rebuilt, not patched",
-     Set<&SessionSpec::session, &SessionOptions::rebuild_threshold>},
-};
-
 constexpr auto kSessionOp = api::JoinFields<kEnvelope, kRouting>();
 constexpr auto kQueryOp = api::JoinFields<kEnvelope, kRouting, kQuery>();
 constexpr auto kBatchOp = api::JoinFields<kEnvelope, kRouting>(FieldSpec{
@@ -294,7 +235,8 @@ constexpr auto kSaveOp = api::JoinFields<kEnvelope, kRouting>(FieldSpec{
     .name = "path", .type = kString,
     .description = "write a snapshot copy here instead", .min = 1});
 constexpr auto kNameOp = api::JoinFields<kEnvelope, kName>();
-constexpr auto kOpenOp = api::JoinFields<kEnvelope, kName, kOpen>();
+constexpr auto kOpenOp =
+    api::JoinFields<kEnvelope, kName, kSessionSpecFields>();
 
 constexpr const char* kScopeNames[] = {"session", "catalog", "process"};
 
@@ -346,45 +288,9 @@ Result<JsonlService::Target> JsonlService::ResolveTarget(
 
 Result<api::AuditRequest> JsonlService::DecodeRequest(
     const Call& call, const JsonValue& request) const {
-  const api::DetectorRegistry& registry = api::DetectorRegistry::Global();
-  const api::DetectorDescriptor* descriptor = nullptr;
-  // The registry name wins over the wire (measure, algo) pair.
-  if (const JsonValue* name = request.Find("detector")) {
-    descriptor = registry.Find(name->string_value());
-    if (descriptor == nullptr) {
-      return Status::NotFound("no detector named '" + name->string_value() +
-                              "' is registered (see op=capabilities)");
-    }
-  } else {
-    FAIRTOPK_ASSIGN_OR_RETURN(
-        descriptor, registry.Resolve(request.StringOr("measure", "prop"),
-                                     request.StringOr("algo", "bounds")));
-  }
-  // The detector reads only its own family's bound fields, so one of
-  // the other family would be dropped unread.
-  const api::BoundsKind other =
-      descriptor->bounds_kind == api::BoundsKind::kGlobal
-          ? api::BoundsKind::kProportional
-          : api::BoundsKind::kGlobal;
-  for (const auto& [key, value] : request.object_members()) {
-    if (api::FindField(api::BoundFields(other), key) != nullptr) {
-      return Status::InvalidArgument(
-          "'" + std::string(call.op.name) + "' field '" + key +
-          "' is no bound of detector '" + descriptor->name +
-          "' (its bound fields: " +
-          api::FieldNames(api::BoundFields(descriptor->bounds_kind)) + ")");
-    }
-  }
-  api::AuditRequest query;
-  query.detector = descriptor->name;
-  const ServeDefaults& defaults = *call.target.defaults;
-  FAIRTOPK_ASSIGN_OR_RETURN(query.config,
-                            api::ConfigFromJson(request, defaults.config));
-  FAIRTOPK_ASSIGN_OR_RETURN(
-      query.bounds,
-      api::BoundsFromJson(request, descriptor->bounds_kind, defaults.bounds,
-                          query.config));
-  return query;
+  return api::RequestFromJson(request, call.op.name,
+                              call.target.defaults->config,
+                              call.target.defaults->bounds);
 }
 
 void JsonlService::AppendDetection(const Target& target,
@@ -750,10 +656,7 @@ Result<JsonlService::Data> JsonlService::HandleSnapshotInfo(const Call& call) {
 Result<JsonlService::Data> JsonlService::HandleOpen(const Call& call) {
   const std::string& name = call.request.Find("name")->string_value();
   SessionSpec spec;
-  for (const auto& [key, value] : call.request.object_members()) {
-    const api::FieldSpec* field = api::FindField(call.op.fields, key);
-    if (field != nullptr && field->set != nullptr) field->set(&spec, value);
-  }
+  api::ApplyFields(call.request, kSessionSpecFields, &spec);
   FAIRTOPK_RETURN_IF_ERROR(catalog_->Open(name, spec));
   std::shared_ptr<SessionCatalog::Entry> entry = catalog_->Find(name);
   JsonWriter w;

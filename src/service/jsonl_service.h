@@ -216,11 +216,9 @@ class JsonlService {
   Result<Target> ResolveTarget(const JsonValue& request,
                                Context& context) const;
 
-  /// Builds the api::AuditRequest that `request` (the call's own, or
-  /// one of its detect_batch queries) describes: detector resolution
-  /// through the registry, then config and bounds through the
-  /// canonical codec over the target's defaults. A bound field of the
-  /// family the detector does not use is refused, naming the op.
+  /// The api::AuditRequest that `request` (the call's own, or one of
+  /// its detect_batch queries) describes, over the target's defaults
+  /// (api::RequestFromJson, naming the op in errors).
   Result<api::AuditRequest> DecodeRequest(const Call& call,
                                           const JsonValue& request) const;
 

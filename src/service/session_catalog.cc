@@ -1,5 +1,6 @@
 #include "service/session_catalog.h"
 
+#include <filesystem>
 #include <optional>
 
 #include "service/persistence.h"
@@ -24,6 +25,13 @@ Result<AuditSession> SessionFromCsv(const SessionSpec& spec) {
                               spec.session);
 }
 
+/// The last component of `path`, trailing separators ignored:
+/// "data/q2.csv" -> "q2.csv", "state/" -> "state".
+std::string DatasetLabel(std::string path) {
+  while (path.size() > 1 && path.back() == '/') path.pop_back();
+  return std::filesystem::path(path).filename().string();
+}
+
 }  // namespace
 
 Status SessionCatalog::Open(const std::string& name, const SessionSpec& spec,
@@ -40,7 +48,7 @@ Status SessionCatalog::Open(const std::string& name, const SessionSpec& spec,
   // behind it. The name is only claimed on success; two concurrent
   // opens of the same name race to the emplace and the loser errors.
   std::optional<AuditSession> session;
-  std::string dataset;
+  std::string path;
   if (!spec.data_dir.empty()) {
     PersistentOpenOptions persist;
     persist.fsync = spec.fsync_always ? storage::FsyncPolicy::kAlways
@@ -59,22 +67,22 @@ Status SessionCatalog::Open(const std::string& name, const SessionSpec& spec,
         spec.data_dir, cold_start, spec.session, persist, report);
     if (!opened.ok()) return opened.status();
     session.emplace(std::move(opened).value());
-    dataset = spec.data_dir;
+    path = spec.data_dir;
   } else if (!spec.snapshot.empty()) {
     Result<AuditSession> opened =
         AuditSession::OpenFromSnapshot(spec.snapshot, spec.session);
     if (!opened.ok()) return opened.status();
     session.emplace(std::move(opened).value());
-    dataset = spec.snapshot;
+    path = spec.snapshot;
   } else {
     Result<AuditSession> built = SessionFromCsv(spec);
     if (!built.ok()) return built.status();
     session.emplace(std::move(built).value());
-    dataset = spec.csv;
+    path = spec.csv;
   }
   const size_t num_rows = session->num_rows();
   ServeDefaults defaults;
-  defaults.dataset = dataset;
+  defaults.dataset = DatasetLabel(std::move(path));
   defaults.config = MakeToolConfig(spec.k_min, spec.k_max, spec.tau,
                                    /*threads=*/1, num_rows);
   defaults.bounds.lower_fraction = spec.lower_fraction;

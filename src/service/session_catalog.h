@@ -23,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/canonical.h"
 #include "common/status.h"
 #include "service/audit_session.h"
 #include "service/jsonl_defaults.h"
@@ -33,7 +34,8 @@ struct PersistentOpenReport;
 
 /// Everything the `open` op needs to turn a CSV path into a served
 /// session: dataset preparation knobs plus the per-session request
-/// defaults. Field defaults mirror the fairtopk_serve flag defaults.
+/// defaults. Its fields are declared below, once, for `open` and for
+/// both tools' flags.
 struct SessionSpec {
   std::string csv;      ///< CSV path (required unless snapshot/data_dir)
   std::string rank_by;  ///< numeric ranking column (required with csv)
@@ -62,6 +64,73 @@ struct SessionSpec {
   SessionOptions session;
 };
 
+// The declared fields of a SessionSpec, in groups: `open` takes them
+// all, fairtopk_serve reads them as its flags, and fairtopk_audit reads
+// the groups that describe a one-shot audit.
+
+/// Where the session's data comes from.
+inline constexpr api::FieldSpec kSourceFields[] = {
+    {"csv", api::FieldType::kString, "CSV to load (with rank_by)",
+     api::Set<&SessionSpec::csv>},
+    {"rank_by", api::FieldType::kString, "numeric column to rank by",
+     api::Set<&SessionSpec::rank_by>},
+    {"snapshot", api::FieldType::kString, "snapshot file to open read-only",
+     api::Set<&SessionSpec::snapshot>},
+};
+/// A durable session's directory and its log policy.
+inline constexpr api::FieldSpec kDurableFields[] = {
+    {"data_dir", api::FieldType::kString,
+     "durable directory to replay or cold-start",
+     api::Set<&SessionSpec::data_dir>},
+    {"fsync_always", api::FieldType::kBool,
+     "fsync the op log after each maintenance op",
+     api::Set<&SessionSpec::fsync_always>},
+};
+/// How a CSV becomes a ranked table.
+inline constexpr api::FieldSpec kLoadFields[] = {
+    {"ascending", api::FieldType::kBool, "rank ascending",
+     api::Set<&SessionSpec::ascending>},
+    {.name = "bins", .type = api::FieldType::kInt,
+     .description = "buckets per numeric attribute (default 4)",
+     .set = api::Set<&SessionSpec::bins>, .min = 2, .max = 1 << 20},
+    {"drop", api::FieldType::kStrings, "columns to ignore",
+     api::Set<&SessionSpec::drop>},
+};
+/// The request defaults (ServeDefaults): k range, tau and bound knobs.
+/// A default k range starts at 1 or later and tau is at least 0 (0 is
+/// 5% of the rows), or no detect could use them.
+inline constexpr api::FieldSpec kDefaultFields[] = {
+    {.name = "k_min", .type = api::FieldType::kInt,
+     .description = "default first rank", .set = api::Set<&SessionSpec::k_min>,
+     .min = 1, .max = 1 << 30},
+    {.name = "k_max", .type = api::FieldType::kInt,
+     .description = "default last rank", .set = api::Set<&SessionSpec::k_max>,
+     .min = 1, .max = 1 << 30},
+    {.name = "tau", .type = api::FieldType::kInt,
+     .description = "default minimum group size (0: 5% of rows)",
+     .set = api::Set<&SessionSpec::tau>, .min = 0, .max = 1 << 30},
+    {"lower", api::FieldType::kNumber,
+     "default global lower bound, a fraction of k",
+     api::Set<&SessionSpec::lower_fraction>},
+    {"alpha", api::FieldType::kNumber, "default proportional multiplier",
+     api::Set<&SessionSpec::alpha>},
+};
+/// The session's cache and index maintenance (SessionOptions).
+inline constexpr api::FieldSpec kSessionOptionFields[] = {
+    {.name = "cache_capacity", .type = api::FieldType::kInt,
+     .description = "cached detection results (0 disables)",
+     .set = api::Set<&SessionSpec::session, &SessionOptions::cache_capacity>,
+     .min = 0, .max = 1 << 30},
+    {"rebuild_threshold", api::FieldType::kNumber,
+     "changed share of rank positions above which the index is rebuilt, "
+     "not patched",
+     api::Set<&SessionSpec::session, &SessionOptions::rebuild_threshold>},
+};
+/// Every field of a SessionSpec.
+inline constexpr auto kSessionSpecFields =
+    api::JoinFields<kSourceFields, kDurableFields, kLoadFields,
+                    kDefaultFields, kSessionOptionFields>();
+
 /// A name -> (AuditSession, request defaults) registry, safe for
 /// concurrent Open/Close/List/Find. See the file comment for the
 /// close-vs-in-flight-request contract.
@@ -85,7 +154,9 @@ class SessionCatalog {
 
   /// Opens the session `spec` describes — from its data_dir, its
   /// snapshot, or its CSV (LoadAuditTable: validation +
-  /// bucketization) — and registers it under `name`. Fails with
+  /// bucketization) — and registers it under `name`. The session's
+  /// dataset label (list, detect reports) is the last component of
+  /// that path, so answers do not depend on where the data lives. Fails with
   /// AlreadyExists-like InvalidArgument on a taken name, on a spec
   /// naming both snapshot and data_dir, or with the loader's error.
   /// `report`, when non-null, receives what a data_dir open did.

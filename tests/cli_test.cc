@@ -2,6 +2,7 @@
 // fairtopk_audit binary (path injected by CMake) against a CSV written
 // through the library and check exit codes, report output, and the
 // repaired-CSV round trip; fairtopk_serve's flag checks ride along.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -111,12 +112,12 @@ TEST(CliTest, MalformedIntegerFlagIsUsageError) {
   const std::string out = TempPath("cli_bad_int.out");
   const std::string err = TempPath("cli_bad_int.err");
   const std::string base = "--csv " + Quote(csv) + " --rank-by score ";
-  EXPECT_EQ(RunCli(base + "--kmax 1x", out, err), 2);
-  EXPECT_NE(ReadAll(err).find("--kmax expects an integer"), std::string::npos)
+  EXPECT_EQ(RunCli(base + "--k-max 1x", out, err), 2);
+  EXPECT_NE(ReadAll(err).find("--k-max expects an integer"), std::string::npos)
       << ReadAll(err);
   EXPECT_NE(ReadAll(err).find("'1x'"), std::string::npos) << ReadAll(err);
   EXPECT_EQ(RunCli(base + "--tau abc", out), 2);
-  EXPECT_EQ(RunCli(base + "--kmin 0", out), 2);
+  EXPECT_EQ(RunCli(base + "--k-min 0", out), 2);
   EXPECT_EQ(RunCli(base + "--bins 1", out), 2);
 }
 
@@ -135,6 +136,67 @@ TEST(CliTest, MalformedNumberFlagIsUsageError) {
   EXPECT_EQ(RunCli(base + "--upper inf", out), 2);
 }
 
+// The flags are the declared fields, spelled with dashes: the old
+// `--kmin` is unknown to both tools, and the error lists `--k-min`.
+TEST(CliTest, UndeclaredFlagListsTheDeclaredOnes) {
+  const std::string csv = WriteDemoCsv();
+  const std::string out = TempPath("cli_kmin.out");
+  const std::string err = TempPath("cli_kmin.err");
+  const std::string args =
+      "--csv " + Quote(csv) + " --rank-by score --kmin 5";
+  for (const char* tool : {FAIRTOPK_AUDIT_PATH, FAIRTOPK_SERVE_PATH}) {
+    EXPECT_EQ(RunTool(tool, args, out, err), 2) << tool;
+    EXPECT_NE(ReadAll(err).find("unknown flag: --kmin"), std::string::npos)
+        << ReadAll(err);
+    EXPECT_NE(ReadAll(err).find("--k-min"), std::string::npos)
+        << ReadAll(err);
+  }
+}
+
+// A bound flag the selected detector does not read is refused, naming
+// the detector's bound fields, instead of being dropped unread.
+TEST(CliTest, BoundFlagOfTheOtherFamilyIsUsageError) {
+  const std::string csv = WriteDemoCsv();
+  const std::string out = TempPath("cli_other_bound.out");
+  const std::string err = TempPath("cli_other_bound.err");
+  const std::string base = "--csv " + Quote(csv) + " --rank-by score ";
+  EXPECT_EQ(RunCli(base + "--measure prop --upper 5", out, err), 2);
+  EXPECT_NE(ReadAll(err).find("'upper'"), std::string::npos) << ReadAll(err);
+  EXPECT_NE(ReadAll(err).find("alpha, beta"), std::string::npos)
+      << ReadAll(err);
+  EXPECT_EQ(RunCli(base + "--measure global --beta 1.5", out, err), 2);
+  EXPECT_NE(ReadAll(err).find("'beta'"), std::string::npos) << ReadAll(err);
+}
+
+// --k-max is the session default, as open's k_max, so both tools clamp
+// it to |D| (200 rows here); a detect request's own k_max is not
+// clamped.
+TEST(CliTest, KMaxAboveTheRowCountClampsToIt) {
+  const std::string csv = WriteDemoCsv();
+  const std::string out = TempPath("cli_clamp.out");
+  const std::string args = "--csv " + Quote(csv) +
+                           " --rank-by score --k-min 190 --k-max 1000 "
+                           "--tau 20";
+  ASSERT_EQ(RunCli(args + " --measure prop --json", out), 0);
+  auto report = ParseJson(ReadAll(out).substr(0, ReadAll(out).find('\n')));
+  ASSERT_TRUE(report.ok()) << ReadAll(out);
+  EXPECT_EQ(report->NumberOr("k_min", 0), 190);
+  EXPECT_EQ(report->NumberOr("k_max", 0), 200);
+
+  const std::string request = TempPath("cli_clamp.jsonl");
+  {
+    std::ofstream script(request);
+    script << R"({"op":"detect"})" << '\n';
+  }
+  ASSERT_EQ(RunTool(FAIRTOPK_SERVE_PATH, args, out, "/dev/null", request), 0);
+  auto response = ParseJson(ReadAll(out));
+  ASSERT_TRUE(response.ok()) << ReadAll(out);
+  const JsonValue* served = response->Find("data")->Find("report");
+  ASSERT_NE(served, nullptr) << ReadAll(out);
+  EXPECT_EQ(served->NumberOr("k_min", 0), 190);
+  EXPECT_EQ(served->NumberOr("k_max", 0), 200);
+}
+
 // Every search runs on one thread: fairtopk_audit has no --threads,
 // and fairtopk_serve accepts --threads 1 only.
 TEST(CliTest, ThreadCountsOtherThanOneAreUsageErrors) {
@@ -148,22 +210,26 @@ TEST(CliTest, ThreadCountsOtherThanOneAreUsageErrors) {
 }
 
 // --help and capabilities render the ops from one table, so they name
-// the same ops.
+// the same ops; --help's flags are open's fields plus the process's
+// own.
 TEST(CliTest, ServeHelpAndCapabilitiesListTheSameOps) {
   const std::string help_out = TempPath("cli_serve_help.out");
   ASSERT_EQ(RunTool(FAIRTOPK_SERVE_PATH, "--help", help_out), 0);
   std::set<std::string> help_ops;
+  std::set<std::string> help_flags;
   {
     std::istringstream help(ReadAll(help_out));
     std::string line;
-    bool in_ops = false;
+    std::set<std::string>* section = nullptr;
     while (std::getline(help, line)) {
       if (line.rfind("Ops ", 0) == 0) {
-        in_ops = true;
-      } else if (in_ops && line.rfind("  ", 0) == 0) {
-        help_ops.insert(line.substr(2, line.find(' ', 2) - 2));
-      } else if (in_ops && line.empty()) {
-        break;
+        section = &help_ops;
+      } else if (line.rfind("Flags ", 0) == 0) {
+        section = &help_flags;
+      } else if (section != nullptr && line.rfind("  ", 0) == 0) {
+        section->insert(line.substr(2, line.find(' ', 2) - 2));
+      } else if (line.empty()) {
+        section = nullptr;
       }
     }
   }
@@ -184,12 +250,23 @@ TEST(CliTest, ServeHelpAndCapabilitiesListTheSameOps) {
   const JsonValue* ops = response->Find("data")->Find("ops");
   ASSERT_NE(ops, nullptr) << ReadAll(out);
   std::set<std::string> capability_ops;
+  std::set<std::string> open_flags = {
+      "--threads", "--workers", "--listen", "--host",
+      "--metrics-port", "--slow-query-log", "--help"};
   for (const JsonValue& op : ops->array_items()) {
     capability_ops.insert(op.StringOr("name", ""));
     EXPECT_NE(op.Find("fields")->Find("op"), nullptr);
+    if (op.StringOr("name", "") != "open") continue;
+    for (const auto& [name, field] : op.Find("fields")->object_members()) {
+      if (name == "op" || name == "id" || name == "name") continue;
+      std::string flag = "--" + name;
+      std::replace(flag.begin(), flag.end(), '_', '-');
+      open_flags.insert(flag);
+    }
   }
   EXPECT_EQ(capability_ops.size(), 17u);
   EXPECT_EQ(help_ops, capability_ops);
+  EXPECT_EQ(help_flags, open_flags);
 }
 
 // A data dir's first start builds its snapshot from the CSV, so a
@@ -212,8 +289,8 @@ TEST(CliTest, DetectionReportsBiasedGroups) {
   const std::string csv = WriteDemoCsv();
   const std::string out = TempPath("cli_detect.out");
   const int code = RunCli("--csv " + Quote(csv) +
-                              " --rank-by score --measure prop --kmin 10 "
-                              "--kmax 30 --tau 20",
+                              " --rank-by score --measure prop --k-min 10 "
+                              "--k-max 30 --tau 20",
                           out);
   EXPECT_EQ(code, 0);
   const std::string report = ReadAll(out);
@@ -226,7 +303,7 @@ TEST(CliTest, JsonModeEmitsParsableSkeleton) {
   const std::string out = TempPath("cli_json.out");
   const int code = RunCli("--csv " + Quote(csv) +
                               " --rank-by score --measure global --lower "
-                              "0.3 --kmin 10 --kmax 20 --tau 20 --json",
+                              "0.3 --k-min 10 --k-max 20 --tau 20 --json",
                           out);
   EXPECT_EQ(code, 0);
   const std::string json = ReadAll(out);
@@ -259,7 +336,7 @@ TEST(CliTest, SavedSnapshotReopensToTheSameReport) {
   const std::string err = TempPath("cli_snapshot.err");
   std::remove(snapshot.c_str());
   const std::string query =
-      " --measure prop --kmin 10 --kmax 30 --tau 20 --json";
+      " --measure prop --k-min 10 --k-max 30 --tau 20 --json";
   ASSERT_EQ(RunCli("--csv " + Quote(csv) + " --rank-by score" + query +
                        " --save-snapshot " + Quote(snapshot),
                    from_csv, err),
@@ -277,7 +354,7 @@ TEST(CliTest, SavedSnapshotReopensToTheSameReport) {
   // --explain works on a snapshot too: it explains the session's
   // ranking.
   EXPECT_EQ(RunCli("--snapshot " + Quote(snapshot) +
-                       " --kmin 10 --kmax 30 --tau 20 --explain",
+                       " --k-min 10 --k-max 30 --tau 20 --explain",
                    from_snapshot, err),
             0)
       << ReadAll(err);
@@ -292,20 +369,20 @@ TEST(CliTest, VerifyModeUsesExitCodeThree) {
   // Females are demoted by the score: biased -> exit 3.
   EXPECT_EQ(RunCli("--csv " + Quote(csv) +
                        " --rank-by score --measure global --lower 0.3 "
-                       "--kmin 10 --kmax 30 --verify gender=F",
+                       "--k-min 10 --k-max 30 --verify gender=F",
                    out),
             3);
   EXPECT_NE(ReadAll(out).find("BIASED"), std::string::npos);
   // Males dominate the top: fair -> exit 0.
   EXPECT_EQ(RunCli("--csv " + Quote(csv) +
                        " --rank-by score --measure global --lower 0.3 "
-                       "--kmin 10 --kmax 30 --verify gender=M",
+                       "--k-min 10 --k-max 30 --verify gender=M",
                    out),
             0);
   // Unknown attribute -> error.
   EXPECT_EQ(RunCli("--csv " + Quote(csv) +
-                       " --rank-by score --verify nope=1 --kmin 5 "
-                       "--kmax 10",
+                       " --rank-by score --verify nope=1 --k-min 5 "
+                       "--k-max 10",
                    out),
             1);
 }
@@ -317,7 +394,7 @@ TEST(CliTest, RerankRepairsAndRoundTrips) {
   std::remove(repaired.c_str());
   const int code = RunCli("--csv " + Quote(csv) +
                               " --rank-by score --measure global --lower "
-                              "0.25 --kmin 10 --kmax 30 --tau 20 --rerank " +
+                              "0.25 --k-min 10 --k-max 30 --tau 20 --rerank " +
                               Quote(repaired),
                           out);
   EXPECT_EQ(code, 0);
@@ -328,7 +405,7 @@ TEST(CliTest, RerankRepairsAndRoundTrips) {
   // Auditing the repaired file by repaired_rank finds gender=F fair.
   EXPECT_EQ(RunCli("--csv " + Quote(repaired) +
                        " --rank-by repaired_rank --ascending --drop score "
-                       "--measure global --lower 0.25 --kmin 10 --kmax 30 "
+                       "--measure global --lower 0.25 --k-min 10 --k-max 30 "
                        "--verify gender=F",
                    out),
             0);

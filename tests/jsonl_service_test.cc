@@ -1265,7 +1265,25 @@ TEST_F(CatalogJsonlServiceTest, OpenCloseLifecycle) {
                        R"(","rank_by":"score","bins":1})",
                    "INVALID_ARGUMENT");
   EXPECT_NE(ErrorMessage(v2).find("'bins'"), std::string::npos);
+  // Defaults that no detect could use are refused at open: a k range
+  // starting below 1, and a negative tau (0 means 5% of the rows). So
+  // are more buckets than the old --bins flag allowed.
+  const std::pair<const char*, const char*> out_of_range[] = {
+      {"k_min", "0"}, {"k_max", "0"}, {"tau", "-3"}, {"bins", "2000000000"}};
+  for (const auto& [field, value] : out_of_range) {
+    v2 = ExpectError(R"({"op":"open","name":"x","csv":")" + csv_path +
+                         R"(","rank_by":"score",")" + field + "\":" +
+                         value + "}",
+                     "INVALID_ARGUMENT");
+    EXPECT_NE(ErrorMessage(v2).find("'" + std::string(field) + "'"),
+              std::string::npos)
+        << ErrorMessage(v2);
+  }
   EXPECT_EQ(catalog_.size(), 2u);
+  ExpectOk(R"({"op":"open","name":"tau0","csv":")" + csv_path +
+           R"(","rank_by":"score","tau":0})");
+  EXPECT_EQ(catalog_.Find("tau0")->defaults.config.size_threshold, 2);
+  ExpectOk(R"({"op":"close","name":"tau0"})");
   // Catalog ops declare no "session".
   v2 = ExpectError(R"({"op":"list","session":"zzz"})", "INVALID_ARGUMENT");
   EXPECT_NE(ErrorMessage(v2).find("'session'"), std::string::npos);

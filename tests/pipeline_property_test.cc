@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "detect/itertd.h"
-#include "detect/variants.h"
+#include "variants.h"
 #include "detect/verify.h"
 #include "mitigate/rerank.h"
 #include "relation/csv.h"

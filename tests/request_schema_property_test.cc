@@ -5,7 +5,11 @@
 // name or a value of the wrong type is INVALID_ARGUMENT naming that
 // field; an accepted detect reports the k range it was sent, never the
 // session default; and a refused update, append, open, close, use or
-// save changes no session state.
+// save changes no session state. The same declarations are the tools'
+// flags (api::ReadFlags): random `open` members read as flags give the
+// object the request holds, and where one side refuses, so does the
+// other, naming the same field.
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
@@ -23,8 +27,10 @@
 #include <gtest/gtest.h>
 
 #include "api/detector_registry.h"
+#include "api/canonical.h"
 #include "common/json.h"
 #include "common/rng.h"
+#include "common/strings.h"
 #include "relation/table.h"
 #include "service/jsonl_service.h"
 #include "service/request_pipeline.h"
@@ -403,6 +409,176 @@ TEST_P(RequestSchemaPropertyTest, EveryOpChecksItsDeclaredFields) {
   EXPECT_EQ(count, lines.size());
   std::string cleanup = "rm -rf '" + dir + "'";
   EXPECT_EQ(std::system(cleanup.c_str()), 0);
+}
+
+/// One member of a random `open` request: its name, its JSON text, and
+/// its text as a flag value (none for a bool flag, which reads true).
+struct Member {
+  std::string name;
+  std::string json;
+  std::optional<std::string> flag;
+};
+
+/// A member for `field`: a value its type reads, or with `fault` one
+/// CheckFields or the flag reader refuses — outside the field's range,
+/// not an integer, or not a number — in a form that is also a flag.
+Member DrawMember(Rng& rng, const FieldSpec& field, bool fault) {
+  const auto pick = [&rng](std::initializer_list<const char*> options) {
+    return std::string(options.begin()[rng.UniformUint64(options.size())]);
+  };
+  const bool has_min = field.min != std::numeric_limits<int>::min();
+  const std::string name(field.name);
+  switch (field.type) {
+    case FieldType::kBool:
+      return {name, "true", std::nullopt};
+    case FieldType::kInt: {
+      if (fault) {
+        std::string text =
+            pick({"2.5", "3000000000", "\"x\"", "below", "above"});
+        if (text == "below" && has_min) {
+          text = std::to_string(field.min - 1 -
+                                static_cast<int>(rng.UniformUint64(3)));
+        } else if (text == "above" &&
+                   field.max != std::numeric_limits<int>::max()) {
+          text = std::to_string(static_cast<long long>(field.max) + 1 +
+                                static_cast<long long>(rng.UniformUint64(3)));
+        } else if (text == "below" || text == "above") {
+          text = "\"x\"";
+        }
+        const std::string flag = text == "\"x\"" ? "x" : text;
+        return {name, text, flag};
+      }
+      const int lo = has_min ? field.min : 1;
+      const int span =
+          std::min<long long>(20, static_cast<long long>(field.max) - lo + 1);
+      const std::string text =
+          std::to_string(lo + static_cast<int>(rng.UniformUint64(span)));
+      return {name, text, text};
+    }
+    case FieldType::kNumber: {
+      if (fault) return {name, "\"abc\"", "abc"};
+      const std::string text = std::to_string(-0.5 + 2.0 * rng.UniformDouble());
+      return {name, text, text};
+    }
+    case FieldType::kString: {
+      const std::string text = pick({"demo.csv", "score", "dir0", "x", ""});
+      return {name, "\"" + text + "\"", text};
+    }
+    case FieldType::kStrings: {
+      const std::string text = pick({"", "id", "id,age"});
+      std::string json = "[";
+      for (const std::string& item : Split(text, ',')) {
+        if (item.empty()) continue;
+        json += (json.size() > 1 ? ",\"" : "\"") + item + "\"";
+      }
+      return {name, json + "]", text};
+    }
+    default:
+      ADD_FAILURE() << "open declares no " << api::FieldTypeName(field.type)
+                    << " field";
+      return {name, "null", "null"};
+  }
+}
+
+/// `v` as JSON text, members in name order and numbers in full
+/// precision, so two values are equal iff their texts are.
+std::string Canonical(const JsonValue& v) {
+  switch (v.type()) {
+    case JsonValue::Type::kNull:
+      return "null";
+    case JsonValue::Type::kBool:
+      return v.bool_value() ? "true" : "false";
+    case JsonValue::Type::kNumber: {
+      char buffer[40];
+      std::snprintf(buffer, sizeof(buffer), "%.17g", v.number_value());
+      return buffer;
+    }
+    case JsonValue::Type::kString:
+      return "\"" + JsonEscape(v.string_value()) + "\"";
+    case JsonValue::Type::kArray: {
+      std::string out = "[";
+      for (const JsonValue& item : v.array_items()) {
+        out += (out.size() > 1 ? "," : "") + Canonical(item);
+      }
+      return out + "]";
+    }
+    case JsonValue::Type::kObject: {
+      std::string out = "{";
+      for (const auto& [name, member] : v.object_members()) {
+        out += (out.size() > 1 ? ",\"" : "\"") + name + "\":" +
+               Canonical(member);
+      }
+      return out + "}";
+    }
+  }
+  return "";
+}
+
+/// The field a CheckFields error names: the first quoted name after
+/// "field '".
+std::string NamedField(const std::string& message) {
+  const size_t at = message.find("field '");
+  if (at == std::string::npos) return "";
+  const size_t begin = at + 7;
+  return message.substr(begin, message.find('\'', begin) - begin);
+}
+
+TEST_P(RequestSchemaPropertyTest, OpenFieldsReadTheSameAsFlags) {
+  Rng rng(GetParam());
+  const std::span<const FieldSpec> fields = kSessionSpecFields;
+  size_t accepted = 0, refused = 0;
+  for (int i = 0; i < 3000; ++i) {
+    // At most one mistake per request, so both sides must name it.
+    const uint64_t kind = rng.UniformUint64(6);
+    const size_t faulty = kind == 0 ? rng.UniformUint64(fields.size())
+                                    : fields.size();
+    std::vector<Member> members;
+    for (size_t f = 0; f < fields.size(); ++f) {
+      if (f == faulty || rng.UniformDouble() < 0.3) {
+        members.push_back(DrawMember(rng, fields[f], f == faulty));
+      }
+    }
+    if (kind == 1) {
+      const std::string name = rng.UniformDouble() < 0.5 ? "kmin" : "threads";
+      members.push_back({name, "1", "1"});
+    }
+    std::string line = "{";
+    std::vector<std::string> args;
+    for (const Member& m : members) {
+      line += (line.size() > 1 ? ",\"" : "\"") + m.name + "\":" + m.json;
+      args.push_back(api::FlagName(m.name));
+      if (m.flag.has_value()) args.push_back(*m.flag);
+    }
+    line += "}";
+    std::string argv_text;
+    for (const std::string& arg : args) argv_text += " '" + arg + "'";
+
+    Result<JsonValue> request = ParseJson(line);
+    ASSERT_TRUE(request.ok()) << line;
+    const Status checked = api::CheckFields(*request, fields, "open");
+    const Result<JsonValue> flags = api::ReadFlags(args, fields, "open");
+    ASSERT_EQ(flags.ok(), checked.ok())
+        << line << " as" << argv_text << ": "
+        << (flags.ok() ? checked.message() : flags.status().message());
+    if (checked.ok()) {
+      ++accepted;
+      EXPECT_EQ(Canonical(*flags), Canonical(*request))
+          << line << " as" << argv_text;
+      continue;
+    }
+    ++refused;
+    const std::string field = NamedField(checked.message());
+    ASSERT_FALSE(field.empty()) << checked.message();
+    const std::string& message = flags.status().message();
+    const std::string flag = api::FlagName(field);
+    EXPECT_TRUE(message.find("'" + field + "'") != std::string::npos ||
+                message.rfind(flag + " expects ", 0) == 0 ||
+                message.rfind("unknown flag: " + flag + " ", 0) == 0)
+        << line << " names '" << field << "', but" << argv_text
+        << " answers: " << message;
+  }
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(refused, 500u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RequestSchemaPropertyTest,

@@ -98,7 +98,8 @@ TEST(SessionCatalogTest, OpenLoadsCsvFromDisk) {
   auto entry = catalog.Find("disk");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->session.num_rows(), 12u);
-  EXPECT_EQ(entry->defaults.dataset, csv_path);
+  // The dataset label is the file name, not the path as given.
+  EXPECT_EQ(entry->defaults.dataset, "session_catalog_open.csv");
 
   // Failure paths claim no name.
   spec.csv = "/no/such/file.csv";

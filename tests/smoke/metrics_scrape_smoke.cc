@@ -7,116 +7,20 @@
 // failure kills the server first, so no orphan outlives this program.
 //
 //   metrics_scrape_smoke <path-to-fairtopk_serve> <demo.csv>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <vector>
-
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include "common/json.h"
 #include "common/socket.h"
+#include "smoke/serve_harness.h"
 
 namespace {
 
 using fairtopk::ParseJson;
 using fairtopk::TcpConnect;
 using fairtopk::TcpConnection;
-
-/// The running server, killed by Fail(): an orphan would keep the
-/// test's output pipe open and hang ctest.
-pid_t g_server_pid = -1;
-
-[[noreturn]] void Fail(const std::string& message) {
-  std::fprintf(stderr, "metrics_scrape_smoke: FAIL: %s\n", message.c_str());
-  if (g_server_pid > 0) {
-    kill(g_server_pid, SIGKILL);
-    waitpid(g_server_pid, nullptr, 0);
-  }
-  std::exit(1);
-}
-
-struct Server {
-  pid_t pid = -1;
-  int stderr_fd = -1;
-  uint16_t serve_port = 0;
-  uint16_t metrics_port = 0;
-};
-
-uint16_t ParsePortAfter(const std::string& err, const char* needle) {
-  const size_t found = err.find(needle);
-  if (found == std::string::npos) Fail(std::string("no '") + needle +
-                                       "' line in server stderr:\n" + err);
-  long port = 0;
-  for (size_t i = found + std::strlen(needle);
-       i < err.size() && std::isdigit(err[i]); ++i) {
-    port = port * 10 + (err[i] - '0');
-  }
-  if (port <= 0 || port > 65535) Fail("bad port in: " + err);
-  return static_cast<uint16_t>(port);
-}
-
-/// Launches the server with ephemeral serving and metrics ports and
-/// parses both announcements off stderr.
-Server Start(const std::string& binary, const std::string& csv) {
-  int err_pipe[2];
-  if (pipe(err_pipe) != 0) Fail("pipe");
-  Server server;
-  server.pid = fork();
-  if (server.pid < 0) Fail("fork");
-  if (server.pid == 0) {
-    dup2(err_pipe[1], STDERR_FILENO);
-    close(err_pipe[0]);
-    close(err_pipe[1]);
-    execl(binary.c_str(), binary.c_str(), "--csv", csv.c_str(), "--rank-by",
-          "score", "--kmin", "5", "--kmax", "20", "--tau", "6", "--listen",
-          "0", "--metrics-port", "0", "--workers", "2",
-          static_cast<char*>(nullptr));
-    std::perror("execl");
-    _exit(127);
-  }
-  g_server_pid = server.pid;
-  close(err_pipe[1]);
-  server.stderr_fd = err_pipe[0];
-  std::string err;
-  char buffer[512];
-  const char* metrics_needle = "metrics on 127.0.0.1:";
-  const char* listen_needle = "listening on 127.0.0.1:";
-  auto announced = [&](const char* needle) {
-    const size_t at = err.find(needle);
-    return at != std::string::npos && err.find('\n', at) != std::string::npos;
-  };
-  while (!announced(metrics_needle) || !announced(listen_needle)) {
-    const ssize_t n = read(server.stderr_fd, buffer, sizeof(buffer));
-    if (n <= 0) Fail("server exited before announcing its ports:\n" + err);
-    err.append(buffer, static_cast<size_t>(n));
-  }
-  server.metrics_port = ParsePortAfter(err, metrics_needle);
-  server.serve_port = ParsePortAfter(err, listen_needle);
-  return server;
-}
-
-/// Sends `script`, half-closes, reads every response until EOF.
-std::string DriveConnection(uint16_t port, const std::string& script) {
-  auto connected = TcpConnect("127.0.0.1", port);
-  if (!connected.ok()) Fail("connect: " + connected.status().ToString());
-  TcpConnection connection = std::move(connected).value();
-  if (!connection.SendAll(script).ok()) Fail("send");
-  connection.ShutdownWrite();
-  std::string out;
-  char buffer[4096];
-  for (;;) {
-    auto received = connection.Receive(buffer, sizeof(buffer));
-    if (!received.ok()) Fail("receive: " + received.status().ToString());
-    if (*received == 0) break;
-    out.append(buffer, *received);
-  }
-  return out;
-}
+using serve_harness::Fail;
 
 /// One HTTP/1.0 GET; returns the raw response (headers + body).
 std::string HttpGet(uint16_t port, const std::string& path) {
@@ -160,7 +64,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: %s <fairtopk_serve> <demo.csv>\n", argv[0]);
     return 2;
   }
-  Server server = Start(argv[1], argv[2]);
+  serve_harness::Begin("metrics_scrape_smoke", 45);
+  // Ephemeral serving and metrics ports, both announced on stderr.
+  serve_harness::Child server = serve_harness::Spawn(
+      {argv[1], "--csv", argv[2], "--rank-by", "score", "--k-min", "5",
+       "--k-max", "20", "--tau", "6", "--listen", "0", "--metrics-port", "0",
+       "--workers", "2"});
+  const uint16_t metrics_port =
+      serve_harness::AnnouncedPort(server, "metrics on");
+  const uint16_t serve_port =
+      serve_harness::AnnouncedPort(server, "listening on");
 
   // Known traffic: 5 identical detects (1 miss, the rest served from
   // its run), 1 stats, 1 metrics — all on one connection so the socket
@@ -172,15 +85,9 @@ int main(int argc, char** argv) {
   }
   script += "{\"op\":\"stats\",\"id\":\"s\"}\n";
   script += "{\"op\":\"metrics\",\"id\":\"m\"}\n";
-  const std::string responses = DriveConnection(server.serve_port, script);
+  const std::string responses = serve_harness::Drive(serve_port, script);
   int ok_lines = 0;
-  size_t start = 0;
-  while (start < responses.size()) {
-    size_t end = responses.find('\n', start);
-    if (end == std::string::npos) end = responses.size();
-    const std::string line = responses.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
+  for (const std::string& line : serve_harness::Lines(responses)) {
     auto parsed = ParseJson(line);
     if (!parsed.ok()) Fail("unparseable response: " + line);
     if (!parsed->BoolOr("ok", false)) Fail("request failed: " + line);
@@ -194,7 +101,7 @@ int main(int argc, char** argv) {
   // Scrape: the counters and histogram counts must match the traffic
   // just sent. The scrape itself bypasses the JSONL stack, so it never
   // perturbs what it measures.
-  const std::string scrape = HttpGet(server.metrics_port, "/metrics");
+  const std::string scrape = HttpGet(metrics_port, "/metrics");
   ExpectContains(scrape, "HTTP/1.0 200 OK", "scrape status");
   ExpectContains(scrape, "text/plain; version=0.0.4", "content type");
   ExpectContains(scrape,
@@ -229,19 +136,12 @@ int main(int argc, char** argv) {
                  "lock-wait histogram");
   ExpectContains(scrape, "fairtopk_process_uptime_seconds ", "uptime");
 
-  const std::string missing = HttpGet(server.metrics_port, "/nope");
+  const std::string missing = HttpGet(metrics_port, "/nope");
   ExpectContains(missing, "HTTP/1.0 404 Not Found", "404 for unknown path");
 
-  if (kill(server.pid, SIGTERM) != 0) Fail("kill");
-  int status = 0;
-  if (waitpid(server.pid, &status, 0) != server.pid) Fail("waitpid");
-  g_server_pid = -1;
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    Fail("server did not exit 0 after SIGTERM");
-  }
-  close(server.stderr_fd);
+  serve_harness::Stop(server);
   std::printf("metrics_scrape_smoke: OK (serve port %u, metrics port %u)\n",
-              static_cast<unsigned>(server.serve_port),
-              static_cast<unsigned>(server.metrics_port));
+              static_cast<unsigned>(serve_port),
+              static_cast<unsigned>(metrics_port));
   return 0;
 }

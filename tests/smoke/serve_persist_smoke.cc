@@ -16,133 +16,34 @@
 //
 // This is the user-visible contract of --data-dir: kill the process
 // whenever, restart it without the CSV, observe the same ranking.
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
-#include <signal.h>
-#include <sys/stat.h>
-#include <sys/wait.h>
-#include <unistd.h>
+#include <stdlib.h>
 
 #include "common/json.h"
-#include "common/socket.h"
+#include "smoke/serve_harness.h"
 
 namespace {
 
 using fairtopk::JsonValue;
 using fairtopk::ParseJson;
-using fairtopk::TcpConnect;
-using fairtopk::TcpConnection;
+using serve_harness::Fail;
 
-/// Servers forked so far; killed on Fail so a broken run can't leave
-/// an orphan holding the test harness's output pipe open.
-std::vector<pid_t> g_servers;
-
-[[noreturn]] void Fail(const std::string& message) {
-  std::fprintf(stderr, "serve_persist_smoke: FAIL: %s\n", message.c_str());
-  for (pid_t pid : g_servers) kill(pid, SIGKILL);
-  std::exit(1);
+/// Starts fairtopk_serve with `args` and returns it with its TCP port.
+std::pair<serve_harness::Child, uint16_t> Start(
+    const std::string& binary, std::vector<std::string> args) {
+  args.insert(args.begin(), binary);
+  serve_harness::Child server = serve_harness::Spawn(args);
+  const uint16_t port = serve_harness::AnnouncedPort(server, "listening on");
+  return {std::move(server), port};
 }
 
-struct Server {
-  pid_t pid = -1;
-  int stderr_fd = -1;
-  uint16_t port = 0;
-  std::string stderr_so_far;
-};
-
-/// Launches fairtopk_serve with `extra_args`, parses the bound port.
-Server Start(const std::string& binary,
-             const std::vector<std::string>& extra_args) {
-  int err_pipe[2];
-  if (pipe(err_pipe) != 0) Fail("pipe");
-  Server server;
-  server.pid = fork();
-  if (server.pid < 0) Fail("fork");
-  if (server.pid == 0) {
-    dup2(err_pipe[1], STDERR_FILENO);
-    close(err_pipe[0]);
-    close(err_pipe[1]);
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(binary.c_str()));
-    for (const std::string& arg : extra_args) {
-      argv.push_back(const_cast<char*>(arg.c_str()));
-    }
-    argv.push_back(nullptr);
-    execv(binary.c_str(), argv.data());
-    std::perror("execv");
-    _exit(127);
-  }
-  close(err_pipe[1]);
-  g_servers.push_back(server.pid);
-  server.stderr_fd = err_pipe[0];
-  std::string& err = server.stderr_so_far;
-  char buffer[512];
-  const char* needle = "listening on 127.0.0.1:";
-  while (err.find(needle) == std::string::npos ||
-         err.find('\n', err.find(needle)) == std::string::npos) {
-    const ssize_t n = read(server.stderr_fd, buffer, sizeof(buffer));
-    if (n <= 0) Fail("server exited before announcing its port:\n" + err);
-    err.append(buffer, static_cast<size_t>(n));
-  }
-  const size_t at = err.find(needle) + std::strlen(needle);
-  long port = 0;
-  for (size_t i = at; i < err.size() && std::isdigit(err[i]); ++i) {
-    port = port * 10 + (err[i] - '0');
-  }
-  if (port <= 0 || port > 65535) Fail("bad port in: " + err);
-  server.port = static_cast<uint16_t>(port);
-  return server;
-}
-
-/// SIGTERMs the server, drains its stderr, requires exit 0. Returns
-/// everything the server wrote to stderr over its lifetime.
-std::string StopAndDrain(Server& server) {
-  if (kill(server.pid, SIGTERM) != 0) Fail("kill");
-  char buffer[512];
-  ssize_t n;
-  while ((n = read(server.stderr_fd, buffer, sizeof(buffer))) > 0) {
-    server.stderr_so_far.append(buffer, static_cast<size_t>(n));
-  }
-  close(server.stderr_fd);
-  int status = 0;
-  if (waitpid(server.pid, &status, 0) != server.pid) Fail("waitpid");
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    Fail("server did not exit 0 after SIGTERM; stderr:\n" +
-         server.stderr_so_far);
-  }
-  return server.stderr_so_far;
-}
-
-/// Sends `script`, half-closes, returns the response lines.
+/// Sends `script` on a new connection and returns the response lines.
 std::vector<std::string> Drive(uint16_t port, const std::string& script) {
-  auto connected = TcpConnect("127.0.0.1", port);
-  if (!connected.ok()) Fail("connect: " + connected.status().ToString());
-  TcpConnection connection = std::move(connected).value();
-  if (!connection.SendAll(script).ok()) Fail("send");
-  connection.ShutdownWrite();
-  std::string out;
-  char buffer[4096];
-  for (;;) {
-    auto received = connection.Receive(buffer, sizeof(buffer));
-    if (!received.ok()) Fail("receive: " + received.status().ToString());
-    if (*received == 0) break;
-    out.append(buffer, *received);
-  }
-  std::vector<std::string> lines;
-  size_t start = 0;
-  while (start < out.size()) {
-    size_t end = out.find('\n', start);
-    if (end == std::string::npos) end = out.size();
-    if (end > start) lines.push_back(out.substr(start, end - start));
-    start = end + 1;
-  }
-  return lines;
+  return serve_harness::Lines(serve_harness::Drive(port, script));
 }
 
 JsonValue MustParseOk(const std::string& line, const std::string& what) {
@@ -199,6 +100,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: %s <fairtopk_serve> <demo.csv>\n", argv[0]);
     return 2;
   }
+  serve_harness::Begin("serve_persist_smoke", 45);
   const std::string binary = argv[1];
   const std::string csv = argv[2];
   char data_dir_template[] = "persist_smoke_XXXXXX";
@@ -214,13 +116,12 @@ int main(int argc, char** argv) {
       fairtopk::JsonEscape(aux_dir) + "\"";
 
   // ---- Phase 1: cold start, mutate, capture, SIGTERM-compact. ----
-  Server first = Start(binary, {"--data-dir", data_dir, "--csv", csv,
-                                "--rank-by", "score", "--kmin", "5",
-                                "--kmax", "20", "--tau", "6", "--listen",
-                                "0"});
-  if (first.stderr_so_far.find("cold start") == std::string::npos) {
-    Fail("first start did not report a cold start:\n" +
-         first.stderr_so_far);
+  auto [first, first_port] =
+      Start(binary, {"--data-dir", data_dir, "--csv", csv, "--rank-by",
+                     "score", "--k-min", "5", "--k-max", "20", "--tau", "6",
+                     "--listen", "0"});
+  if (first.stderr_text.find("cold start") == std::string::npos) {
+    Fail("first start did not report a cold start:\n" + first.stderr_text);
   }
   std::string mutate;
   mutate +=
@@ -239,7 +140,7 @@ int main(int argc, char** argv) {
       "\"scores\":[[1,12.5]]}\n";
   mutate +=
       "{\"op\":\"snapshot_info\",\"id\":\"s2\",\"session\":\"aux\"}\n";
-  const std::vector<std::string> phase1 = Drive(first.port, mutate);
+  const std::vector<std::string> phase1 = Drive(first_port, mutate);
   if (phase1.size() != 7) {
     Fail("phase 1 got " + std::to_string(phase1.size()) + " responses");
   }
@@ -260,7 +161,7 @@ int main(int argc, char** argv) {
   }
   const uint64_t aux_gen1 =
       StorageUint(aux_info1, "generation", "snapshot_info aux");
-  const std::string first_stderr = StopAndDrain(first);
+  const std::string first_stderr = serve_harness::Stop(first);
   for (const char* name : {"default", "aux"}) {
     if (first_stderr.find("session " + std::string(name) + ": compacted") ==
         std::string::npos) {
@@ -270,15 +171,14 @@ int main(int argc, char** argv) {
   }
 
   // ---- Phase 2: restart WITHOUT the CSV, must replay nothing and ----
-  // ---- answer identically. Serving knobs (--kmin/--kmax/--tau)   ----
+  // ---- answer identically. Serving knobs (--k-min/--k-max/--tau) ----
   // ---- are per-invocation flags, not session state, so the       ----
   // ---- restart passes the same ones.                             ----
-  Server second = Start(binary, {"--data-dir", data_dir, "--kmin", "5",
-                                 "--kmax", "20", "--tau", "6", "--listen",
-                                 "0"});
-  if (second.stderr_so_far.find("snapshot generation") == std::string::npos) {
-    Fail("restart did not open from the snapshot:\n" +
-         second.stderr_so_far);
+  auto [second, second_port] =
+      Start(binary, {"--data-dir", data_dir, "--k-min", "5", "--k-max", "20",
+                     "--tau", "6", "--listen", "0"});
+  if (second.stderr_text.find("snapshot generation") == std::string::npos) {
+    Fail("restart did not open from the snapshot:\n" + second.stderr_text);
   }
   std::string probe;
   probe += kDetect;
@@ -286,7 +186,7 @@ int main(int argc, char** argv) {
   probe += open_aux + "}\n";
   probe +=
       "{\"op\":\"snapshot_info\",\"id\":\"s2\",\"session\":\"aux\"}\n";
-  const std::vector<std::string> phase2 = Drive(second.port, probe);
+  const std::vector<std::string> phase2 = Drive(second_port, probe);
   if (phase2.size() != 4) {
     Fail("phase 2 got " + std::to_string(phase2.size()) + " responses");
   }
@@ -316,7 +216,7 @@ int main(int argc, char** argv) {
   if (StorageUint(aux_info2, "generation", "snapshot_info aux") <= aux_gen1) {
     Fail("compaction did not advance aux's generation: " + phase2[3]);
   }
-  StopAndDrain(second);
+  serve_harness::Stop(second);
   std::error_code discard;
   std::filesystem::remove_all(data_dir, discard);
   std::filesystem::remove_all(aux_dir, discard);

@@ -10,61 +10,27 @@
 // ids IN ORDER (per-connection ordering guarantee), and each id's
 // ok-flag must match the serial run (payloads like "cached" are
 // legitimately scheduling-dependent; protocol outcomes are not).
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <signal.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "common/json.h"
 #include "common/socket.h"
+#include "smoke/serve_harness.h"
 
 namespace {
 
 using fairtopk::JsonValue;
 using fairtopk::ParseJson;
-using fairtopk::TcpConnect;
-using fairtopk::TcpConnection;
-
-/// Children forked and not yet reaped. Fail() kills them: an orphan
-/// would keep the test harness's output pipe open after this exits.
-std::vector<pid_t> g_children;
-
-[[noreturn]] void Fail(const std::string& message) {
-  std::fprintf(stderr, "serve_tcp_smoke: FAIL: %s\n", message.c_str());
-  for (pid_t pid : g_children) {
-    kill(pid, SIGKILL);
-    waitpid(pid, nullptr, 0);
-  }
-  std::exit(1);
-}
-
-/// Waits for child `pid` and forgets it; returns its wait status.
-int Reap(pid_t pid) {
-  int status = 0;
-  if (waitpid(pid, &status, 0) != pid) Fail("waitpid");
-  std::erase(g_children, pid);
-  return status;
-}
+using serve_harness::Fail;
 
 /// One (id, ok) protocol outcome per response line.
 std::vector<std::pair<std::string, bool>> ParseOutcomes(
     const std::string& stream) {
   std::vector<std::pair<std::string, bool>> out;
-  size_t start = 0;
-  while (start < stream.size()) {
-    size_t end = stream.find('\n', start);
-    if (end == std::string::npos) end = stream.size();
-    const std::string line = stream.substr(start, end - start);
-    start = end + 1;
-    if (line.empty()) continue;
+  for (const std::string& line : serve_harness::Lines(stream)) {
     auto parsed = ParseJson(line);
     if (!parsed.ok()) Fail("unparseable response line: " + line);
     const JsonValue* id = parsed->Find("id");
@@ -105,114 +71,11 @@ std::vector<std::string> ClientScripts() {
   return scripts;
 }
 
-/// Runs `binary` in stdin/stdout mode, feeds `script`, returns stdout.
-std::string RunStdinMode(const std::string& binary, const std::string& csv,
-                         const std::string& script) {
-  int to_child[2];
-  int from_child[2];
-  if (pipe(to_child) != 0 || pipe(from_child) != 0) Fail("pipe");
-  const pid_t pid = fork();
-  if (pid < 0) Fail("fork");
-  if (pid == 0) {
-    dup2(to_child[0], STDIN_FILENO);
-    dup2(from_child[1], STDOUT_FILENO);
-    close(to_child[0]);
-    close(to_child[1]);
-    close(from_child[0]);
-    close(from_child[1]);
-    execl(binary.c_str(), binary.c_str(), "--csv", csv.c_str(), "--rank-by",
-          "score", "--kmin", "5", "--kmax", "20", "--tau", "6",
-          static_cast<char*>(nullptr));
-    std::perror("execl");
-    _exit(127);
-  }
-  g_children.push_back(pid);
-  close(to_child[0]);
-  close(from_child[1]);
-  size_t written = 0;
-  while (written < script.size()) {
-    const ssize_t n =
-        write(to_child[1], script.data() + written, script.size() - written);
-    if (n < 0) Fail("write to serial server");
-    written += static_cast<size_t>(n);
-  }
-  close(to_child[1]);
-  std::string out;
-  char buffer[4096];
-  ssize_t n;
-  while ((n = read(from_child[0], buffer, sizeof(buffer))) > 0) {
-    out.append(buffer, static_cast<size_t>(n));
-  }
-  close(from_child[0]);
-  const int status = Reap(pid);
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    Fail("serial stdin run exited abnormally");
-  }
-  return out;
-}
-
-struct TcpServer {
-  pid_t pid = -1;
-  int stderr_fd = -1;
-  uint16_t port = 0;
-};
-
-/// Launches `binary --listen 0` and parses the bound port off stderr.
-TcpServer StartTcpServer(const std::string& binary, const std::string& csv) {
-  int err_pipe[2];
-  if (pipe(err_pipe) != 0) Fail("pipe");
-  TcpServer server;
-  server.pid = fork();
-  if (server.pid < 0) Fail("fork");
-  if (server.pid == 0) {
-    dup2(err_pipe[1], STDERR_FILENO);
-    close(err_pipe[0]);
-    close(err_pipe[1]);
-    execl(binary.c_str(), binary.c_str(), "--csv", csv.c_str(), "--rank-by",
-          "score", "--kmin", "5", "--kmax", "20", "--tau", "6", "--listen",
-          "0", "--workers", "4", static_cast<char*>(nullptr));
-    std::perror("execl");
-    _exit(127);
-  }
-  g_children.push_back(server.pid);
-  close(err_pipe[1]);
-  server.stderr_fd = err_pipe[0];
-  // Read stderr until the "listening on HOST:PORT" line shows up.
-  std::string err;
-  char buffer[512];
-  const char* needle = "listening on 127.0.0.1:";
-  while (err.find(needle) == std::string::npos ||
-         err.find('\n', err.find(needle)) == std::string::npos) {
-    const ssize_t n = read(server.stderr_fd, buffer, sizeof(buffer));
-    if (n <= 0) Fail("server exited before announcing its port:\n" + err);
-    err.append(buffer, static_cast<size_t>(n));
-  }
-  const size_t at = err.find(needle) + std::strlen(needle);
-  long port = 0;
-  for (size_t i = at; i < err.size() && std::isdigit(err[i]); ++i) {
-    port = port * 10 + (err[i] - '0');
-  }
-  if (port <= 0 || port > 65535) Fail("bad port in: " + err);
-  server.port = static_cast<uint16_t>(port);
-  return server;
-}
-
-/// Sends `script`, half-closes, reads every response until EOF.
-std::string DriveConnection(uint16_t port, const std::string& script) {
-  auto connected = TcpConnect("127.0.0.1", port);
-  if (!connected.ok()) Fail("connect: " + connected.status().ToString());
-  TcpConnection connection = std::move(connected).value();
-  if (!connection.SendAll(script).ok()) Fail("send");
-  connection.ShutdownWrite();
-  std::string out;
-  char buffer[4096];
-  for (;;) {
-    auto received = connection.Receive(buffer, sizeof(buffer));
-    if (!received.ok()) Fail("receive: " + received.status().ToString());
-    if (*received == 0) break;
-    out.append(buffer, *received);
-  }
-  return out;
+/// The server's flags: the demo CSV with the smoke tests' defaults.
+std::vector<std::string> ServeArgs(const std::string& binary,
+                                   const std::string& csv) {
+  return {binary, "--csv", csv, "--rank-by", "score", "--k-min", "5",
+          "--k-max", "20", "--tau", "6"};
 }
 
 }  // namespace
@@ -222,6 +85,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "usage: %s <fairtopk_serve> <demo.csv>\n", argv[0]);
     return 2;
   }
+  serve_harness::Begin("serve_tcp_smoke", 45);
   const std::string binary = argv[1];
   const std::string csv = argv[2];
   const std::vector<std::string> scripts = ClientScripts();
@@ -229,7 +93,8 @@ int main(int argc, char** argv) {
   // Serial reference: one stdin/stdout run over the concatenation.
   std::string serial_script = OpenScript(csv);
   for (const std::string& script : scripts) serial_script += script;
-  const auto serial = ParseOutcomes(RunStdinMode(binary, csv, serial_script));
+  const auto serial = ParseOutcomes(
+      serve_harness::RunWithStdin(ServeArgs(binary, csv), serial_script));
   std::map<std::string, bool> serial_by_id;
   for (const auto& [id, ok] : serial) {
     if (!serial_by_id.emplace(id, ok).second) {
@@ -243,10 +108,13 @@ int main(int argc, char** argv) {
 
   // TCP run: bootstrap the second session on one connection, then the
   // client scripts concurrently.
-  TcpServer server = StartTcpServer(binary, csv);
+  std::vector<std::string> tcp_args = ServeArgs(binary, csv);
+  tcp_args.insert(tcp_args.end(), {"--listen", "0", "--workers", "4"});
+  serve_harness::Child server = serve_harness::Spawn(tcp_args);
+  const uint16_t port = serve_harness::AnnouncedPort(server, "listening on");
   {
     const auto outcomes =
-        ParseOutcomes(DriveConnection(server.port, OpenScript(csv)));
+        ParseOutcomes(serve_harness::Drive(port, OpenScript(csv)));
     if (outcomes.size() != 1 || !outcomes[0].second) {
       Fail("catalog open over TCP failed");
     }
@@ -256,7 +124,7 @@ int main(int argc, char** argv) {
     std::vector<std::thread> clients;
     for (size_t c = 0; c < scripts.size(); ++c) {
       clients.emplace_back([&, c] {
-        responses[c] = DriveConnection(server.port, scripts[c]);
+        responses[c] = serve_harness::Drive(port, scripts[c]);
       });
     }
     for (std::thread& client : clients) client.join();
@@ -284,7 +152,7 @@ int main(int argc, char** argv) {
 
   // An idle connection held open across shutdown: SIGTERM must close
   // it (EOF) and the server must exit 0.
-  auto idle = TcpConnect("127.0.0.1", server.port);
+  auto idle = fairtopk::TcpConnect("127.0.0.1", port);
   if (!idle.ok()) Fail("idle connect");
   if (!idle->SendAll("{\"op\":\"stats\",\"id\":\"idle\"}\n").ok()) {
     Fail("idle send");
@@ -302,12 +170,8 @@ int main(int argc, char** argv) {
       if (!received.ok() || *received == 0) break;
     }
   }
-  const int status = Reap(server.pid);
-  if (!WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-    Fail("server did not exit 0 after SIGTERM");
-  }
-  close(server.stderr_fd);
+  serve_harness::Wait(server);
   std::printf("serve_tcp_smoke: OK (%zu clients, port %u)\n", scripts.size(),
-              static_cast<unsigned>(server.port));
+              static_cast<unsigned>(port));
   return 0;
 }

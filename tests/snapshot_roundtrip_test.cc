@@ -67,8 +67,8 @@ std::vector<api::AuditRequest> AllDetectorRequests(size_t num_rows) {
     api::AuditRequest request;
     request.detector = d.name;
     request.config = config;
-    auto bounds = api::BoundsFromDefaults(
-        d.bounds_kind, api::BoundsDefaults{0.5, 0.8}, config);
+    auto bounds = api::BoundsFromJson(JsonValue::Object(), d.bounds_kind,
+                                      api::BoundsDefaults{0.5, 0.8}, config);
     EXPECT_TRUE(bounds.ok()) << bounds.status().ToString();
     request.bounds = std::move(bounds).value();
     if (auto* global = std::get_if<GlobalBoundSpec>(&request.bounds)) {

@@ -24,7 +24,7 @@
 #include "api/canonical.h"
 #include "common/json.h"
 #include "common/rng.h"
-#include "detect/variants.h"
+#include "variants.h"
 #include "relation/table.h"
 #include "report/json_report.h"
 #include "service/audit_session.h"

@@ -1,4 +1,4 @@
-#include "detect/variants.h"
+#include "variants.h"
 
 #include "detect/engine/search_driver.h"
 #include "pattern/result_set.h"

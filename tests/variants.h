@@ -9,9 +9,11 @@
 // algorithms (GLOBALBOUNDS/PROPBOUNDS for lower+most-general,
 // DetectGlobalUpperBounds for upper+most-specific); this module covers
 // the full matrix via exhaustive enumeration of substantial patterns,
-// trading speed for generality.
-#ifndef FAIRTOPK_DETECT_VARIANTS_H_
-#define FAIRTOPK_DETECT_VARIANTS_H_
+// trading speed for generality. No front end reports these variants:
+// the module is the tests' oracle for reporting semantics, compiled
+// into the suites that call it (tests/CMakeLists.txt).
+#ifndef FAIRTOPK_TESTS_VARIANTS_H_
+#define FAIRTOPK_TESTS_VARIANTS_H_
 
 #include "detect/bounds.h"
 #include "detect/detection_result.h"
@@ -50,4 +52,4 @@ Result<DetectionResult> DetectPropVariant(const DetectionInput& input,
 
 }  // namespace fairtopk
 
-#endif  // FAIRTOPK_DETECT_VARIANTS_H_
+#endif  // FAIRTOPK_TESTS_VARIANTS_H_

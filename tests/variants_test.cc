@@ -1,4 +1,4 @@
-#include "detect/variants.h"
+#include "variants.h"
 
 #include <gtest/gtest.h>
 

@@ -4,20 +4,24 @@
 //   fairtopk_audit --csv data.csv --rank-by score [options]
 //   fairtopk_audit --snapshot data.ftk [options]
 //
-// Pipeline: load the CSV (numeric columns inferred), bucketize numeric
-// attributes so they can participate in group definitions, open an
-// AuditSession ranked by the requested score column (descending by
-// default) or restore one from a snapshot, detect groups with biased
-// representation under the chosen detector (resolved from the
-// api::DetectorRegistry by --measure x --algo), and print a text
-// report (or JSON with --json). Optionally explains the most biased
-// group via the Shapley pipeline.
+// Pipeline: open the session as the JSONL `open` op does
+// (SessionCatalog::Open: load the CSV, bucketize the numeric attributes
+// so they can join group definitions, rank by the score column,
+// descending by default — or restore a snapshot), decode the detect
+// request as a JSONL `detect` is decoded (api::RequestFromJson: the
+// detector from the api::DetectorRegistry by --measure x --algo or
+// --detector), detect groups with biased representation, and print a
+// text report (or JSON with --json). Optionally explains the most
+// biased group via the Shapley pipeline.
 //
-// `fairtopk_audit --help` prints the flag table (PrintUsage below).
+// The flags are declared fields (api::ReadFlags): open's fields that
+// describe a one-shot audit (`--k-min 5` is open's `k_min`), the
+// detector selector and upper bounds of a detect request, and the
+// tool's own actions (kActionFields below). `fairtopk_audit --help`
+// prints them from the same declarations.
 #include <cmath>
 #include <cstdio>
-#include <cstring>
-#include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <variant>
@@ -34,232 +38,77 @@
 #include "relation/csv.h"
 #include "report/json_report.h"
 #include "service/audit_session.h"
-#include "service/table_loader.h"
+#include "service/session_catalog.h"
 
 namespace fairtopk {
 namespace {
 
+/// The tool's own fields: what to do with the opened session.
 struct Args {
-  std::string csv;
-  std::string rank_by;
-  bool ascending = false;
-  std::string measure = "prop";
-  std::string algo = "bounds";
-  /// Registry entry resolved from (measure, algo) at the end of
-  /// ParseArgs.
-  const api::DetectorDescriptor* detector = nullptr;
-  double alpha = 0.8;
-  double beta = std::numeric_limits<double>::infinity();
-  double lower_fraction = 0.5;
-  double upper = std::numeric_limits<double>::infinity();
-  int k_min = 10;
-  int k_max = 49;
-  int tau = 0;  // 0 = 5% of rows
-  int bins = 4;
-  std::vector<std::string> drop;
+  /// The session to audit, opened as the `open` op opens one.
+  SessionSpec spec;
   bool suggest = false;
   bool explain = false;
   bool json = false;
   std::string verify_group;
   std::string rerank_path;
-  std::string snapshot;       ///< open this snapshot instead of a CSV
   std::string save_snapshot;  ///< write the opened session here
+  bool help = false;
 };
 
-/// The flag table, printed by --help and after argument errors.
+using enum api::FieldType;
+
+/// The upper bounds an audit checks besides `--lower` / `--alpha`.
+constexpr api::FieldSpec kUpperBoundFields[] = {api::kUpperField,
+                                                api::kBetaField};
+constexpr api::FieldSpec kActionFields[] = {
+    {"suggest", kBool, "calibrate tau and the lower bound automatically",
+     api::Set<&Args::suggest>},
+    {"explain", kBool, "Shapley-explain the most biased group",
+     api::Set<&Args::explain>},
+    {"json", kBool, "print the detection report as JSON",
+     api::Set<&Args::json>},
+    {"verify", kString,
+     "instead of detecting, check the group \"A=v;B=w\" against the "
+     "bounds and list the violating k (exit 3 if biased)",
+     api::Set<&Args::verify_group>},
+    {"rerank", kString,
+     "after detection, write the ranking repaired so that the detected "
+     "groups meet the bounds to this CSV",
+     api::Set<&Args::rerank_path>},
+    {"save_snapshot", kString,
+     "write the opened session to this snapshot file",
+     api::Set<&Args::save_snapshot>},
+    {"help", kBool, "print this message and exit", api::Set<&Args::help>},
+};
+
+/// The fields of the detect request an audit runs: its detector and
+/// upper bound. Its k range, tau and lower bound are the session's
+/// defaults, as `open` sets them.
+constexpr auto kRequestFields =
+    api::JoinFields<api::kSelectorFields, kUpperBoundFields>();
+
+/// Every flag: how to open the session (the fields of op=open that
+/// describe a one-shot audit), the request, and the actions.
+constexpr auto kFlags =
+    api::JoinFields<kSourceFields, kLoadFields, kDefaultFields,
+                    kRequestFields, kActionFields>();
+
 void PrintUsage(std::FILE* out) {
-  std::fprintf(
-      out,
-      "usage: fairtopk_audit --csv data.csv --rank-by column [options]\n"
-      "\n"
-      "Options:\n"
-      "  --csv PATH             input CSV file (required)\n"
-      "  --rank-by COLUMN       numeric column to rank by, descending\n"
-      "                         (required)\n"
-      "  --ascending            rank ascending instead\n"
-      "  --measure global|prop  fairness measure (default: prop)\n"
-      "  --algo itertd|bounds|upper\n"
-      "                         detection algorithm within the measure\n"
-      "                         (default: bounds; itertd is the paper\n"
-      "                         baseline, upper reports\n"
-      "                         over-represented groups)\n"
-      "  --alpha X              proportional multiplier (default 0.8)\n"
-      "  --beta X               proportional upper multiplier\n"
-      "                         (default +inf; used by --algo upper\n"
-      "                         and verification)\n"
-      "  --lower X              global lower bound, fraction of k\n"
-      "                         (default 0.5: L_k = 0.5k staircase)\n"
-      "  --upper X              constant global upper bound (default\n"
-      "                         +inf; used by --algo upper and\n"
-      "                         verification)\n"
-      "  --kmin K --kmax K      rank range (default 10..49, clamped\n"
-      "                         to |D|)\n"
-      "  --tau N                group size threshold (default 5%% of\n"
-      "                         rows)\n"
-      "  --bins N               buckets per numeric attribute\n"
-      "                         (default 4)\n"
-      "  --drop col1,col2       columns to ignore (ids, names, ...)\n"
-      "  --suggest              calibrate bounds automatically\n"
-      "  --explain              Shapley-explain the most biased group\n"
-      "  --json                 emit the detection report as JSON\n"
-      "  --verify \"A=v;B=w\"     instead of detecting, verify the\n"
-      "                         given group against the bounds and\n"
-      "                         report the violating k values\n"
-      "  --rerank PATH          after detection, repair the ranking\n"
-      "                         so the detected groups meet the\n"
-      "                         bounds and write the re-ranked table\n"
-      "                         to PATH as CSV\n"
-      "  --snapshot PATH        open a saved snapshot instead of\n"
-      "                         loading a CSV (skips parse, bucketize\n"
-      "                         and sort; --csv/--rank-by are not\n"
-      "                         needed)\n"
-      "  --save-snapshot PATH   after opening the session, write it to\n"
-      "                         PATH as a snapshot for later --snapshot\n"
-      "                         opens and fairtopk_serve --data-dir\n"
-      "  --help                 print this message and exit\n");
+  std::fprintf(out,
+               "usage: fairtopk_audit --csv data.csv --rank-by column "
+               "[flags]\n"
+               "       fairtopk_audit --snapshot data.ftk [flags]\n"
+               "\n"
+               "Flags (the fields of op=open, then of the detect request, "
+               "then the tool's own):\n%s",
+               api::FlagsHelp(kFlags).c_str());
 }
 
-bool ParseArgs(int argc, char** argv, Args& args, bool& help) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", name);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    auto next_int = [&](const char* name, int min, int max,
-                        int& out) -> bool {
-      const char* v = next(name);
-      if (v == nullptr) return false;
-      auto parsed = ParseInt(v);
-      if (!parsed.has_value() || *parsed < min || *parsed > max) {
-        std::fprintf(stderr, "%s expects an integer in [%d, %d], got '%s'\n",
-                     name, min, max, v);
-        return false;
-      }
-      out = static_cast<int>(*parsed);
-      return true;
-    };
-    auto next_double = [&](const char* name, double& out) -> bool {
-      const char* v = next(name);
-      if (v == nullptr) return false;
-      auto parsed = ParseDouble(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "%s expects a number, got '%s'\n", name, v);
-        return false;
-      }
-      out = *parsed;
-      return true;
-    };
-    if (flag == "--help" || flag == "-h") {
-      help = true;
-      return true;
-    } else if (flag == "--csv") {
-      const char* v = next("--csv");
-      if (v == nullptr) return false;
-      args.csv = v;
-    } else if (flag == "--rank-by") {
-      const char* v = next("--rank-by");
-      if (v == nullptr) return false;
-      args.rank_by = v;
-    } else if (flag == "--ascending") {
-      args.ascending = true;
-    } else if (flag == "--measure") {
-      const char* v = next("--measure");
-      if (v == nullptr) return false;
-      args.measure = v;
-    } else if (flag == "--algo") {
-      const char* v = next("--algo");
-      if (v == nullptr) return false;
-      args.algo = v;
-    } else if (flag == "--alpha") {
-      if (!next_double("--alpha", args.alpha)) return false;
-    } else if (flag == "--beta") {
-      if (!next_double("--beta", args.beta)) return false;
-    } else if (flag == "--upper") {
-      if (!next_double("--upper", args.upper)) return false;
-    } else if (flag == "--lower") {
-      if (!next_double("--lower", args.lower_fraction)) return false;
-    } else if (flag == "--kmin") {
-      if (!next_int("--kmin", 1, 1 << 30, args.k_min)) return false;
-    } else if (flag == "--kmax") {
-      if (!next_int("--kmax", 1, 1 << 30, args.k_max)) return false;
-    } else if (flag == "--tau") {
-      if (!next_int("--tau", 1, 1 << 30, args.tau)) return false;
-    } else if (flag == "--bins") {
-      if (!next_int("--bins", 2, 1 << 20, args.bins)) return false;
-    } else if (flag == "--drop") {
-      const char* v = next("--drop");
-      if (v == nullptr) return false;
-      args.drop = Split(v, ',');
-    } else if (flag == "--verify") {
-      const char* v = next("--verify");
-      if (v == nullptr) return false;
-      args.verify_group = v;
-    } else if (flag == "--rerank") {
-      const char* v = next("--rerank");
-      if (v == nullptr) return false;
-      args.rerank_path = v;
-    } else if (flag == "--snapshot") {
-      const char* v = next("--snapshot");
-      if (v == nullptr) return false;
-      args.snapshot = v;
-    } else if (flag == "--save-snapshot") {
-      const char* v = next("--save-snapshot");
-      if (v == nullptr) return false;
-      args.save_snapshot = v;
-    } else if (flag == "--suggest") {
-      args.suggest = true;
-    } else if (flag == "--explain") {
-      args.explain = true;
-    } else if (flag == "--json") {
-      args.json = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      PrintUsage(stderr);
-      return false;
-    }
-  }
-  // A snapshot open carries its own ranking column and direction.
-  if ((args.csv.empty() || args.rank_by.empty()) && args.snapshot.empty()) {
-    PrintUsage(stderr);
-    return false;
-  }
-  // One registry lookup validates the (measure, algo) matrix — no
-  // hand-maintained flag table to drift from the detector set.
-  auto detector =
-      api::DetectorRegistry::Global().Resolve(args.measure, args.algo);
-  if (!detector.ok()) {
-    std::fprintf(stderr, "%s\n", detector.status().ToString().c_str());
-    return false;
-  }
-  args.detector = *detector;
-  if (!args.detector->lower_violations) {
-    // An upper detector with its bound left at +inf can only report
-    // nothing — refuse instead of printing a silently empty audit.
-    const bool knob_set =
-        args.detector->bounds_kind == api::BoundsKind::kGlobal
-            ? !std::isinf(args.upper)
-            : !std::isinf(args.beta);
-    if (!knob_set) {
-      std::fprintf(stderr,
-                   "--algo upper needs an upper bound: pass %s\n",
-                   args.detector->bounds_kind == api::BoundsKind::kGlobal
-                       ? "--upper X"
-                       : "--beta X");
-      return false;
-    }
-    // Over-represented groups must never become representation floors.
-    if (!args.rerank_path.empty()) {
-      std::fprintf(stderr,
-                   "--rerank requires a lower-bound detector (--algo "
-                   "upper reports over-represented groups)\n");
-      return false;
-    }
-  }
-  return true;
+/// Prints `status` and returns the exit code of a failed run.
+int Failed(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
 }
 
 /// Parses "Attr=value;Attr2=value2" into a pattern over `space`.
@@ -276,69 +125,47 @@ Result<Pattern> ParseGroupSpec(const std::string& spec,
   return PatternOfLabels(space, labels);
 }
 
-int RunAudit(const Args& args) {
+int RunAudit(const Args& args, const JsonValue& query) {
   // One session holds the table, scores, ranking and index, whether
-  // they come from the CSV or from a snapshot.
-  Result<AuditSession> opened = [&]() -> Result<AuditSession> {
-    if (!args.snapshot.empty()) {
-      return AuditSession::OpenFromSnapshot(args.snapshot);
-    }
-    // Rank on the raw numeric column, then bucketize every OTHER
-    // numeric column so it can join group definitions.
-    FAIRTOPK_ASSIGN_OR_RETURN(
-        Table table,
-        LoadAuditTable(args.csv, args.rank_by, args.bins, args.drop));
-    return AuditSession::Create(std::move(table), args.rank_by,
-                                args.ascending);
-  }();
-  if (!opened.ok()) {
-    std::fprintf(stderr, "%s\n", opened.status().ToString().c_str());
-    return 1;
+  // they come from the CSV or from a snapshot. It opens as the `open`
+  // op opens one, with the request defaults `open` derives (k_max
+  // clamped to |D|, tau 0 as 5% of the rows).
+  SessionCatalog catalog;
+  if (Status opened = catalog.Open("audit", args.spec); !opened.ok()) {
+    return Failed(opened);
   }
-  AuditSession& session = *opened;
+  const std::shared_ptr<SessionCatalog::Entry> entry = catalog.Find("audit");
+  AuditSession& session = entry->session;
   const Table& table = session.table();
   const PatternSpace& space = session.space();
 
   if (!args.save_snapshot.empty()) {
     Status saved = session.SaveSnapshot(args.save_snapshot);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-      return 1;
-    }
+    if (!saved.ok()) return Failed(saved);
     std::fprintf(stderr, "snapshot written to %s (%llu bytes)\n",
                  args.save_snapshot.c_str(),
                  static_cast<unsigned long long>(
                      session.storage_info().snapshot_bytes));
   }
 
-  // The typed request: detector by registry name, config and bounds
-  // through the shared tool/canonical builders.
-  api::AuditRequest request;
-  request.detector = args.detector->name;
-  request.config = MakeToolConfig(args.k_min, args.k_max, args.tau,
-                                  /*threads=*/1, table.num_rows());
-  Result<api::BoundsSpec> bounds = api::BoundsFromDefaults(
-      args.detector->bounds_kind,
-      api::BoundsDefaults{args.lower_fraction, args.alpha}, request.config);
-  if (!bounds.ok()) {
-    std::fprintf(stderr, "%s\n", bounds.status().ToString().c_str());
-    return 1;
-  }
-  request.bounds = std::move(bounds).value();
+  // The request decodes as a JSONL detect does, over the session's
+  // defaults.
+  Result<api::AuditRequest> decoded =
+      api::RequestFromJson(query, "fairtopk_audit", entry->defaults.config,
+                           entry->defaults.bounds);
+  if (!decoded.ok()) return Failed(decoded.status());
+  api::AuditRequest& request = *decoded;
 
   if (args.suggest) {
     auto suggestion = session.Suggest(request.config, SuggestOptions{});
-    if (!suggestion.ok()) {
-      std::fprintf(stderr, "%s\n", suggestion.status().ToString().c_str());
-      return 1;
-    }
+    if (!suggestion.ok()) return Failed(suggestion.status());
+    // The suggestion calibrates tau and the lower bound only, so
+    // --upper and --beta survive it.
     request.config.size_threshold = suggestion->size_threshold;
-    if (std::holds_alternative<GlobalBoundSpec>(request.bounds)) {
-      request.bounds = suggestion->global_bounds;
+    if (auto* global = std::get_if<GlobalBoundSpec>(&request.bounds)) {
+      global->lower = suggestion->global_bounds.lower;
     } else {
-      PropBoundSpec prop;
-      prop.alpha = suggestion->alpha;
-      request.bounds = prop;
+      std::get<PropBoundSpec>(request.bounds).alpha = suggestion->alpha;
     }
     std::fprintf(stderr,
                  "suggested: tau=%d global_level=%.2f alpha=%.2f\n",
@@ -346,23 +173,10 @@ int RunAudit(const Args& args) {
                  suggestion->alpha);
   }
 
-  // The upper-bound knobs ride on top of the lower-bound expansion
-  // (both default to +inf, i.e. disabled) — applied after the suggest
-  // override, which calibrates only the lower side, so --upper/--beta
-  // survive --suggest.
-  if (auto* global = std::get_if<GlobalBoundSpec>(&request.bounds)) {
-    global->upper = StepFunction::Constant(args.upper);
-  } else {
-    std::get<PropBoundSpec>(request.bounds).beta = args.beta;
-  }
-
   if (!args.verify_group.empty()) {
     // Verification mode: check one declared group, skip detection.
     Result<Pattern> group = ParseGroupSpec(args.verify_group, space);
-    if (!group.ok()) {
-      std::fprintf(stderr, "%s\n", group.status().ToString().c_str());
-      return 1;
-    }
+    if (!group.ok()) return Failed(group.status());
     Result<FairnessReport> report =
         std::holds_alternative<GlobalBoundSpec>(request.bounds)
             ? session.VerifyGlobal(*group,
@@ -371,10 +185,7 @@ int RunAudit(const Args& args) {
             : session.VerifyProp(*group,
                                  std::get<PropBoundSpec>(request.bounds),
                                  request.config);
-    if (!report.ok()) {
-      std::fprintf(stderr, "%s\n", report.status().ToString().c_str());
-      return 1;
-    }
+    if (!report.ok()) return Failed(report.status());
     std::printf("group %s: size=%zu, %s\n", group->ToString(space).c_str(),
                 report->size_in_d,
                 report->fair() ? "FAIR across the whole k range"
@@ -391,10 +202,7 @@ int RunAudit(const Args& args) {
   }
 
   Result<api::AuditResponse> response = session.Detect(request);
-  if (!response.ok()) {
-    std::fprintf(stderr, "%s\n", response.status().ToString().c_str());
-    return 1;
-  }
+  if (!response.ok()) return Failed(response.status());
   const DetectionResult& detected = *response->result;
 
   // Per-k presentation annotations against the request's bounds kind.
@@ -407,9 +215,9 @@ int RunAudit(const Args& args) {
   };
 
   if (args.json) {
-    ReportContext context{
-        args.snapshot.empty() ? args.csv : args.snapshot, args.measure,
-        args.detector->name};
+    const ReportContext context{entry->defaults.dataset,
+                                response->detector->measure,
+                                response->detector->name};
     std::printf("%s\n", DetectionResultToJson(detected, session.input(),
                                               context)
                             .c_str());
@@ -428,10 +236,7 @@ int RunAudit(const Args& args) {
         },
         request.bounds);
     Result<RepairOutcome> repair = session.Repair(constraints, request.config);
-    if (!repair.ok()) {
-      std::fprintf(stderr, "%s\n", repair.status().ToString().c_str());
-      return 1;
-    }
+    if (!repair.ok()) return Failed(repair.status());
     std::fprintf(stderr,
                  "repair: moved=%zu kendall_tau=%llu feasible=%s\n",
                  repair->tuples_moved,
@@ -461,16 +266,9 @@ int RunAudit(const Args& args) {
       }
       return out;
     }();
-    if (!reordered.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   reordered.status().ToString().c_str());
-      return 1;
-    }
+    if (!reordered.ok()) return Failed(reordered.status());
     Status written = WriteCsvFile(*reordered, args.rerank_path);
-    if (!written.ok()) {
-      std::fprintf(stderr, "%s\n", written.ToString().c_str());
-      return 1;
-    }
+    if (!written.ok()) return Failed(written);
     std::fprintf(stderr, "repaired ranking written to %s\n",
                  args.rerank_path.c_str());
   }
@@ -484,16 +282,9 @@ int RunAudit(const Args& args) {
     }
     auto explainer =
         GroupExplainer::Create(table, session.ranking(), ExplainerOptions{});
-    if (!explainer.ok()) {
-      std::fprintf(stderr, "%s\n", explainer.status().ToString().c_str());
-      return 1;
-    }
+    if (!explainer.ok()) return Failed(explainer.status());
     auto explanation = explainer->Explain(groups.front().pattern, space, k);
-    if (!explanation.ok()) {
-      std::fprintf(stderr, "%s\n",
-                   explanation.status().ToString().c_str());
-      return 1;
-    }
+    if (!explanation.ok()) return Failed(explanation.status());
     if (args.json) {
       std::printf("%s\n", ExplanationToJson(*explanation, space).c_str());
     } else {
@@ -513,16 +304,56 @@ int RunAudit(const Args& args) {
   return 0;
 }
 
+int AuditMain(int argc, char** argv) {
+  Result<JsonValue> flags = api::ReadFlags({argv + 1, argv + argc}, kFlags,
+                                           "fairtopk_audit");
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().message().c_str());
+    return 2;
+  }
+  Args args;
+  api::ApplyFields(*flags, kSessionSpecFields, &args.spec);
+  api::ApplyFields(*flags, kActionFields, &args);
+  if (args.help) {
+    PrintUsage(stdout);
+    return 0;
+  }
+  // A snapshot open carries its own ranking column and direction.
+  if ((args.spec.csv.empty() || args.spec.rank_by.empty()) &&
+      args.spec.snapshot.empty()) {
+    PrintUsage(stderr);
+    return 2;
+  }
+  // The detector is known before anything loads: an unknown one, or a
+  // bound flag it does not read, is a usage error.
+  const JsonValue query = api::SelectFields(*flags, kRequestFields);
+  Result<const api::DetectorDescriptor*> detector =
+      api::SelectDetector(query, "fairtopk_audit");
+  if (!detector.ok()) {
+    std::fprintf(stderr, "%s\n", detector.status().ToString().c_str());
+    return 2;
+  }
+  if (!(*detector)->lower_violations) {
+    // An upper detector with its bound left at +inf can only report
+    // nothing — refuse instead of printing a silently empty audit.
+    const bool global = (*detector)->bounds_kind == api::BoundsKind::kGlobal;
+    if (query.Find(global ? "upper" : "beta") == nullptr) {
+      std::fprintf(stderr, "--algo upper needs an upper bound: pass %s\n",
+                   global ? "--upper X" : "--beta X");
+      return 2;
+    }
+    // Over-represented groups must never become representation floors.
+    if (!args.rerank_path.empty()) {
+      std::fprintf(stderr,
+                   "--rerank requires a lower-bound detector (--algo "
+                   "upper reports over-represented groups)\n");
+      return 2;
+    }
+  }
+  return RunAudit(args, query);
+}
+
 }  // namespace
 }  // namespace fairtopk
 
-int main(int argc, char** argv) {
-  fairtopk::Args args;
-  bool help = false;
-  if (!fairtopk::ParseArgs(argc, argv, args, help)) return 2;
-  if (help) {
-    fairtopk::PrintUsage(stdout);
-    return 0;
-  }
-  return fairtopk::RunAudit(args);
-}
+int main(int argc, char** argv) { return fairtopk::AuditMain(argc, argv); }

@@ -2,7 +2,7 @@
 // a batched JSONL protocol on stdin/stdout or (with --listen) on TCP.
 //
 // Usage:
-//   fairtopk_serve --csv data.csv --rank-by score [options] < requests.jsonl
+//   fairtopk_serve --csv data.csv --rank-by score [flags] < requests.jsonl
 //   fairtopk_serve --csv data.csv --rank-by score --listen 7070
 //   fairtopk_serve --data-dir state/ --csv data.csv --rank-by score  # 1st run
 //   fairtopk_serve --data-dir state/ --listen 7070                   # restarts
@@ -32,6 +32,11 @@
 // RequestPipeline (input-order responses) on one --workers pool — see
 // src/service/jsonl_service.h for the protocol and README.md for
 // worked transcripts.
+//
+// The flags are declared fields (api::ReadFlags): the fields of the
+// `open` op, which describe session "default" (`--k-min 5` is open's
+// `k_min`), plus the process's own (kProcessFields below). `--help`
+// prints them from the same declarations.
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
@@ -41,10 +46,10 @@
 #include <thread>
 #include <unistd.h>
 
+#include "api/canonical.h"
 #include "common/metrics/metrics.h"
 #include "common/signals.h"
 #include "common/socket.h"
-#include "common/strings.h"
 #include "service/jsonl_service.h"
 #include "service/net/metrics_http.h"
 #include "service/net/socket_server.h"
@@ -55,22 +60,56 @@
 namespace fairtopk {
 namespace {
 
+/// The process's own flags; the rest of its flags are the fields of
+/// the `open` op, which describe the startup session "default".
 struct Args {
   /// The "default" session, opened like the `open` op's sessions; an
   /// empty data_dir keeps it in memory only.
   SessionSpec spec;
-  int threads = 1;  // only 1 is accepted: a query runs on one thread
   int workers = 1;
   int listen_port = -1;  // -1 = stdin/stdout mode
   std::string host = "127.0.0.1";
   int metrics_port = -1;  // -1 = no Prometheus endpoint
-  int slow_query_micros = 0;  // 0 = slow-query log off
+  ObservabilityOptions observability;  // the slow-query log, off at 0
+  bool help = false;
 };
+
+using enum api::FieldType;
+
+constexpr api::FieldSpec kProcessFields[] = {
+    {.name = "threads", .type = kInt,
+     .description = "threads per query: each query runs on one thread",
+     .min = 1, .max = 1},
+    {.name = "workers", .type = kInt,
+     .description = "request lines run at once, on one pool for stdin or "
+                    "every connection (default 1; 0: one per core)",
+     .set = api::Set<&Args::workers>, .min = 0, .max = 4096},
+    {.name = "listen", .type = kInt,
+     .description = "serve TCP on this port instead of stdin (0: any free "
+                    "port, printed on stderr)",
+     .set = api::Set<&Args::listen_port>, .min = 0, .max = 65535},
+    {"host", kString, "numeric address to bind (default 127.0.0.1)",
+     api::Set<&Args::host>},
+    {.name = "metrics_port", .type = kInt,
+     .description = "serve Prometheus metrics at GET /metrics on this port "
+                    "(0: any free port, printed on stderr)",
+     .set = api::Set<&Args::metrics_port>, .min = 0, .max = 65535},
+    {.name = "slow_query_log", .type = kInt,
+     .description = "log each request taking at least N microseconds to "
+                    "stderr",
+     .set = api::Set<&Args::observability,
+                     &ObservabilityOptions::slow_query_log_micros>,
+     .min = 1, .max = 1 << 30},
+    {"help", kBool, "print this message and exit", api::Set<&Args::help>},
+};
+
+/// Every flag: the fields of op=open, then the process's own.
+constexpr auto kFlags = api::JoinFields<kSessionSpecFields, kProcessFields>();
 
 void PrintUsage(std::FILE* out) {
   std::fprintf(
       out,
-      "usage: fairtopk_serve --csv data.csv --rank-by column [options]\n"
+      "usage: fairtopk_serve --csv data.csv --rank-by column [flags]\n"
       "\n"
       "Serves audit sessions over the CSV: reads one JSON request per\n"
       "stdin line, writes one JSON response per stdout line until EOF —\n"
@@ -84,176 +123,17 @@ void PrintUsage(std::FILE* out) {
   for (const JsonlService::Op& op : JsonlService::Ops()) {
     std::fprintf(out, "  %-14s %s\n", op.name, op.summary);
   }
-  std::fprintf(
-      out,
-      "\n"
-      "Options:\n"
-      "  --csv PATH             input CSV file (required)\n"
-      "  --rank-by COLUMN       numeric column to rank by, descending\n"
-      "                         (required)\n"
-      "  --ascending            rank ascending instead\n"
-      "  --kmin K --kmax K      default rank range (default 10..49,\n"
-      "                         clamped to |D|)\n"
-      "  --tau N                default group size threshold\n"
-      "                         (default 5%% of rows)\n"
-      "  --threads 1            threads per query: every query runs\n"
-      "                         on one thread, so only 1 is accepted\n"
-      "  --lower X              default global lower bound, fraction\n"
-      "                         of k (default 0.5)\n"
-      "  --alpha X              default proportional multiplier\n"
-      "                         (default 0.8)\n"
-      "  --bins N               buckets per numeric attribute\n"
-      "                         (default 4)\n"
-      "  --drop col1,col2       columns to ignore (ids, names, ...)\n"
-      "  --data-dir DIR         durable session state: open DIR's\n"
-      "                         snapshot and replay its op log when\n"
-      "                         present (skipping the CSV load), cold\n"
-      "                         start from --csv and save the initial\n"
-      "                         snapshot otherwise; update/append ops\n"
-      "                         are logged, op=save compacts, and\n"
-      "                         shutdown compacts automatically\n"
-      "  --fsync-always         fsync the op log after every\n"
-      "                         maintenance op (durable to the power\n"
-      "                         cord, slower updates)\n"
-      "  --rebuild-threshold X  patch the index in place while at most\n"
-      "                         X*|D| rank positions changed row;\n"
-      "                         rebuild beyond it (default 0.5)\n"
-      "  --cache-capacity N     cached detection results (default 64,\n"
-      "                         0 disables)\n"
-      "  --workers N            request lines executed concurrently\n"
-      "                         (default 1; 0 = hardware concurrency),\n"
-      "                         on one pool shared by stdin or every\n"
-      "                         TCP connection. Responses always come\n"
-      "                         back in each stream's input order; a\n"
-      "                         stream reads ahead at most 4 lines per\n"
-      "                         worker, and a request line may be at\n"
-      "                         most 64 MiB\n"
-      "  --listen PORT          serve TCP on --host instead of stdin\n"
-      "                         (0 picks an ephemeral port, printed on\n"
-      "                         stderr); SIGINT/SIGTERM drains and\n"
-      "                         exits 0\n"
-      "  --host ADDR            numeric address to bind\n"
-      "                         (default 127.0.0.1)\n"
-      "  --metrics-port P       serve Prometheus text metrics via\n"
-      "                         HTTP GET /metrics on --host:P (0 picks\n"
-      "                         an ephemeral port, printed on stderr);\n"
-      "                         works in both stdin and TCP modes\n"
-      "  --slow-query-log N     trace every request and log a JSONL\n"
-      "                         line to stderr for any request taking\n"
-      "                         >= N microseconds end to end\n"
-      "  --help                 print this message and exit\n");
+  std::fprintf(out,
+               "\n"
+               "Flags (the fields of op=open for session \"default\", then "
+               "the process's own):\n%s",
+               api::FlagsHelp(kFlags).c_str());
 }
 
-bool ParseArgs(int argc, char** argv, Args& args, bool& help) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string flag = argv[i];
-    auto next = [&](const char* name) -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", name);
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    auto next_int = [&](const char* name, int min, int max,
-                        int& out) -> bool {
-      const char* v = next(name);
-      if (v == nullptr) return false;
-      auto parsed = ParseInt(v);
-      if (!parsed.has_value() || *parsed < min || *parsed > max) {
-        std::fprintf(stderr, "%s expects an integer in [%d, %d], got '%s'\n",
-                     name, min, max, v);
-        return false;
-      }
-      out = static_cast<int>(*parsed);
-      return true;
-    };
-    auto next_double = [&](const char* name, double& out) -> bool {
-      const char* v = next(name);
-      if (v == nullptr) return false;
-      auto parsed = ParseDouble(v);
-      if (!parsed.has_value()) {
-        std::fprintf(stderr, "%s expects a number, got '%s'\n", name, v);
-        return false;
-      }
-      out = *parsed;
-      return true;
-    };
-    if (flag == "--help" || flag == "-h") {
-      help = true;
-      return true;
-    } else if (flag == "--csv") {
-      const char* v = next("--csv");
-      if (v == nullptr) return false;
-      args.spec.csv = v;
-    } else if (flag == "--rank-by") {
-      const char* v = next("--rank-by");
-      if (v == nullptr) return false;
-      args.spec.rank_by = v;
-    } else if (flag == "--ascending") {
-      args.spec.ascending = true;
-    } else if (flag == "--kmin") {
-      if (!next_int("--kmin", 1, 1 << 30, args.spec.k_min)) return false;
-    } else if (flag == "--kmax") {
-      if (!next_int("--kmax", 1, 1 << 30, args.spec.k_max)) return false;
-    } else if (flag == "--tau") {
-      if (!next_int("--tau", 1, 1 << 30, args.spec.tau)) return false;
-    } else if (flag == "--threads") {
-      if (!next_int("--threads", 1, 1, args.threads)) return false;
-    } else if (flag == "--bins") {
-      if (!next_int("--bins", 2, 1 << 20, args.spec.bins)) return false;
-    } else if (flag == "--cache-capacity") {
-      int capacity = 0;
-      if (!next_int("--cache-capacity", 0, 1 << 30, capacity)) return false;
-      args.spec.session.cache_capacity = static_cast<size_t>(capacity);
-    } else if (flag == "--workers") {
-      if (!next_int("--workers", 0, 4096, args.workers)) return false;
-    } else if (flag == "--lower") {
-      if (!next_double("--lower", args.spec.lower_fraction)) return false;
-    } else if (flag == "--alpha") {
-      if (!next_double("--alpha", args.spec.alpha)) return false;
-    } else if (flag == "--rebuild-threshold") {
-      if (!next_double("--rebuild-threshold",
-                       args.spec.session.rebuild_threshold)) {
-        return false;
-      }
-    } else if (flag == "--drop") {
-      const char* v = next("--drop");
-      if (v == nullptr) return false;
-      args.spec.drop = Split(v, ',');
-    } else if (flag == "--data-dir") {
-      const char* v = next("--data-dir");
-      if (v == nullptr) return false;
-      args.spec.data_dir = v;
-    } else if (flag == "--fsync-always") {
-      args.spec.fsync_always = true;
-    } else if (flag == "--listen") {
-      if (!next_int("--listen", 0, 65535, args.listen_port)) return false;
-    } else if (flag == "--host") {
-      const char* v = next("--host");
-      if (v == nullptr) return false;
-      args.host = v;
-    } else if (flag == "--metrics-port") {
-      if (!next_int("--metrics-port", 0, 65535, args.metrics_port)) {
-        return false;
-      }
-    } else if (flag == "--slow-query-log") {
-      if (!next_int("--slow-query-log", 1, 1 << 30, args.slow_query_micros)) {
-        return false;
-      }
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", flag.c_str());
-      PrintUsage(stderr);
-      return false;
-    }
-  }
-  // --data-dir can start from an existing snapshot alone; every other
-  // mode (and a data-dir cold start, checked at open) needs the CSV.
-  if ((args.spec.csv.empty() || args.spec.rank_by.empty()) &&
-      args.spec.data_dir.empty()) {
-    PrintUsage(stderr);
-    return false;
-  }
-  return true;
+/// Prints `status` and returns the exit code of a failed start.
+int Failed(const Status& status) {
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return 1;
 }
 
 int ResolveWorkers(int workers) {
@@ -299,8 +179,7 @@ int RunServe(const Args& args) {
   PersistentOpenReport report;
   if (Status opened = catalog.Open("default", args.spec, &report);
       !opened.ok()) {
-    std::fprintf(stderr, "%s\n", opened.ToString().c_str());
-    return 1;
+    return Failed(opened);
   }
   int n = 0;
   size_t attributes = 0;
@@ -330,12 +209,7 @@ int RunServe(const Args& args) {
   JsonlService service(&catalog, "default");
   const int workers = ResolveWorkers(args.workers);
   service.set_server_workers(workers);
-  if (args.slow_query_micros > 0) {
-    ObservabilityOptions observability;
-    observability.slow_query_log_micros =
-        static_cast<uint64_t>(args.slow_query_micros);
-    service.set_observability(observability);
-  }
+  service.set_observability(args.observability);
 
   // The Prometheus endpoint rides along in either serving mode; its
   // Shutdown() runs from this scope's unwinding after the main loop
@@ -346,10 +220,7 @@ int RunServe(const Args& args) {
     Result<std::unique_ptr<MetricsHttpServer>> created =
         MetricsHttpServer::Create(args.host,
                                   static_cast<uint16_t>(args.metrics_port));
-    if (!created.ok()) {
-      std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
-      return 1;
-    }
+    if (!created.ok()) return Failed(created.status());
     metrics_http = std::move(created).value();
     metrics_http->Start();
     // The metrics smoke driver parses this exact line for the port.
@@ -357,11 +228,14 @@ int RunServe(const Args& args) {
                  static_cast<unsigned>(metrics_http->port()));
   }
 
-  if (args.listen_port < 0) {
+  const auto announce_ready = [&] {
     std::fprintf(stderr,
                  "session ready: %d rows, %zu pattern attributes, "
                  "%d worker(s)\n",
                  n, attributes, workers);
+  };
+  if (args.listen_port < 0) {
+    announce_ready();
     ServeStream(&service, std::cin, std::cout, workers);
     CompactOnExit(catalog);
     return 0;
@@ -371,22 +245,13 @@ int RunServe(const Args& args) {
   // a SIGTERM racing startup must still win a clean drain, not the
   // default kill.
   Result<int> signal_fd = InstallShutdownSignalPipe();
-  if (!signal_fd.ok()) {
-    std::fprintf(stderr, "%s\n", signal_fd.status().ToString().c_str());
-    return 1;
-  }
+  if (!signal_fd.ok()) return Failed(signal_fd.status());
   Result<TcpListener> listener = TcpListener::Listen(
       args.host, static_cast<uint16_t>(args.listen_port));
-  if (!listener.ok()) {
-    std::fprintf(stderr, "%s\n", listener.status().ToString().c_str());
-    return 1;
-  }
+  if (!listener.ok()) return Failed(listener.status());
   SocketServer server(&service, std::move(listener).value(), workers);
   server.Start();
-  std::fprintf(stderr,
-               "session ready: %d rows, %zu pattern attributes, "
-               "%d worker(s)\n",
-               n, attributes, workers);
+  announce_ready();
   // The smoke driver parses this exact line for the ephemeral port.
   std::fprintf(stderr, "listening on %s:%u\n", args.host.c_str(),
                static_cast<unsigned>(server.port()));
@@ -410,16 +275,32 @@ int RunServe(const Args& args) {
   return 0;
 }
 
+int ServeMain(int argc, char** argv) {
+  Result<JsonValue> flags = api::ReadFlags({argv + 1, argv + argc}, kFlags,
+                                           "fairtopk_serve");
+  if (!flags.ok()) {
+    std::fprintf(stderr, "%s\n", flags.status().message().c_str());
+    return 2;
+  }
+  Args args;
+  api::ApplyFields(*flags, kSessionSpecFields, &args.spec);
+  api::ApplyFields(*flags, kProcessFields, &args);
+  if (args.help) {
+    PrintUsage(stdout);
+    return 0;
+  }
+  // A snapshot or a data dir can start the session alone; otherwise
+  // (and at a data dir's cold start, checked at open) it needs the CSV.
+  const SessionSpec& spec = args.spec;
+  if ((spec.csv.empty() || spec.rank_by.empty()) && spec.snapshot.empty() &&
+      spec.data_dir.empty()) {
+    PrintUsage(stderr);
+    return 2;
+  }
+  return RunServe(args);
+}
+
 }  // namespace
 }  // namespace fairtopk
 
-int main(int argc, char** argv) {
-  fairtopk::Args args;
-  bool help = false;
-  if (!fairtopk::ParseArgs(argc, argv, args, help)) return 2;
-  if (help) {
-    fairtopk::PrintUsage(stdout);
-    return 0;
-  }
-  return fairtopk::RunServe(args);
-}
+int main(int argc, char** argv) { return fairtopk::ServeMain(argc, argv); }
